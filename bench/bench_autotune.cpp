@@ -1,15 +1,13 @@
 // Tuned-vs-heuristic throughput on the Table-1 bench shape.
 //
 // Runs the empirical autotuner (gpumodel::autotune_measured) on the same
-// problems bench_kernels_cpu measures, reports tuned and heuristic
-// GFLOP/s, and merges both into BENCH_kernels.json so the tuning gain is
-// tracked across PRs alongside the fast-vs-seed trajectory.
+// problems bench_kernels_cpu measures and reports tuned and heuristic
+// GFLOP/s.
 //
 // Doubles as the CI parity gate: the tuner bit-compares the winning
 // configuration's output against spmm_vnm_reference (and this bench
 // additionally checks the heuristic config), exiting non-zero on any
 // mismatch.
-#include <chrono>
 #include <cstdio>
 #include <cstring>
 
@@ -45,7 +43,6 @@ int main() {
   const HalfMatrix w = random_half_matrix(kR, kK, rng_w, 0.05f);
   const HalfMatrix b = random_half_matrix(kK, kC, rng_b, 0.05f);
 
-  std::vector<bench::JsonRecord> records;
   bench::header({"V:N:M", "heuristic", "tuned", "gain%", "parity"});
 
   int failures = 0;
@@ -84,24 +81,6 @@ int main() {
     std::printf("    tuned:     %s\n", tuned.best.config.describe().c_str());
     std::printf("    heuristic: %s\n",
                 tuned.heuristic.config.describe().c_str());
-
-    // speedup_vs_seed keeps the BENCH_kernels.json convention: wall-clock
-    // of the retained seed scalar path over this kernel's.
-    const double seed_s = bench::seconds_per_call(
-        [&] {
-          const ops::ScopedBackend forced("vnm-scalar");
-          volatile float sink =
-              ops::matmul(ops::MatmulArgs::make(a, b)).flat()[0];
-          (void)sink;
-        },
-        0.05);
-    const std::string shape = "R" + std::to_string(kR) + "xK" +
-                              std::to_string(kK) + "xC" + std::to_string(kC) +
-                              " " + vnm;
-    records.push_back({"spmm_vnm_tuned", shape, tuned.best.gflops,
-                       seed_s / tuned.best.seconds});
-    records.push_back({"spmm_vnm_heuristic", shape, tuned.heuristic.gflops,
-                       seed_s / tuned.heuristic.seconds});
   }
 
   // The int8 datapath, tuned the same way: autotune_measured on
@@ -142,30 +121,7 @@ int main() {
     std::printf("    tuned:     %s\n", tuned.best.config.describe().c_str());
     std::printf("    heuristic: %s\n",
                 tuned.heuristic.config.describe().c_str());
-
-    // The retained seed path for the int8 rows is the int8 scalar oracle
-    // itself — the datapath's own slow-but-sure baseline.
-    const double seed_s = bench::seconds_per_call(
-        [&] {
-          volatile float sink =
-              quant::spmm_vnm_i8_scalar(qa, b,
-                                        tuned.best.config.column_loc)
-                  .flat()[0];
-          (void)sink;
-        },
-        0.05);
-    const std::string shape = "R" + std::to_string(kR) + "xK" +
-                              std::to_string(kK) + "xC" + std::to_string(kC) +
-                              " 64:2:8";
-    records.push_back({"spmm_vnm_i8_tuned", shape, tuned.best.gflops,
-                       seed_s / tuned.best.seconds});
-    records.push_back({"spmm_vnm_i8_heuristic", shape,
-                       tuned.heuristic.gflops,
-                       seed_s / tuned.heuristic.seconds});
   }
 
-  bench::merge_bench_json("BENCH_kernels.json", records);
-  std::printf("\nmerged %zu records into BENCH_kernels.json\n",
-              records.size());
   return failures == 0 ? 0 : 1;
 }

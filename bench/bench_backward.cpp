@@ -1,7 +1,6 @@
 // Backward-pass kernel throughput: the transposed SpMM (input gradient)
 // and the masked SDDMM (weight gradient) against their scalar oracles,
-// plus a whole sparse Linear::backward step. Results merge into
-// BENCH_kernels.json next to the forward records.
+// plus a whole sparse Linear::backward step.
 //
 // Measurement discipline: each fast/oracle pair is interleaved
 // (oracle -> fast -> oracle -> fast, medians of the pairs) so drift on a
@@ -34,8 +33,7 @@ double median(std::vector<double> v) {
 }
 
 /// Interleaves two timed closures and returns their median
-/// seconds-per-call (baseline first, matching the perf gate's argument
-/// order convention).
+/// seconds-per-call (baseline first).
 template <typename Base, typename Fast>
 std::pair<double, double> interleaved(Base&& base, Fast&& fast) {
   std::vector<double> base_s, fast_s;
@@ -52,7 +50,6 @@ int main() {
   bench::banner("Backward-pass kernels",
                 "transposed SpMM + masked SDDMM vs scalar oracles, "
                 "sparse Linear::backward");
-  std::vector<bench::JsonRecord> records;
   Rng rng = Rng::seeded("bench-backward");
   const HalfMatrix w =
       pruning::synthetic_bert_weight(kR, kK, rng, 0.15, 4.0f, 0.05f);
@@ -63,11 +60,6 @@ int main() {
   bench::header({"kernel", "vnm", "GFLOP/s", "oracle", "speedup"});
   for (const VnmConfig fmt : {VnmConfig{64, 2, 8}, VnmConfig{128, 2, 16}}) {
     const VnmMatrix a = VnmMatrix::from_dense_magnitude(w, fmt);
-    const std::string shape = std::to_string(kR) + "x" + std::to_string(kK) +
-                              "x" + std::to_string(kC) + " " +
-                              std::to_string(fmt.v) + ":" +
-                              std::to_string(fmt.n) + ":" +
-                              std::to_string(fmt.m);
 
     // dL/dx = W^T dL/dy.
     {
@@ -85,8 +77,6 @@ int main() {
       bench::cell(flops / base_s / 1e9);
       bench::cell(base_s / fast_s, "%.2fx");
       bench::endrow();
-      records.push_back({"spmm_vnm_t", shape, flops / fast_s / 1e9,
-                         base_s / fast_s, "gflops"});
     }
 
     // dL/dW = (dL/dy x^T) masked to the pattern.
@@ -104,8 +94,6 @@ int main() {
       bench::cell(flops / base_s / 1e9);
       bench::cell(base_s / fast_s, "%.2fx");
       bench::endrow();
-      records.push_back({"sddmm_vnm", shape, flops / fast_s / 1e9,
-                         base_s / fast_s, "gflops"});
     }
   }
 
@@ -122,14 +110,6 @@ int main() {
         [&] { return layer.backward(x, gy); }, 0.2);
     std::printf("\nlinear backward (sparse 64:2:8): %.3f ms per step\n",
                 s * 1e3);
-    records.push_back({"linear_backward_sparse",
-                       std::to_string(kR) + "x" + std::to_string(kK) + "x" +
-                           std::to_string(kC) + " 64:2:8",
-                       s * 1e3, 1.0, "ms"});
   }
-
-  bench::merge_bench_json("BENCH_kernels.json", records);
-  std::printf("\nmerged %zu records into BENCH_kernels.json\n",
-              records.size());
   return 0;
 }

@@ -2,13 +2,12 @@
 // serving engine, against the KV ring cache.
 //
 // Two timed phases over the same pruned causal encoder (measurement in
-// serving::run_decode_bench, shared with `venomtool generate`'s engine
-// path): a prefill-only phase — the prompts as bulk encode traffic,
-// whose per-batch forward time is the latency a decode step would pay if
-// it were serialized behind full prefill batches — and a mixed phase
-// with every session generating concurrently, prefill chunks and
-// single-token decode steps sharing one batch queue with decode ranked
-// urgent. The acceptance bar is the scheduling claim itself: the mixed
+// serving::run_decode_bench): a prefill-only phase — the prompts as bulk
+// encode traffic, whose per-batch forward time is the latency a decode
+// step would pay if it were serialized behind full prefill batches — and
+// a mixed phase with every session generating concurrently, prefill
+// chunks and single-token decode steps sharing one batch queue with
+// decode ranked urgent. The acceptance bar is the scheduling claim itself: the mixed
 // run's per-step decode p99 (queue + exec) must come in under the solo
 // prefill batch latency, i.e. decode steps slot between prompt chunks
 // instead of waiting them out. A correctness pass first asserts every
@@ -29,7 +28,8 @@ namespace {
 using namespace venom;
 
 transformer::ModelConfig bench_model() {
-  // Same BERT-tiny-ish stack as bench_serving: SpMM-dominated, CI-sized.
+  // The BERT-tiny-ish stack of venomtool serve-bench / route-bench:
+  // SpMM-dominated, CI-sized.
   return transformer::ModelConfig{.name = "bert-tiny", .layers = 2,
                                   .hidden = 256, .heads = 4,
                                   .ffn_hidden = 512, .seq_len = 128};
@@ -40,15 +40,15 @@ transformer::ModelConfig bench_model() {
 int main(int argc, char** argv) {
   serving::DecodeBenchSetup setup;
   setup.model = bench_model();
-  setup.sessions = argc > 1 ? std::strtoull(argv[1], nullptr, 10) : 16;
-  setup.prompt_tokens = argc > 2 ? std::strtoull(argv[2], nullptr, 10) : 32;
+  setup.requests = argc > 1 ? std::strtoull(argv[1], nullptr, 10) : 16;
+  setup.tokens = argc > 2 ? std::strtoull(argv[2], nullptr, 10) : 32;
   setup.new_tokens = argc > 3 ? std::strtoull(argv[3], nullptr, 10) : 32;
   setup.window = argc > 4 ? std::strtoull(argv[4], nullptr, 10) : 48;
 
   char shape[128];
   std::snprintf(shape, sizeof(shape), "%s h%zuL%zu s%zu p%zu+%zu w%zu bt%zu",
                 setup.model.name.c_str(), setup.model.hidden,
-                setup.model.layers, setup.sessions, setup.prompt_tokens,
+                setup.model.layers, setup.requests, setup.tokens,
                 setup.new_tokens, setup.window, setup.max_batch_tokens);
   bench::banner("Decode: mixed prefill/decode batching over the KV ring",
                 shape);
@@ -78,18 +78,9 @@ int main(int argc, char** argv) {
               r.stats.prefill_tokens, r.stats.decode_steps, r.stats.batches,
               r.stats.avg_batch_tokens);
 
-  bench::merge_bench_json(
-      "BENCH_kernels.json",
-      {{"decode_prefill", shape, r.solo_prefill_tok_s, 1.0, "tok_per_s"},
-       {"decode_tok_s", shape, r.decode_tok_s, 1.0, "tok_per_s"},
-       {"decode_step_p99", shape, r.stats.decode_p99_ms, 1.0, "ms"},
-       {"decode_solo_prefill_batch", shape, r.solo_prefill_batch_p50_ms,
-        1.0, "ms"}});
-  std::printf("merged 4 decode records into BENCH_kernels.json\n");
-
   // The scheduling acceptance bar: a decode step must not wait out a
   // full prefill batch. VENOM_DECODE_P99_FACTOR relaxes it for slow or
-  // contended runners, mirroring the perf gate's tolerance envs.
+  // contended runners.
   double factor = 1.0;
   if (const char* env = std::getenv("VENOM_DECODE_P99_FACTOR"))
     factor = std::strtod(env, nullptr);

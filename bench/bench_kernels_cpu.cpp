@@ -153,11 +153,9 @@ BENCHMARK(BM_VnmCompression)->Arg(8)->Arg(32)->Unit(benchmark::kMillisecond);
 using venom::bench::seconds_per_call;
 
 /// Measures the packed float-panel pipeline against the seed scalar path
-/// on the Table-1 bench shape and writes BENCH_kernels.json so the perf
-/// trajectory is tracked across PRs.
-void write_speedup_json() {
+/// on the Table-1 bench shape, with the int8/fp8 paths beside it.
+void print_fast_vs_seed() {
   const HalfMatrix b = activations();
-  std::vector<venom::bench::JsonRecord> records;
   std::printf("SpMM fast-vs-seed (R%zux K%zu x C%zu):\n", kR, kK, kC);
   for (const VnmConfig cfg : {VnmConfig{64, 2, 8}, VnmConfig{128, 2, 16}}) {
     const VnmMatrix a = VnmMatrix::from_dense_magnitude(weight(), cfg);
@@ -174,9 +172,6 @@ void write_speedup_json() {
                               " " + std::to_string(cfg.v) + ":" +
                               std::to_string(cfg.n) + ":" +
                               std::to_string(cfg.m);
-    records.push_back({"spmm_vnm", shape, flops / fast_s * 1e-9,
-                       seed_s / fast_s});
-    records.push_back({"spmm_vnm_scalar", shape, flops / seed_s * 1e-9, 1.0});
     std::printf("  %-24s %7.2f GFLOP/s  (seed %5.2f GFLOP/s, speedup %.2fx)\n",
                 shape.c_str(), flops / fast_s * 1e-9, flops / seed_s * 1e-9,
                 seed_s / fast_s);
@@ -189,8 +184,6 @@ void write_speedup_json() {
     const ops::MatmulArgs qargs = ops::MatmulArgs::make(qa, b);
     const double i8_s = seconds_per_call(
         [&] { benchmark::DoNotOptimize(ops::matmul(qargs)); });
-    records.push_back({"spmm_vnm_i8", shape, flops / i8_s * 1e-9,
-                       seed_s / i8_s});
     std::printf("  %-24s %7.2f GFLOP/s  (%.2fx over fp16 fast)\n",
                 (shape + " int8").c_str(), flops / i8_s * 1e-9, fast_s / i8_s);
 
@@ -199,24 +192,19 @@ void write_speedup_json() {
     const ops::MatmulArgs fargs = ops::MatmulArgs::make(fa, b);
     const double f8_s = seconds_per_call(
         [&] { benchmark::DoNotOptimize(ops::matmul(fargs)); });
-    records.push_back({"spmm_vnm_fp8", shape, flops / f8_s * 1e-9,
-                       seed_s / f8_s});
     std::printf("  %-24s %7.2f GFLOP/s  (%.2fx over fp16 fast)\n",
                 (shape + " fp8").c_str(), flops / f8_s * 1e-9, fast_s / f8_s);
   }
-  // Merge (not overwrite) so bench_autotune's tuned-vs-heuristic records
-  // survive a re-run of this harness and vice versa.
-  venom::bench::merge_bench_json("BENCH_kernels.json", records);
-  std::printf("wrote BENCH_kernels.json\n\n");
+  std::printf("\n");
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  // The fast-vs-seed measurement (and its JSON overwrite) runs only on a
-  // bare invocation; flagged runs (--benchmark_filter, --benchmark_list_tests,
-  // --help, ...) go straight to google-benchmark.
-  if (argc == 1) write_speedup_json();
+  // The fast-vs-seed measurement runs only on a bare invocation; flagged
+  // runs (--benchmark_filter, --benchmark_list_tests, --help, ...) go
+  // straight to google-benchmark.
+  if (argc == 1) print_fast_vs_seed();
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   benchmark::RunSpecifiedBenchmarks();

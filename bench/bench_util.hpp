@@ -1,11 +1,7 @@
-// Shared table-printing helpers for the figure benches, plus the
-// machine-readable perf record emitted by bench_kernels_cpu so the kernel
-// throughput trajectory is tracked across PRs.
+// Shared table-printing and timing helpers for the bench executables.
 #pragma once
 
 #include <cstdio>
-#include <cstdlib>
-#include <fstream>
 #include <string>
 #include <vector>
 
@@ -13,97 +9,11 @@
 
 namespace venom::bench {
 
-/// One measured configuration. `speedup_vs_seed` is wall-clock of the
-/// baseline path divided by this one's wall-clock on the same problem
-/// (1.0 when the record IS the baseline or has none). `unit` names what
-/// `gflops` carries — "gflops" for kernels; serving records reuse the
-/// field for "req_per_s", "tok_per_s", or "ms" (the perf-regression gate
-/// reads it to pick the regression direction: for "ms" higher is worse).
-struct JsonRecord {
-  std::string name;
-  std::string shape;
-  double gflops = 0.0;
-  double speedup_vs_seed = 1.0;
-  std::string unit = "gflops";
-};
-
-/// Writes records as a JSON array to `path` (e.g. BENCH_kernels.json).
-inline void write_bench_json(const std::string& path,
-                             const std::vector<JsonRecord>& records) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot write %s\n", path.c_str());
-    return;
-  }
-  std::fprintf(f, "[\n");
-  for (std::size_t i = 0; i < records.size(); ++i) {
-    const JsonRecord& r = records[i];
-    std::fprintf(f,
-                 "  {\"name\": \"%s\", \"shape\": \"%s\", "
-                 "\"gflops\": %.3f, \"speedup_vs_seed\": %.3f, "
-                 "\"unit\": \"%s\"}%s\n",
-                 r.name.c_str(), r.shape.c_str(), r.gflops,
-                 r.speedup_vs_seed, r.unit.c_str(),
-                 i + 1 < records.size() ? "," : "");
-  }
-  std::fprintf(f, "]\n");
-  std::fclose(f);
-}
-
 /// The shared timing loop (common/timing.hpp) with the bench default of
 /// one warmup call.
 template <typename Fn>
 double seconds_per_call(Fn&& fn, double min_sample_s = 0.2) {
   return venom::seconds_per_call(static_cast<Fn&&>(fn), 1, min_sample_s);
-}
-
-/// Parses one record line of write_bench_json's own output back into a
-/// JsonRecord. Returns false for lines that are not records (brackets,
-/// foreign content).
-inline bool parse_bench_line(const std::string& line, JsonRecord& r) {
-  const auto str_field = [&line](const char* key) -> std::string {
-    const std::string tag = std::string("\"") + key + "\": \"";
-    const std::size_t p = line.find(tag);
-    if (p == std::string::npos) return {};
-    const std::size_t start = p + tag.size();
-    const std::size_t q = line.find('"', start);
-    if (q == std::string::npos) return {};
-    return line.substr(start, q - start);
-  };
-  const auto num_field = [&line](const char* key, double fallback) {
-    const std::string tag = std::string("\"") + key + "\": ";
-    const std::size_t p = line.find(tag);
-    if (p == std::string::npos) return fallback;
-    return std::strtod(line.c_str() + p + tag.size(), nullptr);
-  };
-  r.name = str_field("name");
-  r.shape = str_field("shape");
-  if (r.name.empty() || r.shape.empty()) return false;
-  r.gflops = num_field("gflops", 0.0);
-  r.speedup_vs_seed = num_field("speedup_vs_seed", 1.0);
-  const std::string unit = str_field("unit");
-  r.unit = unit.empty() ? "gflops" : unit;  // records from older PRs
-  return true;
-}
-
-/// Merges records into the JSON file: existing records with a different
-/// (name, shape) are preserved, matching ones are replaced. Lets several
-/// bench executables contribute to one BENCH_kernels.json.
-inline void merge_bench_json(const std::string& path,
-                             const std::vector<JsonRecord>& records) {
-  std::vector<JsonRecord> merged;
-  std::ifstream in(path);
-  std::string line;
-  while (in.good() && std::getline(in, line)) {
-    JsonRecord old;
-    if (!parse_bench_line(line, old)) continue;
-    bool replaced = false;
-    for (const JsonRecord& r : records)
-      if (r.name == old.name && r.shape == old.shape) replaced = true;
-    if (!replaced) merged.push_back(std::move(old));
-  }
-  merged.insert(merged.end(), records.begin(), records.end());
-  write_bench_json(path, merged);
 }
 
 /// Prints a banner naming the paper artefact being regenerated.

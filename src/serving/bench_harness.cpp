@@ -10,11 +10,34 @@
 #include <vector>
 
 #include "common/cpu_features.hpp"
+#include "common/error.hpp"
 #include "common/rng.hpp"
 #include "common/timing.hpp"
 #include "transformer/encoder.hpp"
 
 namespace venom::serving {
+
+Options BenchSetup::options() const {
+  Options opts;
+  opts.batching.max_batch_tokens = max_batch_tokens;
+  opts.batching.max_batch_requests = max_batch_requests;
+  opts.batching.max_wait = max_wait;
+  opts.plan_path = plan_path;
+  return opts;
+}
+
+void BenchSetup::validate() const {
+  VENOM_CHECK_MSG(requests >= 1, "serving bench: requests must be positive");
+  VENOM_CHECK_MSG(tokens >= 1, "serving bench: tokens must be positive");
+}
+
+void LoadSetup::validate() const {
+  BenchSetup::validate();
+  VENOM_CHECK_MSG(tokens <= max_tokens,
+                  "serving bench: tokens (the shortest request, "
+                      << tokens << ") exceeds max_tokens (" << max_tokens
+                      << ")");
+}
 
 namespace {
 
@@ -26,6 +49,48 @@ transformer::Encoder pruned_encoder(const transformer::ModelConfig& model,
   return enc;
 }
 
+/// Request i of the trace is random_half_matrix(hidden, lengths[i]) drawn
+/// from the stream seeded (label, first_index + i): the contents depend
+/// only on the label and index, never on timing or trace length.
+std::vector<HalfMatrix> seeded_trace(const char* label,
+                                     std::uint64_t first_index,
+                                     std::size_t hidden,
+                                     const std::vector<std::size_t>& lengths) {
+  std::vector<HalfMatrix> trace;
+  trace.reserve(lengths.size());
+  for (std::size_t i = 0; i < lengths.size(); ++i) {
+    Rng rng = Rng::seeded(label, first_index + i);
+    trace.push_back(random_half_matrix(hidden, lengths[i], rng, 0.5f));
+  }
+  return trace;
+}
+
+/// The canonical "serving-trace" that the comparison, the sweep, and its
+/// replay share, so a plan's measured_rps is comparable across all three.
+std::vector<HalfMatrix> serving_trace(const BenchSetup& setup) {
+  return seeded_trace("serving-trace", 0, setup.model.hidden,
+                      std::vector<std::size_t>(setup.requests, setup.tokens));
+}
+
+/// Submits every input (copied: traces are reused across passes), then
+/// waits for all of them in submission order.
+std::vector<Response> submit_and_wait(InferenceEngine& engine,
+                                      const std::vector<HalfMatrix>& inputs,
+                                      std::size_t max_new_tokens = 0) {
+  std::vector<std::future<Response>> futs;
+  futs.reserve(inputs.size());
+  for (const HalfMatrix& x : inputs) {
+    Request req;
+    req.input = x;
+    req.max_new_tokens = max_new_tokens;
+    futs.push_back(engine.submit(std::move(req)));
+  }
+  std::vector<Response> out;
+  out.reserve(futs.size());
+  for (auto& f : futs) out.push_back(f.get());
+  return out;
+}
+
 bool same_bits(const HalfMatrix& a, const HalfMatrix& b) {
   if (a.rows() != b.rows() || a.cols() != b.cols()) return false;
   for (std::size_t e = 0; e < a.size(); ++e)
@@ -33,26 +98,23 @@ bool same_bits(const HalfMatrix& a, const HalfMatrix& b) {
   return true;
 }
 
+double timed_batched_rps(InferenceEngine& engine,
+                         const std::vector<HalfMatrix>& trace) {
+  const auto run = [&] { submit_and_wait(engine, trace); };
+  run();  // warmup: fills the plan cache and the packed-panel pools
+  return static_cast<double>(trace.size()) /
+         seconds_per_call(run, /*warmup=*/0);
+}
+
 }  // namespace
 
 BenchComparison run_serving_comparison(const BenchSetup& setup) {
-  std::vector<HalfMatrix> trace;
-  trace.reserve(setup.requests);
-  for (std::size_t i = 0; i < setup.requests; ++i) {
-    Rng rng = Rng::seeded("serving-trace", i);
-    trace.push_back(
-        random_half_matrix(setup.model.hidden, setup.tokens, rng, 0.5f));
-  }
-
-  transformer::Encoder seq_enc = pruned_encoder(setup.model, setup.format);
-  Options opts;
-  opts.batching.max_batch_tokens = setup.max_batch_tokens;
-  opts.batching.max_batch_requests = setup.max_batch_requests;
-  opts.batching.max_wait = setup.max_wait;
-  opts.plan_path = setup.plan_path;
-  if (!setup.plan_path.empty())
-    load_engine_plan(setup.plan_path).apply(seq_enc);
-  InferenceEngine engine(pruned_encoder(setup.model, setup.format), opts);
+  setup.validate();
+  const std::vector<HalfMatrix> trace = serving_trace(setup);
+  const auto seq_enc = encoder_with_plan(
+      pruned_encoder(setup.model, setup.format), setup.plan_path);
+  InferenceEngine engine(pruned_encoder(setup.model, setup.format),
+                         setup.options());
 
   // Per-request forward durations from the timed pass: the sequential
   // path's "latency" is each request's own forward time, so its p50/p99
@@ -61,7 +123,7 @@ BenchComparison run_serving_comparison(const BenchSetup& setup) {
   const auto run_sequential = [&](std::vector<HalfMatrix>* out) {
     for (std::size_t i = 0; i < trace.size(); ++i) {
       const auto t0 = std::chrono::steady_clock::now();
-      HalfMatrix y = seq_enc.forward(trace[i]);
+      HalfMatrix y = seq_enc->forward(trace[i]);
       if (out == nullptr)  // timed pass only
         seq_latencies_s.push_back(
             std::chrono::duration<double>(std::chrono::steady_clock::now() -
@@ -70,40 +132,26 @@ BenchComparison run_serving_comparison(const BenchSetup& setup) {
       if (out != nullptr) (*out)[i] = std::move(y);
     }
   };
-  const auto run_batched = [&](std::vector<HalfMatrix>* out) {
-    std::vector<std::future<Response>> futs;
-    futs.reserve(trace.size());
-    for (const HalfMatrix& x : trace) {
-      Request req;
-      req.input = x;  // the trace is reused across passes — copy
-      futs.push_back(engine.submit(std::move(req)));
-    }
-    for (std::size_t i = 0; i < futs.size(); ++i) {
-      Response resp = futs[i].get();
-      if (out != nullptr) (*out)[i] = std::move(resp.output);
-    }
-  };
 
   BenchComparison result;
   result.requests = setup.requests;
-  result.tokens_per_request = setup.tokens;
 
   // Correctness pass (doubles as warmup): batching must not change any
   // request's bits.
-  std::vector<HalfMatrix> seq_out(trace.size()), eng_out(trace.size());
+  std::vector<HalfMatrix> seq_out(trace.size());
   run_sequential(&seq_out);
-  run_batched(&eng_out);
+  const std::vector<Response> eng_out = submit_and_wait(engine, trace);
   result.bit_identical = true;
   for (std::size_t i = 0; i < trace.size() && result.bit_identical; ++i)
-    result.bit_identical = same_bits(seq_out[i], eng_out[i]);
+    result.bit_identical = same_bits(seq_out[i], eng_out[i].output);
 
   // Timed passes run against a warm engine; dropping the warmup-pass
   // samples keeps the reported percentiles steady-state.
   engine.reset_stats();
   result.sequential_s =
       seconds_per_call([&] { run_sequential(nullptr); }, /*warmup=*/0);
-  result.batched_s =
-      seconds_per_call([&] { run_batched(nullptr); }, /*warmup=*/0);
+  result.batched_s = seconds_per_call(
+      [&] { submit_and_wait(engine, trace); }, /*warmup=*/0);
   result.stats = engine.stats();
 
   std::sort(seq_latencies_s.begin(), seq_latencies_s.end());
@@ -112,42 +160,12 @@ BenchComparison run_serving_comparison(const BenchSetup& setup) {
   return result;
 }
 
-namespace {
-
-// The sweep and its replay measure the identical trace the comparison
-// harness uses, so a plan's measured_rps is comparable across both.
-std::vector<HalfMatrix> sweep_trace(const EngineSweepSetup& setup) {
-  std::vector<HalfMatrix> trace;
-  trace.reserve(setup.requests);
-  for (std::size_t i = 0; i < setup.requests; ++i) {
-    Rng rng = Rng::seeded("serving-trace", i);
-    trace.push_back(
-        random_half_matrix(setup.model.hidden, setup.tokens, rng, 0.5f));
-  }
-  return trace;
-}
-
-double timed_batched_rps(InferenceEngine& engine,
-                         const std::vector<HalfMatrix>& trace) {
-  const auto run = [&] {
-    std::vector<std::future<Response>> futs;
-    futs.reserve(trace.size());
-    for (const HalfMatrix& x : trace) {
-      Request req;
-      req.input = x;  // the trace is reused across passes — copy
-      futs.push_back(engine.submit(std::move(req)));
-    }
-    for (auto& fut : futs) fut.get();
-  };
-  run();  // warmup: fills the plan cache and the packed-panel pools
-  return static_cast<double>(trace.size()) /
-         seconds_per_call(run, /*warmup=*/0);
-}
-
-}  // namespace
-
 EngineSweepResult run_engine_sweep(const EngineSweepSetup& setup) {
-  const std::vector<HalfMatrix> trace = sweep_trace(setup);
+  setup.validate();
+  VENOM_CHECK_MSG(!setup.token_budgets.empty() &&
+                      !setup.worker_counts.empty() && !setup.dtypes.empty(),
+                  "serving bench: every sweep axis needs at least one value");
+  const std::vector<HalfMatrix> trace = serving_trace(setup);
 
   EngineSweepResult result;
   for (const std::size_t budget : setup.token_budgets) {
@@ -155,10 +173,9 @@ EngineSweepResult run_engine_sweep(const EngineSweepSetup& setup) {
       for (const ops::Dtype dtype : setup.dtypes) {
         transformer::Encoder enc = pruned_encoder(setup.model, setup.format);
         enc.set_weight_dtype(dtype);
-        Options opts;
+        Options opts = setup.options();
+        opts.plan_path.clear();
         opts.batching.max_batch_tokens = budget;
-        opts.batching.max_batch_requests = setup.max_batch_requests;
-        opts.batching.max_wait = setup.max_wait;
         opts.workers = workers;
         InferenceEngine engine(std::move(enc), opts);
         result.ranked.push_back(
@@ -195,18 +212,21 @@ EngineSweepResult run_engine_sweep(const EngineSweepSetup& setup) {
   return result;
 }
 
-double measure_engine_rps(const EngineSweepSetup& setup, const Options& opts) {
-  const std::vector<HalfMatrix> trace = sweep_trace(setup);
-  InferenceEngine engine(pruned_encoder(setup.model, setup.format), opts);
+double measure_engine_rps(const BenchSetup& setup) {
+  setup.validate();
+  const std::vector<HalfMatrix> trace = serving_trace(setup);
+  InferenceEngine engine(pruned_encoder(setup.model, setup.format),
+                         setup.options());
   return timed_batched_rps(engine, trace);
 }
 
 LoadReport run_serving_load(const LoadSetup& setup) {
-  // Zipf-skewed request lengths over [min_tokens, max_tokens]: weight of
+  setup.validate();
+  // Zipf-skewed request lengths over [tokens, max_tokens]: weight of
   // the k-th shortest length is (k+1)^-skew, so traffic is mostly short
   // requests with a heavy tail of long ones — the ragged mix that makes
   // least-queued-tokens routing earn its keep over round-robin.
-  const std::size_t span = setup.max_tokens - setup.min_tokens + 1;
+  const std::size_t span = setup.max_tokens - setup.tokens + 1;
   std::vector<double> cumulative(span);
   double total_weight = 0.0;
   for (std::size_t k = 0; k < span; ++k) {
@@ -214,36 +234,25 @@ LoadReport run_serving_load(const LoadSetup& setup) {
     cumulative[k] = total_weight;
   }
   Rng len_rng = Rng::seeded("serving-load-lengths", setup.seed);
-  const auto draw_tokens = [&] {
+  std::vector<std::size_t> lengths(setup.requests);
+  for (std::size_t& len : lengths) {
     const double u = double(len_rng.uniform()) * total_weight;
     const auto it =
         std::lower_bound(cumulative.begin(), cumulative.end(), u);
-    return setup.min_tokens +
-           std::size_t(std::distance(cumulative.begin(), it));
-  };
-
-  // Deterministic trace: request i's length and contents depend only on
-  // the seed, never on timing.
-  std::vector<HalfMatrix> trace;
-  trace.reserve(setup.requests);
-  for (std::size_t i = 0; i < setup.requests; ++i) {
-    Rng rng = Rng::seeded("serving-load-trace", setup.seed * 100003 + i);
-    trace.push_back(
-        random_half_matrix(setup.model.hidden, draw_tokens(), rng, 0.5f));
+    len = setup.tokens + std::size_t(std::distance(cumulative.begin(), it));
   }
+  const std::vector<HalfMatrix> trace =
+      seeded_trace("serving-load-trace", setup.seed * 100003,
+                   setup.model.hidden, lengths);
 
   // One encoder, shared const across the replicas; an independent
   // reference instance from the same seed for the bit-identity check.
-  transformer::Encoder ref_enc = pruned_encoder(setup.model, setup.format);
-  Options opts;
-  opts.batching.max_batch_tokens = setup.max_batch_tokens;
-  opts.batching.max_wait = setup.max_wait;
+  const auto ref_enc = encoder_with_plan(
+      pruned_encoder(setup.model, setup.format), setup.plan_path);
+  Options opts = setup.options();
   opts.workers = setup.workers;
   opts.replicas = setup.replicas;
   opts.admission.max_queued_tokens = setup.max_queued_tokens;
-  opts.plan_path = setup.plan_path;
-  if (!setup.plan_path.empty())
-    load_engine_plan(setup.plan_path).apply(ref_enc);
   EngineGroup group(pruned_encoder(setup.model, setup.format), opts);
 
   LoadReport report;
@@ -343,7 +352,7 @@ LoadReport run_serving_load(const LoadSetup& setup) {
   report.bit_identical = true;
   for (const auto& [index, output] : outputs) {
     if (!report.bit_identical) break;
-    report.bit_identical = same_bits(output, ref_enc.forward(trace[index]));
+    report.bit_identical = same_bits(output, ref_enc->forward(trace[index]));
   }
   report.goodput_rps =
       report.wall_s > 0.0 ? double(report.admitted) / report.wall_s : 0.0;
@@ -382,60 +391,41 @@ HalfMatrix direct_generate(const transformer::Encoder& enc,
 }  // namespace
 
 DecodeBenchReport run_decode_bench(const DecodeBenchSetup& setup) {
+  setup.validate();
   transformer::ModelConfig model = setup.model;
   model.causal = true;
   model.attn_window = setup.window;
 
-  std::vector<HalfMatrix> prompts;
-  prompts.reserve(setup.sessions);
-  for (std::size_t i = 0; i < setup.sessions; ++i) {
-    Rng rng = Rng::seeded("decode-trace", i);
-    prompts.push_back(
-        random_half_matrix(model.hidden, setup.prompt_tokens, rng, 0.5f));
-  }
+  const std::vector<HalfMatrix> prompts =
+      seeded_trace("decode-trace", 0, model.hidden,
+                   std::vector<std::size_t>(setup.requests, setup.tokens));
 
-  transformer::Encoder ref_enc = pruned_encoder(model, setup.format);
-  Options opts;
-  opts.batching.max_batch_tokens = setup.max_batch_tokens;
-  opts.batching.max_batch_requests = setup.sessions + 1;
-  opts.batching.max_wait = setup.max_wait;
-  opts.kv_capacity = setup.window != 0
-                         ? setup.window
-                         : setup.prompt_tokens + setup.new_tokens;
+  const auto ref_enc =
+      encoder_with_plan(pruned_encoder(model, setup.format), setup.plan_path);
+  Options opts = setup.options();
+  // Every live session's next step fits one batch.
+  opts.batching.max_batch_requests = setup.requests + 1;
+  opts.kv_capacity =
+      setup.window != 0 ? setup.window : setup.tokens + setup.new_tokens;
   opts.max_new_tokens = setup.new_tokens;
   opts.prefill_chunk_tokens = setup.prefill_chunk_tokens;
   InferenceEngine engine(pruned_encoder(model, setup.format), opts);
 
-  const auto submit_generation = [&](std::size_t i) {
-    Request req;
-    req.input = prompts[i];  // prompts are reused across phases — copy
-    req.max_new_tokens = setup.new_tokens;
-    return engine.submit(std::move(req));
-  };
-
   DecodeBenchReport report;
-  report.sessions = setup.sessions;
-  report.prompt_tokens = setup.prompt_tokens;
-  report.new_tokens = setup.new_tokens;
 
   // Correctness pass (doubles as warmup): every session's generated
   // columns must bit-match the direct prefill + decode_step loop on the
   // independently built reference encoder — whatever batches its prefill
   // chunks and decode steps rode in.
   {
-    std::vector<std::future<Response>> futs;
-    futs.reserve(setup.sessions);
-    for (std::size_t i = 0; i < setup.sessions; ++i)
-      futs.push_back(submit_generation(i));
+    const std::vector<Response> out =
+        submit_and_wait(engine, prompts, setup.new_tokens);
     report.bit_identical = true;
-    for (std::size_t i = 0; i < futs.size(); ++i) {
-      const Response resp = futs[i].get();
+    for (std::size_t i = 0; i < out.size() && report.bit_identical; ++i)
       report.bit_identical =
-          report.bit_identical &&
-          same_bits(resp.output, direct_generate(ref_enc, prompts[i],
-                                                 setup.new_tokens,
-                                                 opts.kv_capacity));
-    }
+          same_bits(out[i].output, direct_generate(*ref_enc, prompts[i],
+                                                   setup.new_tokens,
+                                                   opts.kv_capacity));
   }
 
   // Prefill-only phase: the prompts as plain encode traffic. This is the
@@ -445,20 +435,14 @@ DecodeBenchReport run_decode_bench(const DecodeBenchSetup& setup) {
   engine.reset_stats();
   {
     const auto t0 = Clock::now();
-    std::vector<std::future<Response>> futs;
-    futs.reserve(setup.sessions);
-    for (std::size_t i = 0; i < setup.sessions; ++i) {
-      Request req;
-      req.input = prompts[i];
-      futs.push_back(engine.submit(std::move(req)));
-    }
-    std::vector<double> batch_ms;
-    batch_ms.reserve(futs.size());
-    for (auto& f : futs) batch_ms.push_back(f.get().exec_ms);
+    const std::vector<Response> out = submit_and_wait(engine, prompts);
     report.solo_prefill_s =
         std::chrono::duration<double>(Clock::now() - t0).count();
     report.solo_prefill_tok_s =
-        double(setup.sessions * setup.prompt_tokens) / report.solo_prefill_s;
+        double(setup.requests * setup.tokens) / report.solo_prefill_s;
+    std::vector<double> batch_ms;
+    batch_ms.reserve(out.size());
+    for (const Response& r : out) batch_ms.push_back(r.exec_ms);
     std::sort(batch_ms.begin(), batch_ms.end());
     report.solo_prefill_batch_p50_ms = percentile_sorted(batch_ms, 0.50);
   }
@@ -469,15 +453,11 @@ DecodeBenchReport run_decode_bench(const DecodeBenchSetup& setup) {
   engine.reset_stats();
   {
     const auto t0 = Clock::now();
-    std::vector<std::future<Response>> futs;
-    futs.reserve(setup.sessions);
-    for (std::size_t i = 0; i < setup.sessions; ++i)
-      futs.push_back(submit_generation(i));
-    for (auto& f : futs) f.get();
+    submit_and_wait(engine, prompts, setup.new_tokens);
     report.mixed_wall_s =
         std::chrono::duration<double>(Clock::now() - t0).count();
     report.decode_tok_s =
-        double(setup.sessions * setup.new_tokens) / report.mixed_wall_s;
+        double(setup.requests * setup.new_tokens) / report.mixed_wall_s;
   }
   report.stats = engine.stats();
   return report;

@@ -1,13 +1,15 @@
-// Shared harnesses for the serving benchmarks, used by the bench/
-// executables (CI-gated) and venomtool's serve-bench / route-bench
-// commands (the ad-hoc CLI probes) so both surfaces measure exactly the
-// same thing.
+// Shared harnesses for the serving measurements behind venomtool's
+// serve-bench / route-bench / tune-engine commands and bench_decode. The
+// acceptance bars live in those front ends; the harnesses measure and
+// check bit-identity.
 //
-// Two harnesses:
+// Four harnesses over one setup shape (BenchSetup):
 //   * run_serving_comparison — one deterministic request trace, one
 //     pruned encoder per path built from the same seed, a timed
 //     sequential forward() loop vs the dynamic-batching engine, and an
 //     element-wise bit-identity check of every request's outputs.
+//   * run_engine_sweep / measure_engine_rps — the same trace through an
+//     engine per combination of the engine-level knobs.
 //   * run_serving_load — the scaled-serving overload experiment: an
 //     EngineGroup of N replicas under an open-loop Poisson arrival
 //     process offered at a multiple of the group's calibrated capacity,
@@ -16,11 +18,14 @@
 //     requests, the explicit AdmissionError shed counts, and a
 //     bit-identity check of every admitted output against a direct
 //     forward() on a reference encoder.
+//   * run_decode_bench — mixed prefill/decode generation, bit-checked
+//     against a direct prefill + decode_step loop.
 #pragma once
 
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "format/vnm.hpp"
@@ -32,26 +37,33 @@
 
 namespace venom::serving {
 
-/// What to measure: model, pruning format, trace shape, batching knobs.
+/// What every harness measures: the model and its pruning format, the
+/// trace size, and the batching knobs. Every run_* validates its setup
+/// before building anything.
 struct BenchSetup {
   transformer::ModelConfig model;
   VnmConfig format{64, 2, 8};
-  std::size_t requests = 64;
-  std::size_t tokens = 4;  ///< per request
+  std::size_t requests = 64;  ///< trace length (sessions, for decode)
+  /// Tokens per request (prompt tokens, for decode; the shortest request
+  /// length, for the load harness).
+  std::size_t tokens = 4;
   std::size_t max_batch_tokens = 256;
   std::size_t max_batch_requests = 64;
   std::chrono::microseconds max_wait{500};
-  /// Optional EnginePlan path. Applied to BOTH paths — the engine via
-  /// Options::plan_path, the sequential reference encoder directly — so
-  /// the bit-identity check keeps comparing like with like when the plan
-  /// switches layer dtypes.
+  /// Optional EnginePlan path. Applied to the engine (Options::plan_path)
+  /// and to the reference encoder alike, so the bit-identity check keeps
+  /// comparing like with like when the plan switches layer dtypes.
   std::string plan_path;
+
+  /// The batching knobs and plan path as engine Options.
+  Options options() const;
+  /// Throws venom::Error naming the field when the trace would be empty.
+  void validate() const;
 };
 
 /// Measured outcome of one comparison run.
 struct BenchComparison {
   std::size_t requests = 0;
-  std::size_t tokens_per_request = 0;
   double sequential_s = 0.0;  ///< wall seconds for the whole trace
   double batched_s = 0.0;     ///< same trace through the engine
   double sequential_p50_ms = 0.0;  ///< true per-request forward percentiles
@@ -80,14 +92,9 @@ BenchComparison run_serving_comparison(const BenchSetup& setup);
 
 /// Axes of the `venomtool tune-engine` sweep: the engine-level knobs the
 /// kernel tuning cache cannot see — batcher token budget, worker split,
-/// and the uniform weight dtype the encoder's layers run on.
-struct EngineSweepSetup {
-  transformer::ModelConfig model;
-  VnmConfig format{64, 2, 8};
-  std::size_t requests = 32;
-  std::size_t tokens = 4;  ///< per request
-  std::size_t max_batch_requests = 64;
-  std::chrono::microseconds max_wait{500};
+/// and the uniform weight dtype the encoder's layers run on. The sweep
+/// measures raw knobs, so it ignores plan_path.
+struct EngineSweepSetup : BenchSetup {
   std::vector<std::size_t> token_budgets = {128, 256, 512};
   std::vector<std::size_t> worker_counts = {1, 2};
   std::vector<ops::Dtype> dtypes = {ops::Dtype::kF16, ops::Dtype::kI8};
@@ -117,28 +124,22 @@ struct EngineSweepResult {
 EngineSweepResult run_engine_sweep(const EngineSweepSetup& setup);
 
 /// Batched throughput of the canonical trace through an engine built
-/// with `opts` as given — `venomtool tune-engine` uses this to confirm a
-/// reloaded plan (opts.plan_path) reproduces the sweep's measured_rps
+/// with setup.options() — `venomtool tune-engine` uses this to confirm a
+/// reloaded plan (setup.plan_path) reproduces the sweep's measured_rps
 /// within tolerance.
-double measure_engine_rps(const EngineSweepSetup& setup, const Options& opts);
+double measure_engine_rps(const BenchSetup& setup);
 
-/// The overload experiment's knobs.
-struct LoadSetup {
-  transformer::ModelConfig model;
-  VnmConfig format{64, 2, 8};
+/// The overload experiment's knobs. Request lengths are Zipf-skewed over
+/// [tokens, max_tokens]: mostly short, a heavy tail of long ones
+/// (exponent length_skew).
+struct LoadSetup : BenchSetup {
   std::size_t replicas = 4;
   std::size_t workers = 1;  ///< batch workers per replica
-  std::size_t requests = 192;  ///< offered during the overload phase
   /// Offered arrival rate as a multiple of the calibrated closed-loop
   /// capacity — 2.0 is the canonical "2x overload" burst.
   double overload = 2.0;
-  /// Request lengths are Zipf-skewed over [min_tokens, max_tokens]:
-  /// mostly short, a heavy tail of long ones (exponent length_skew).
-  std::size_t min_tokens = 4;
   std::size_t max_tokens = 64;
   double length_skew = 1.1;
-  std::size_t max_batch_tokens = 256;
-  std::chrono::microseconds max_wait{500};
   /// Global admission bound (tokens admitted but not completed). The
   /// shedding path under overload: beyond this, submit() throws
   /// AdmissionError(kQueueFull) instead of queueing unboundedly. Sized
@@ -147,9 +148,9 @@ struct LoadSetup {
   std::size_t max_queued_tokens = 512;
   std::size_t calibration_requests = 64;  ///< closed-loop warmup+capacity
   std::uint64_t seed = 0;  ///< trace stream index (same seed, same trace)
-  /// Optional EnginePlan path, applied to the group (Options::plan_path)
-  /// and to the direct-forward reference encoder alike.
-  std::string plan_path;
+
+  /// BenchSetup::validate plus an empty length range.
+  void validate() const;
 };
 
 /// Measured outcome of one overload run.
@@ -176,31 +177,22 @@ struct LoadReport {
 /// counters (exact) from rates (measured).
 LoadReport run_serving_load(const LoadSetup& setup);
 
-/// The autoregressive-decode experiment's knobs. The harness forces the
-/// model causal with attention window == `window` (the KV ring capacity);
-/// each session is a prompt of prompt_tokens and new_tokens decode steps
-/// with identity feedback (each step's input is the previous output).
-struct DecodeBenchSetup {
-  transformer::ModelConfig model;
-  VnmConfig format{64, 2, 8};
-  std::size_t sessions = 16;
-  std::size_t prompt_tokens = 32;
+/// The autoregressive-decode experiment's knobs: `requests` sessions, each
+/// a prompt of `tokens` and new_tokens decode steps with identity feedback
+/// (each step's input is the previous output). The harness forces the
+/// model causal with attention window == `window` (the KV ring capacity).
+struct DecodeBenchSetup : BenchSetup {
   std::size_t new_tokens = 32;
   /// Attention window == KV ring capacity. prompt + new_tokens beyond it
   /// exercises ring wraparound under the benchmark clock.
   std::size_t window = 48;
-  std::size_t max_batch_tokens = 256;
   /// Prompt tokens per prefill pass — smaller chunks give decode steps
   /// of live sessions more seams to slot into.
   std::size_t prefill_chunk_tokens = 32;
-  std::chrono::microseconds max_wait{500};
 };
 
 /// Measured outcome of one decode run.
 struct DecodeBenchReport {
-  std::size_t sessions = 0;
-  std::size_t prompt_tokens = 0;
-  std::size_t new_tokens = 0;
   /// Prefill-only phase: the same prompts as plain encode traffic.
   double solo_prefill_s = 0.0;        ///< wall seconds, all prompts
   double solo_prefill_tok_s = 0.0;    ///< prompt tokens / wall

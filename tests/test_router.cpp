@@ -12,11 +12,13 @@
 #include <chrono>
 #include <future>
 #include <memory>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "common/rng.hpp"
 #include "serving/admission.hpp"
+#include "serving/bench_harness.hpp"
 #include "serving/options.hpp"
 #include "serving/router.hpp"
 #include "transformer/config.hpp"
@@ -137,6 +139,30 @@ TEST(Options, ConstructorsRejectInvalidOptions) {
   Options zero_budget;
   zero_budget.batching.max_batch_tokens = 0;
   EXPECT_THROW(InferenceEngine(tiny_encoder(), zero_budget), Error);
+}
+
+TEST(Options, BenchHarnessesRejectEmptyTraces) {
+  // An empty trace has no capacity to calibrate against and no plan to
+  // write: both harnesses must refuse it up front, naming the field.
+  LoadSetup load;
+  load.model = tiny_config();
+  load.requests = 0;
+  EXPECT_THROW(run_serving_load(load), Error);
+  load.requests = 4;
+  load.tokens = load.max_tokens + 1;
+  EXPECT_THROW(run_serving_load(load), Error);
+  EngineSweepSetup sweep;
+  sweep.model = tiny_config();
+  sweep.requests = 0;
+  try {
+    run_engine_sweep(sweep);
+    FAIL() << "an empty sweep trace should be rejected";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("requests"), std::string::npos);
+  }
+  sweep.requests = 4;
+  sweep.tokens = 0;
+  EXPECT_THROW(run_engine_sweep(sweep), Error);
 }
 
 // ---- EngineGroup ----------------------------------------------------------

@@ -48,17 +48,23 @@
 //       serving throughput: dynamic batching through the InferenceEngine
 //       vs a sequential one-request-at-a-time loop over the same pruned
 //       encoder; prints req/s, tok/s, p50/p99 latency, and the speedup.
-//       --plan loads a tune-engine plan into both paths (token budget,
-//       workers, per-layer dtype)
+//       Exits nonzero unless every batched output is bit-identical to the
+//       sequential one and the speedup holds the bar
+//       (VENOM_SERVING_SPEEDUP_BAR, default 3.0). --plan loads a
+//       tune-engine plan into both paths (token budget, workers,
+//       per-layer dtype)
 //   venomtool route-bench [--replicas=N] [--requests=N] [--overload=X]
 //                         [--queue-tokens=N] [--workers=N] [--seed=N]
 //                         [--plan=plan.json]
-//       scaled serving probe: an EngineGroup of N replicas (shared const
+//       scaled serving: an EngineGroup of N replicas (shared const
 //       weights, least-queued-tokens routing, bounded admission) under a
 //       Poisson arrival burst at `overload` x the calibrated capacity;
 //       prints goodput, admitted p50/p99, shed counts, and the per-replica
-//       batch split, and bit-checks every admitted output against a
-//       direct forward
+//       batch split. Exits nonzero unless every admitted output is
+//       bit-identical to a direct forward, no admitted request fails, the
+//       admitted p99 holds the bar (VENOM_LOAD_P99_BAR_MS, default 1000),
+//       and an overload >= 1.5 sheds something (VENOM_LOAD_REQUIRE_SHED=0
+//       waives it); a run past VENOM_LOAD_TIMEOUT_S (default 300) exits 2
 //   venomtool generate [--prompt=N] [--tokens=N] [--hidden=N]
 //                      [--layers=N] [--kv=N] [--seed=N]
 //       autoregressive generation demo over a byte vocabulary: a random
@@ -77,9 +83,12 @@
 //       (VENOM_FINETUNE_RECOVERY_BAR, default 0.5)
 #include <algorithm>
 #include <cctype>
+#include <charconv>
+#include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <future>
 #include <initializer_list>
 #include <map>
 #include <string>
@@ -132,16 +141,36 @@ int usage() {
   return 2;
 }
 
+// Decimal digits only: a sign, blank, suffix or overflow is an error
+// rather than a wrapped or truncated value.
 std::size_t to_size(const std::string& s) {
-  return static_cast<std::size_t>(std::stoull(s));
+  std::size_t v = 0;
+  const auto [end, ec] = std::from_chars(s.data(), s.data() + s.size(), v);
+  VENOM_CHECK_MSG(ec == std::errc() && end == s.data() + s.size(),
+                  "expected a non-negative integer, got '" << s << "'");
+  return v;
+}
+
+double to_double(const std::string& s) {
+  char* end = nullptr;
+  const double v = std::strtod(s.c_str(), &end);
+  VENOM_CHECK_MSG(!s.empty() && end == s.c_str() + s.size(),
+                  "expected a number, got '" << s << "'");
+  return v;
+}
+
+/// An acceptance bar's value: the environment's override or the default.
+double env_or(const char* name, double fallback) {
+  const char* env = std::getenv(name);
+  return env != nullptr ? to_double(env) : fallback;
 }
 
 int cmd_gen(const std::vector<std::string>& args) {
   if (args.size() < 3 || args.size() > 5) return usage();
   const std::size_t rows = to_size(args[0]);
   const std::size_t cols = to_size(args[1]);
-  const std::uint64_t seed = args.size() > 3 ? std::stoull(args[3]) : 42;
-  const float sigma = args.size() > 4 ? std::stof(args[4]) : 0.05f;
+  const std::uint64_t seed = args.size() > 3 ? to_size(args[3]) : 42;
+  const float sigma = args.size() > 4 ? float(to_double(args[4])) : 0.05f;
   Rng rng(seed);
   const HalfMatrix m =
       pruning::synthetic_bert_weight(rows, cols, rng, 0.15, 4.0f, sigma);
@@ -571,7 +600,7 @@ class Flags {
   }
   double num(const char* key, double fallback) const {
     const auto it = values_.find(key);
-    return it == values_.end() ? fallback : std::stod(it->second);
+    return it == values_.end() ? fallback : to_double(it->second);
   }
   std::string str(const char* key, const char* fallback) const {
     const auto it = values_.find(key);
@@ -611,8 +640,6 @@ int cmd_serve_bench(const std::vector<std::string>& args) {
     std::printf("  engine plan: %s (applied to both paths)\n",
                 setup.plan_path.c_str());
 
-  // The measurement is shared with bench_serving (the CI-gated bench) so
-  // the two surfaces report comparable numbers by construction.
   const serving::BenchComparison r = serving::run_serving_comparison(setup);
   if (!r.bit_identical) {
     std::fprintf(stderr, "FAIL: batched outputs differ from the "
@@ -620,8 +647,10 @@ int cmd_serve_bench(const std::vector<std::string>& args) {
     return 1;
   }
 
-  std::printf("  sequential : %8.1f req/s  %8.0f tok/s\n",
-              r.sequential_rps(), r.sequential_rps() * double(setup.tokens));
+  std::printf("  sequential : %8.1f req/s  %8.0f tok/s   p50 %.3f ms  "
+              "p99 %.3f ms\n",
+              r.sequential_rps(), r.sequential_rps() * double(setup.tokens),
+              r.sequential_p50_ms, r.sequential_p99_ms);
   std::printf("  batched    : %8.1f req/s  %8.0f tok/s   p50 %.3f ms  "
               "p99 %.3f ms\n",
               r.batched_rps(), r.batched_rps() * double(setup.tokens),
@@ -631,6 +660,17 @@ int cmd_serve_bench(const std::vector<std::string>& args) {
               r.speedup(), r.stats.avg_batch_tokens, r.stats.batches,
               r.stats.plan_cache_hits, r.stats.plan_cache_misses);
   std::printf("  per-request outputs bit-identical to sequential: yes\n");
+
+  // The serving engine's acceptance bar: batching must buy at least 3x
+  // over the one-request-at-a-time loop.
+  const double bar = env_or("VENOM_SERVING_SPEEDUP_BAR", 3.0);
+  if (r.speedup() < bar) {
+    std::fprintf(stderr, "FAIL: batched speedup %.2fx < %.1fx bar\n",
+                 r.speedup(), bar);
+    return 1;
+  }
+  std::printf("  batched speedup %.2fx >= %.1fx bar: PASS\n", r.speedup(),
+              bar);
   return 0;
 }
 
@@ -655,12 +695,22 @@ int cmd_route_bench(const std::vector<std::string>& args) {
 
   std::printf("route-bench: %zu replicas, %zu requests of %zu-%zu tokens, "
               "%.1fx overload, %zu-token admission bound\n",
-              setup.replicas, setup.requests, setup.min_tokens,
+              setup.replicas, setup.requests, setup.tokens,
               setup.max_tokens, setup.overload, setup.max_queued_tokens);
 
-  // The measurement is shared with bench_serving_load (the CI-gated
-  // bench) so the two surfaces report comparable numbers by construction.
-  const serving::LoadReport r = serving::run_serving_load(setup);
+  // Watchdog: the overload run's worst failure mode is a future that
+  // never resolves (a worker wedged across shutdown, a dropped promise).
+  // Turn a hang into a loud nonzero exit instead of a stuck CI job.
+  const double timeout_s = env_or("VENOM_LOAD_TIMEOUT_S", 300.0);
+  auto run = std::async(std::launch::async,
+                        [&setup] { return serving::run_serving_load(setup); });
+  if (run.wait_for(std::chrono::duration<double>(timeout_s)) ==
+      std::future_status::timeout) {
+    std::fprintf(stderr, "FAIL: route-bench hung past %.0fs watchdog\n",
+                 timeout_s);
+    std::_Exit(2);
+  }
+  const serving::LoadReport r = run.get();
   if (!r.bit_identical) {
     std::fprintf(stderr, "FAIL: a routed output differs from the direct "
                          "forward\n");
@@ -685,6 +735,34 @@ int cmd_route_bench(const std::vector<std::string>& args) {
   for (const auto& s : r.stats.replicas) std::printf(" %zu", s.batches);
   std::printf("\n");
   std::printf("  admitted outputs bit-identical to direct forward: yes\n");
+
+  // Acceptance bars:
+  //   * the admitted requests' p99 must stay bounded — the admission
+  //     queue bound caps how long an admitted request can wait, so a
+  //     blown bar means shedding stopped protecting latency;
+  //   * an overload must actually shed — zero rejections means the
+  //     burst never exceeded capacity and the run proved nothing.
+  // The default bar is ~4x the queue-bound-implied delay on the
+  // reference machine, leaving headroom for slower runners (whose queue
+  // delay scales inversely with their token throughput).
+  const double p99_bar = env_or("VENOM_LOAD_P99_BAR_MS", 1000.0);
+  if (r.p99_ms > p99_bar) {
+    std::fprintf(stderr, "FAIL: admitted p99 %.1f ms > %.0f ms bar\n",
+                 r.p99_ms, p99_bar);
+    return 1;
+  }
+  const std::size_t shed = r.rejected_queue + r.rejected_rate;
+  if (env_or("VENOM_LOAD_REQUIRE_SHED", 1.0) != 0.0 &&
+      setup.overload >= 1.5 && shed == 0) {
+    std::fprintf(stderr,
+                 "FAIL: %.1fx overload shed nothing — offered load never "
+                 "exceeded capacity\n",
+                 setup.overload);
+    return 1;
+  }
+  std::printf("  admitted p99 %.1f ms <= %.0f ms bar, %zu requests shed "
+              "with AdmissionError: PASS\n",
+              r.p99_ms, p99_bar, shed);
   return 0;
 }
 
@@ -734,11 +812,8 @@ int cmd_tune_engine(const std::vector<std::string>& args) {
   // Close the loop: reload the artefact the way serve-bench would
   // (Options::plan_path) and replay the trace. The replayed throughput
   // should reproduce the sweep's measurement within noise.
-  serving::Options opts;
-  opts.batching.max_batch_requests = setup.max_batch_requests;
-  opts.batching.max_wait = setup.max_wait;
-  opts.plan_path = out;
-  const double replay = serving::measure_engine_rps(setup, opts);
+  setup.plan_path = out;
+  const double replay = serving::measure_engine_rps(setup);
   std::printf("replayed plan: %8.1f req/s (sweep measured %8.1f, "
               "%+.1f%%)\n",
               replay, r.plan.measured_rps,
@@ -889,9 +964,7 @@ int cmd_finetune_bench(const std::vector<std::string>& args) {
   std::printf("  recovery        : %.1f%% of the post-prune loss removed\n",
               r.recovery() * 100.0);
 
-  double bar = 0.5;
-  if (const char* env = std::getenv("VENOM_FINETUNE_RECOVERY_BAR"))
-    bar = std::atof(env);
+  const double bar = env_or("VENOM_FINETUNE_RECOVERY_BAR", 0.5);
   if (r.recovery() < bar) {
     std::fprintf(stderr, "FAIL: recovery %.3f below the %.3f bar\n",
                  r.recovery(), bar);
