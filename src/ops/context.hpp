@@ -31,7 +31,6 @@
 #include "common/arena.hpp"
 #include "common/thread_pool.hpp"
 #include "ops/quant_cache.hpp"
-#include "tensor/matrix.hpp"
 #include "spatha/config.hpp"
 #include "spatha/plan.hpp"
 #include "spatha/spmm.hpp"
@@ -57,15 +56,6 @@ struct ExecContextOptions {
   std::string tuning_cache_path;
 };
 
-/// Per-head working buffers for cached (KV-ring) attention: gathered K/V
-/// panels, the single-column query, the score row, and the context
-/// column. Pooled so the steady-state decode step reuses buffers already
-/// sized at their high-water mark and performs no heap allocation.
-struct KvAttnScratch {
-  HalfMatrix kh, vh, qh, ctx;
-  FloatMatrix scores;
-};
-
 /// Owns the execution resources one workload's operator dispatches share.
 /// Thread-safe for concurrent run() calls: the plan cache, tuning cache,
 /// and scratch pool are internally synchronized, and the pool is shared
@@ -82,7 +72,10 @@ class ExecContext {
   spatha::PlanCache& plan_cache() const { return plan_cache_; }
   QuantCache& quant_cache() const { return quant_cache_; }
   spatha::SpmmScratchPool& scratch() const { return scratch_; }
-  ObjectPool<KvAttnScratch>& kv_scratch() const { return kv_scratch_; }
+  /// Arenas for the transformer attention core's float panels and score
+  /// rows. Pooled so a steady-state decode step reuses an arena already
+  /// at its high-water size and performs no heap allocation.
+  ObjectPool<ScratchArena>& attn_scratch() const { return attn_scratch_; }
   const ExecContextOptions& options() const { return opts_; }
 
   /// Kernel configuration for a V:N:M problem: the context's tuning
@@ -133,7 +126,7 @@ class ExecContext {
   mutable spatha::PlanCache plan_cache_;
   mutable QuantCache quant_cache_;
   mutable spatha::SpmmScratchPool scratch_;
-  mutable ObjectPool<KvAttnScratch> kv_scratch_;
+  mutable ObjectPool<ScratchArena> attn_scratch_;
   // Lazy one-shot load of the private tuning cache. std::call_once (not a
   // venom::Mutex) on purpose: the guarded action runs exactly once and
   // own_tuning_ is immutable afterwards — readers need no lock, which a

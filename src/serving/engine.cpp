@@ -341,9 +341,12 @@ void InferenceEngine::process_generation(std::span<PendingRequest> batch,
       const auto finish = [&]() {
         Response resp;
         resp.output = HalfMatrix(hidden, s.tokens_generated);
-        for (std::size_t r = 0; r < hidden; ++r)
-          std::memcpy(&resp.output(r, 0), &s.generated(r, 0),
-                      s.tokens_generated * sizeof(half_t));
+        // A session can end before its first token (EOS in the prompt):
+        // its output has no columns, and element (r, 0) does not exist.
+        if (s.tokens_generated > 0)
+          for (std::size_t r = 0; r < hidden; ++r)
+            std::memcpy(&resp.output(r, 0), &s.generated(r, 0),
+                        s.tokens_generated * sizeof(half_t));
         resp.id = item.id;
         resp.replica = item.replica;
         resp.queue_ms = s.queue_ms;

@@ -10,26 +10,6 @@
 
 namespace venom::transformer {
 
-namespace {
-
-double seconds_since(std::chrono::steady_clock::time_point t0) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-      .count();
-}
-
-/// Copies head h (rows [h*dh, (h+1)*dh)), columns [t0, t1), out of a
-/// (hidden x T) matrix.
-HalfMatrix slice_head(const HalfMatrix& x, std::size_t h, std::size_t dh,
-                      std::size_t t0, std::size_t t1) {
-  HalfMatrix out(dh, t1 - t0);
-  for (std::size_t d = 0; d < dh; ++d)
-    for (std::size_t t = t0; t < t1; ++t)
-      out(d, t - t0) = x(h * dh + d, t);
-  return out;
-}
-
-}  // namespace
-
 MultiHeadAttention::MultiHeadAttention(std::size_t hidden, std::size_t heads,
                                        Rng& rng, bool causal)
     : hidden_(hidden), heads_(heads), causal_(causal),
@@ -64,39 +44,41 @@ void MultiHeadAttention::set_dynamic_score_sparsity(
 namespace {
 
 /// DFSS-style dynamic pruning: keeps the N largest probabilities per
-/// group of M and renormalizes each row to unit mass. Returns the pruned
-/// probabilities as an N:M compressed matrix.
-NmMatrix prune_probabilities(const FloatMatrix& p, NmPattern pattern) {
-  VENOM_CHECK_MSG(p.cols() % pattern.m == 0,
-                  "sequence length " << p.cols() << " not divisible by M="
+/// group of M and renormalizes each row to unit mass. `p` is a row-major
+/// (rows x cols) probability matrix. Returns the pruned probabilities as
+/// an N:M compressed matrix.
+NmMatrix prune_probabilities(const float* p, std::size_t rows,
+                             std::size_t cols, NmPattern pattern) {
+  VENOM_CHECK_MSG(cols % pattern.m == 0,
+                  "sequence length " << cols << " not divisible by M="
                                      << pattern.m);
-  HalfMatrix pruned(p.rows(), p.cols());
-  for (std::size_t i = 0; i < p.rows(); ++i) {
+  HalfMatrix pruned(rows, cols);
+  for (std::size_t i = 0; i < rows; ++i) {
+    const float* row = p + i * cols;
     // Select per group; probabilities are non-negative so magnitude
     // selection is just "largest".
-    for (std::size_t g = 0; g < p.cols() / pattern.m; ++g) {
+    for (std::size_t g = 0; g < cols / pattern.m; ++g) {
       // Insertion-select the top n of the group (n is 1 or 2).
       std::size_t best = g * pattern.m;
       for (std::size_t c = 1; c < pattern.m; ++c)
-        if (p(i, g * pattern.m + c) > p(i, best)) best = g * pattern.m + c;
-      pruned(i, best) = half_t(p(i, best));
+        if (row[g * pattern.m + c] > row[best]) best = g * pattern.m + c;
+      pruned(i, best) = half_t(row[best]);
       if (pattern.n == 2) {
         std::size_t second = best == g * pattern.m ? g * pattern.m + 1
                                                    : g * pattern.m;
         for (std::size_t c = 0; c < pattern.m; ++c) {
           const std::size_t col = g * pattern.m + c;
-          if (col != best && p(i, col) > p(i, second)) second = col;
+          if (col != best && row[col] > row[second]) second = col;
         }
-        pruned(i, second) = half_t(p(i, second));
+        pruned(i, second) = half_t(row[second]);
       }
     }
     // Renormalize the surviving mass.
     float sum = 0.0f;
-    for (std::size_t c = 0; c < p.cols(); ++c)
-      sum += pruned(i, c).to_float();
+    for (std::size_t c = 0; c < cols; ++c) sum += pruned(i, c).to_float();
     if (sum > 0.0f) {
       const float inv = 1.0f / sum;
-      for (std::size_t c = 0; c < p.cols(); ++c)
+      for (std::size_t c = 0; c < cols; ++c)
         if (!pruned(i, c).is_zero())
           pruned(i, c) = half_t(pruned(i, c).to_float() * inv);
     }
@@ -130,7 +112,6 @@ HalfMatrix MultiHeadAttention::forward_batched(
                     "sequence ends must be strictly increasing");
   VENOM_CHECK_MSG(seq_ends.front() > 0, "empty leading sequence");
   const std::size_t dh = hidden_ / heads_;
-  const float scale = 1.0f / std::sqrt(float(dh));
 
   // The projections are token-wise: one SpMM over the whole packed batch
   // (the weight-stationary reuse serving is after). Every output column
@@ -140,60 +121,44 @@ HalfMatrix MultiHeadAttention::forward_batched(
   const HalfMatrix k = wk_.forward(x, timing, call_ctx);
   const HalfMatrix v = wv_.forward(x, timing, call_ctx);
 
+  ops::ExecContext& ctx = ops::resolve(call_ctx, ctx_);
+  auto scratch = ctx.attn_scratch().acquire();
+  AttentionCore core(heads_, dh, causal_, attn_window_,
+                     AttentionCore::packed(seq_ends, *scratch), *scratch);
+  core.load(q, k, v, ctx.pool(), timing);
+  core.probabilities(ctx.pool(), timing);
+
   HalfMatrix context(hidden_, x.cols());
+  if (!score_pattern_.has_value()) {
+    core.context(context, ctx.pool(), timing);
+    return wo_.forward(context, timing, call_ctx);
+  }
+
+  // Dynamic N:M attention: context^T = P_nm * V^T per (head, sequence),
+  // dispatched through the ops layer, which selects the register-blocked
+  // N:M fast path (bit-identical to the spmm_24 baseline).
+  const auto t0 = std::chrono::steady_clock::now();
   for (std::size_t h = 0; h < heads_; ++h) {
     std::size_t s0 = 0;
-    for (const std::size_t s1 : seq_ends) {
-      const HalfMatrix qh = slice_head(q, h, dh, s0, s1);
-      const HalfMatrix kh = slice_head(k, h, dh, s0, s1);
-      const HalfMatrix vh = slice_head(v, h, dh, s0, s1);
-
-      auto t0 = std::chrono::steady_clock::now();
-      FloatMatrix scores = attention_scores(qh, kh, scale);
-      if (timing != nullptr) timing->attn_matmul_s += seconds_since(t0);
-
-      t0 = std::chrono::steady_clock::now();
-      if (causal_) {
-        // Decoder mask: query i must not see keys j > i (positions are
-        // relative to the sequence's own start). A nonzero window also
-        // hides keys that fell out of the sliding window, j + w <= i —
-        // the exact set a capacity-w KV ring no longer holds.
-        for (std::size_t i = 0; i < scores.rows(); ++i) {
-          for (std::size_t j = i + 1; j < scores.cols(); ++j)
-            scores(i, j) = -1e30f;
-          if (attn_window_ != 0)
-            for (std::size_t j = 0; j + attn_window_ <= i; ++j)
-              scores(i, j) = -1e30f;
-        }
-      }
-      softmax_rows(scores);
-      if (timing != nullptr) timing->softmax_s += seconds_since(t0);
-
-      t0 = std::chrono::steady_clock::now();
-      HalfMatrix ctx;
-      if (score_pattern_.has_value()) {
-        // Dynamic N:M attention: context^T = P_nm * V^T dispatched
-        // through the ops layer, which selects the register-blocked N:M
-        // fast path (bit-identical to the spmm_24 baseline).
-        const NmMatrix p_nm = prune_probabilities(scores, *score_pattern_);
-        const HalfMatrix vt = transpose(vh);
-        const FloatMatrix ctx_t = ops::matmul(ops::MatmulArgs::make(p_nm, vt),
-                                              ops::resolve(call_ctx, ctx_));
-        ctx = HalfMatrix(vh.rows(), scores.rows());
-        for (std::size_t d = 0; d < vh.rows(); ++d)
-          for (std::size_t i = 0; i < scores.rows(); ++i)
-            ctx(d, i) = half_t(ctx_t(i, d));
-      } else {
-        ctx = attention_context(scores, vh);
-      }
-      if (timing != nullptr) timing->attn_matmul_s += seconds_since(t0);
-
+    for (std::size_t s = 0; s < seq_ends.size(); ++s) {
+      const std::size_t ts = seq_ends[s] - s0;
+      const NmMatrix p_nm =
+          prune_probabilities(core.probs(h, s), ts, ts, *score_pattern_);
+      HalfMatrix vt(ts, dh);
+      for (std::size_t j = 0; j < ts; ++j)
+        for (std::size_t d = 0; d < dh; ++d) vt(j, d) = v(h * dh + d, s0 + j);
+      const FloatMatrix ctx_t =
+          ops::matmul(ops::MatmulArgs::make(p_nm, vt), ctx);
       for (std::size_t d = 0; d < dh; ++d)
-        for (std::size_t t = s0; t < s1; ++t)
-          context(h * dh + d, t) = ctx(d, t - s0);
-      s0 = s1;
+        for (std::size_t i = 0; i < ts; ++i)
+          context(h * dh + d, s0 + i) = half_t(ctx_t(i, d));
+      s0 = seq_ends[s];
     }
   }
+  if (timing != nullptr)
+    timing->attn_matmul_s += std::chrono::duration<double>(
+                                 std::chrono::steady_clock::now() - t0)
+                                 .count();
   return wo_.forward(context, timing, call_ctx);
 }
 
@@ -219,7 +184,6 @@ HalfMatrix MultiHeadAttention::forward_cached(
                     "sequence ends must be strictly increasing");
   VENOM_CHECK_MSG(seq_ends.front() > 0, "empty leading sequence");
   const std::size_t dh = hidden_ / heads_;
-  const float scale = 1.0f / std::sqrt(float(dh));
 
   // Projections over the whole packed batch — the same single SpMM per
   // weight as forward_batched, and the columns land bit-identically
@@ -228,13 +192,18 @@ HalfMatrix MultiHeadAttention::forward_cached(
   const HalfMatrix k = wk_.forward(x, timing, call_ctx);
   const HalfMatrix v = wv_.forward(x, timing, call_ctx);
 
-  auto scratch = ops::resolve(call_ctx, ctx_).kv_scratch().acquire();
-  HalfMatrix context(hidden_, x.cols());
+  // Sequence s's new tokens at positions [p0, p0 + n) attend, with the
+  // windowed causal mask of the full forward, the keys
+  // [max(0, p0 + 1 - w), p0 + n): the resident window before p0, read
+  // from the ring, then the new tokens' own keys.
+  ops::ExecContext& ctx = ops::resolve(call_ctx, ctx_);
+  auto scratch = ctx.attn_scratch().acquire();
+  scratch->reset();
+  auto* seqs = scratch->alloc<AttentionCore::Seq>(seq_ends.size());
   std::size_t s0 = 0;
   for (std::size_t s = 0; s < seq_ends.size(); ++s) {
-    const std::size_t s1 = seq_ends[s];
     VENOM_CHECK_MSG(caches[s] != nullptr, "null KvCache for sequence " << s);
-    KvCache& cache = *caches[s];
+    const KvCache& cache = *caches[s];
     VENOM_CHECK_MSG(cache.hidden() == hidden_ && layer < cache.layers(),
                     "KvCache shape (" << cache.layers() << " layers, hidden "
                                       << cache.hidden()
@@ -246,44 +215,49 @@ HalfMatrix MultiHeadAttention::forward_cached(
                                         << cache.capacity()
                                         << " (the ring must hold exactly "
                                            "the window)");
-    for (std::size_t t = s0; t < s1; ++t) {
-      // Append before attending: position p's query sees the cached
-      // window [max(0, p + 1 - w), p], itself included — exactly the
-      // sliding-window causal mask of the full forward.
-      const std::size_t p = cache.append(layer, k, v, t);
-      VENOM_CHECK_MSG(attn_window_ != 0 || p < cache.capacity(),
-                      "KV cache overflow at position "
-                          << p << " (capacity " << cache.capacity()
-                          << "): set an attention window to serve "
-                             "sequences longer than the ring");
-      const std::size_t win = attn_window_ != 0 ? attn_window_
-                                                : cache.capacity();
-      const std::size_t lo = p + 1 > win ? p + 1 - win : 0;
-      const std::size_t w = p + 1 - lo;
-      for (std::size_t h = 0; h < heads_; ++h) {
-        auto t0 = std::chrono::steady_clock::now();
-        cache.gather_k(layer, h * dh, dh, lo, w, scratch->kh);
-        cache.gather_v(layer, h * dh, dh, lo, w, scratch->vh);
-        scratch->qh.resize(dh, 1);
-        for (std::size_t d = 0; d < dh; ++d)
-          scratch->qh(d, 0) = q(h * dh + d, t);
-        attention_scores_into(scratch->qh, scratch->kh, scale,
-                              scratch->scores);
-        if (timing != nullptr) timing->attn_matmul_s += seconds_since(t0);
-
-        t0 = std::chrono::steady_clock::now();
-        softmax_rows(scratch->scores);
-        if (timing != nullptr) timing->softmax_s += seconds_since(t0);
-
-        t0 = std::chrono::steady_clock::now();
-        attention_context_into(scratch->scores, scratch->vh, scratch->ctx);
-        for (std::size_t d = 0; d < dh; ++d)
-          context(h * dh + d, t) = scratch->ctx(d, 0);
-        if (timing != nullptr) timing->attn_matmul_s += seconds_since(t0);
-      }
-    }
-    s0 = s1;
+    const std::size_t p0 = cache.layer_length(layer);
+    const std::size_t n = seq_ends[s] - s0;
+    VENOM_CHECK_MSG(attn_window_ != 0 || p0 + n <= cache.capacity(),
+                    "KV cache overflow at position "
+                        << cache.capacity() << " (capacity "
+                        << cache.capacity()
+                        << "): set an attention window to serve "
+                           "sequences longer than the ring");
+    const std::size_t lo =
+        attn_window_ != 0 && p0 + 1 > attn_window_ ? p0 + 1 - attn_window_ : 0;
+    seqs[s] = AttentionCore::Seq{s0, n, p0 - lo + n};
+    s0 = seq_ends[s];
   }
+  AttentionCore core(heads_, dh, /*causal=*/true, attn_window_,
+                     {seqs, seq_ends.size()}, *scratch);
+  core.load(
+      [&](std::size_t h, std::size_t s) {
+        const AttentionCore::Seq& seq = seqs[s];
+        const std::size_t old = seq.keys - seq.queries;
+        core.load_queries(h, s, q);
+        if (old > 0) {
+          const KvCache& cache = *caches[s];
+          cache.for_each_span(
+              layer, cache.layer_length(layer) - old, old,
+              [&](const HalfMatrix& kr, const HalfMatrix& vr, std::size_t slot,
+                  std::size_t count, std::size_t offset) {
+                core.load_keys(h, s, kr, vr, slot, count, offset);
+              });
+        }
+        core.load_keys(h, s, k, v, seq.col, seq.queries, old);
+      },
+      ctx.pool(), timing);
+  // The panels hold the window now, so the ring may take the new tokens
+  // (and evict what the window no longer needs).
+  s0 = 0;
+  for (std::size_t s = 0; s < seq_ends.size(); ++s) {
+    for (std::size_t t = s0; t < seq_ends[s]; ++t)
+      caches[s]->append(layer, k, v, t);
+    s0 = seq_ends[s];
+  }
+  core.probabilities(ctx.pool(), timing);
+  HalfMatrix context(hidden_, x.cols());
+  core.context(context, ctx.pool(), timing);
   return wo_.forward(context, timing, call_ctx);
 }
 
@@ -320,28 +294,24 @@ FloatMatrix MultiHeadAttention::backward_batched(
   std::vector<FloatMatrix> probs;  // one per (head, sequence), pass order
   probs.reserve(heads_ * seq_ends.size());
   HalfMatrix context(hidden_, x.cols());
-  for (std::size_t h = 0; h < heads_; ++h) {
-    std::size_t s0 = 0;
-    for (const std::size_t s1 : seq_ends) {
-      const HalfMatrix qh = slice_head(q, h, dh, s0, s1);
-      const HalfMatrix kh = slice_head(k, h, dh, s0, s1);
-      const HalfMatrix vh = slice_head(v, h, dh, s0, s1);
-      FloatMatrix scores = attention_scores(qh, kh, scale);
-      if (causal_)
-        for (std::size_t i = 0; i < scores.rows(); ++i) {
-          for (std::size_t j = i + 1; j < scores.cols(); ++j)
-            scores(i, j) = -1e30f;
-          if (attn_window_ != 0)
-            for (std::size_t j = 0; j + attn_window_ <= i; ++j)
-              scores(i, j) = -1e30f;
-        }
-      softmax_rows(scores);
-      const HalfMatrix ctx = attention_context(scores, vh);
-      for (std::size_t d = 0; d < dh; ++d)
-        for (std::size_t t = s0; t < s1; ++t)
-          context(h * dh + d, t) = ctx(d, t - s0);
-      probs.push_back(std::move(scores));
-      s0 = s1;
+  {
+    ops::ExecContext& ctx = ops::resolve(nullptr, ctx_);
+    auto scratch = ctx.attn_scratch().acquire();
+    AttentionCore core(heads_, dh, causal_, attn_window_,
+                       AttentionCore::packed(seq_ends, *scratch), *scratch);
+    core.load(q, k, v, ctx.pool(), nullptr);
+    core.probabilities(ctx.pool(), nullptr);
+    core.context(context, ctx.pool(), nullptr);
+    for (std::size_t h = 0; h < heads_; ++h) {
+      std::size_t s0 = 0;
+      for (std::size_t s = 0; s < seq_ends.size(); ++s) {
+        const std::size_t ts = seq_ends[s] - s0;
+        FloatMatrix p(ts, ts);
+        std::copy(core.probs(h, s), core.probs(h, s) + ts * ts,
+                  p.flat().begin());
+        probs.push_back(std::move(p));
+        s0 = seq_ends[s];
+      }
     }
   }
 
@@ -358,9 +328,6 @@ FloatMatrix MultiHeadAttention::backward_batched(
     std::size_t s0 = 0;
     for (const std::size_t s1 : seq_ends) {
       const std::size_t ts = s1 - s0;
-      const HalfMatrix qh = slice_head(q, h, dh, s0, s1);
-      const HalfMatrix kh = slice_head(k, h, dh, s0, s1);
-      const HalfMatrix vh = slice_head(v, h, dh, s0, s1);
       const FloatMatrix& p = probs[pi++];
 
       // ctx(d, i) = sum_j P(i, j) V(d, j):
@@ -371,7 +338,8 @@ FloatMatrix MultiHeadAttention::backward_batched(
         for (std::size_t j = 0; j < ts; ++j) {
           float acc = 0.0f;
           for (std::size_t d = 0; d < dh; ++d)
-            acc += grad_context(h * dh + d, s0 + i) * vh(d, j).to_float();
+            acc += grad_context(h * dh + d, s0 + i) *
+                   v(h * dh + d, s0 + j).to_float();
           grad_p(i, j) = acc;
         }
       for (std::size_t d = 0; d < dh; ++d)
@@ -400,14 +368,14 @@ FloatMatrix MultiHeadAttention::backward_batched(
         for (std::size_t i = 0; i < ts; ++i) {
           float acc = 0.0f;
           for (std::size_t j = 0; j < ts; ++j)
-            acc += grad_s(i, j) * kh(d, j).to_float();
+            acc += grad_s(i, j) * k(h * dh + d, s0 + j).to_float();
           grad_q(h * dh + d, s0 + i) += scale * acc;
         }
       for (std::size_t d = 0; d < dh; ++d)
         for (std::size_t j = 0; j < ts; ++j) {
           float acc = 0.0f;
           for (std::size_t i = 0; i < ts; ++i)
-            acc += grad_s(i, j) * qh(d, i).to_float();
+            acc += grad_s(i, j) * q(h * dh + d, s0 + i).to_float();
           grad_k(h * dh + d, s0 + j) += scale * acc;
         }
       s0 = s1;

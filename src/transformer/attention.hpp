@@ -16,6 +16,17 @@
 // scores/softmax/context stage is evaluated per sequence so tokens never
 // attend across request boundaries. Each sequence's output is
 // bit-identical to running it through forward() alone.
+//
+// That stage is one kernel, AttentionCore (transformer/ops.hpp), for the
+// batched forward, the KV-cached forward and the backward's recompute.
+// It converts each head's Q, K and V rows to float panels once (V
+// transposed), computes scores and context in 16-lane register strips,
+// and runs one pool task per (head, sequence, block of 32 query rows);
+// small calls such as a decode step run inline. Each output element keeps
+// the scalar loops' expression and accumulation order, so the bits equal
+// attention_scores + mask + softmax_rows + attention_context at any
+// thread count. The cached forward gathers its ring window straight into
+// the same panels, ahead of the new tokens' own keys.
 #pragma once
 
 #include <optional>

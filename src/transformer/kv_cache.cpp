@@ -1,6 +1,5 @@
 #include "transformer/kv_cache.hpp"
 
-#include <algorithm>
 #include <cstring>
 
 #include "common/error.hpp"
@@ -51,41 +50,45 @@ std::size_t KvCache::append(std::size_t l, const HalfMatrix& k,
   return p;
 }
 
-void KvCache::gather(const HalfMatrix& ring, std::size_t layer_len,
-                     std::size_t row0, std::size_t dh, std::size_t lo,
-                     std::size_t w, HalfMatrix& out) const {
-  VENOM_CHECK_MSG(w >= 1 && w <= capacity_ && lo + w <= layer_len &&
-                      lo + capacity_ >= layer_len,
+const KvCache::LayerKv& KvCache::resident(std::size_t l, std::size_t lo,
+                                          std::size_t w) const {
+  VENOM_CHECK_MSG(l < layers_.size(),
+                  "layer " << l << " out of " << layers_.size());
+  const std::size_t len = layers_[l].length;
+  VENOM_CHECK_MSG(w >= 1 && w <= capacity_ && lo + w <= len &&
+                      lo + capacity_ >= len,
                   "gather [" << lo << ", " << lo + w
-                             << ") not resident (length " << layer_len
+                             << ") not resident (length " << len
                              << ", capacity " << capacity_ << ")");
+  return layers_[l];
+}
+
+void KvCache::gather(std::size_t l, bool values, std::size_t row0,
+                     std::size_t dh, std::size_t lo, std::size_t w,
+                     HalfMatrix& out) const {
   VENOM_CHECK(row0 + dh <= hidden_);
+  (void)resident(l, lo, w);  // validate before sizing `out`
   out.resize(dh, w);
   // Rows are contiguous along the slot axis, so each head row is at most
   // two memcpy spans: [lo % cap, cap) then the wrapped prefix.
-  const std::size_t s0 = lo % capacity_;
-  const std::size_t first = std::min(w, capacity_ - s0);
-  for (std::size_t d = 0; d < dh; ++d) {
-    const half_t* src = &ring(row0 + d, 0);
-    half_t* dst = &out(d, 0);
-    std::memcpy(dst, src + s0, first * sizeof(half_t));
-    if (first < w)
-      std::memcpy(dst + first, src, (w - first) * sizeof(half_t));
-  }
+  for_each_span(l, lo, w,
+                [&](const HalfMatrix& k, const HalfMatrix& v, std::size_t slot,
+                    std::size_t count, std::size_t offset) {
+                  const HalfMatrix& ring = values ? v : k;
+                  for (std::size_t d = 0; d < dh; ++d)
+                    std::memcpy(&out(d, offset), &ring(row0 + d, slot),
+                                count * sizeof(half_t));
+                });
 }
 
 void KvCache::gather_k(std::size_t l, std::size_t row0, std::size_t dh,
                        std::size_t lo, std::size_t w, HalfMatrix& out) const {
-  VENOM_CHECK_MSG(l < layers_.size(),
-                  "layer " << l << " out of " << layers_.size());
-  gather(layers_[l].k, layers_[l].length, row0, dh, lo, w, out);
+  gather(l, false, row0, dh, lo, w, out);
 }
 
 void KvCache::gather_v(std::size_t l, std::size_t row0, std::size_t dh,
                        std::size_t lo, std::size_t w, HalfMatrix& out) const {
-  VENOM_CHECK_MSG(l < layers_.size(),
-                  "layer " << l << " out of " << layers_.size());
-  gather(layers_[l].v, layers_[l].length, row0, dh, lo, w, out);
+  gather(l, true, row0, dh, lo, w, out);
 }
 
 }  // namespace venom::transformer

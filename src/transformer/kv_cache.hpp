@@ -23,6 +23,7 @@
 // again when it returns; synchronized() checks that resting invariant.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <vector>
 
@@ -79,6 +80,22 @@ class KvCache {
   void gather_v(std::size_t l, std::size_t row0, std::size_t dh,
                 std::size_t lo, std::size_t w, HalfMatrix& out) const;
 
+  /// Calls fn(k_ring, v_ring, slot, count, offset) for the at most two
+  /// contiguous slot spans that hold layer l's positions [lo, lo + w),
+  /// oldest first: ring columns [slot, slot + count) are positions
+  /// lo + offset onward. The rings are (hidden x capacity). The cached
+  /// attention reads its window straight from these spans. The positions
+  /// must be resident, as for gather_k.
+  template <typename Fn>
+  void for_each_span(std::size_t l, std::size_t lo, std::size_t w,
+                     Fn&& fn) const {
+    const LayerKv& kv = resident(l, lo, w);
+    const std::size_t s0 = lo % capacity_;
+    const std::size_t first = std::min(w, capacity_ - s0);
+    fn(kv.k, kv.v, s0, first, std::size_t{0});
+    if (first < w) fn(kv.k, kv.v, std::size_t{0}, w - first, first);
+  }
+
   /// Resident K/V bytes: 2 * layers * hidden * capacity * sizeof(fp16).
   std::size_t bytes() const {
     return 2 * layers_.size() * hidden_ * capacity_ * sizeof(half_t);
@@ -90,9 +107,10 @@ class KvCache {
     std::size_t length = 0;    ///< positions appended to this layer
   };
 
-  void gather(const HalfMatrix& ring, std::size_t layer_len, std::size_t row0,
-              std::size_t dh, std::size_t lo, std::size_t w,
-              HalfMatrix& out) const;
+  /// Layer l, after checking that positions [lo, lo + w) are resident.
+  const LayerKv& resident(std::size_t l, std::size_t lo, std::size_t w) const;
+  void gather(std::size_t l, bool values, std::size_t row0, std::size_t dh,
+              std::size_t lo, std::size_t w, HalfMatrix& out) const;
 
   std::size_t hidden_ = 0;
   std::size_t capacity_ = 0;

@@ -1,24 +1,47 @@
 #include "transformer/ops.hpp"
 
 #include <algorithm>
+#include <chrono>
 #include <cmath>
 
 #include "common/error.hpp"
 
+#if defined(__AVX__)
+#include <immintrin.h>
+#endif
+
 namespace venom::transformer {
 
-void softmax_rows(FloatMatrix& scores) {
-  for (std::size_t r = 0; r < scores.rows(); ++r) {
-    auto row = scores.row(r);
-    const float mx = *std::max_element(row.begin(), row.end());
-    float sum = 0.0f;
-    for (auto& v : row) {
-      v = std::exp(v - mx);
-      sum += v;
-    }
-    const float inv = 1.0f / sum;
-    for (auto& v : row) v *= inv;
+namespace {
+
+/// glibc's tanhf is SSE-encoded. When a thread reaches it with the upper
+/// halves of the AVX registers dirty, every SSE instruction pays a
+/// transition penalty, and gelu ran about 4x slower (on an AVX-512 x86
+/// VM) depending only on what ran before it. Clearing the upper halves
+/// first costs one instruction and changes no value.
+void clear_avx_upper() {
+#if defined(__AVX__)
+  _mm256_zeroupper();
+#endif
+}
+
+/// softmax_rows' sequence over one row. The attention core runs this same
+/// code over each row's unmasked span.
+void softmax_row(std::span<float> row) {
+  const float mx = *std::max_element(row.begin(), row.end());
+  float sum = 0.0f;
+  for (auto& v : row) {
+    v = std::exp(v - mx);
+    sum += v;
   }
+  const float inv = 1.0f / sum;
+  for (auto& v : row) v *= inv;
+}
+
+}  // namespace
+
+void softmax_rows(FloatMatrix& scores) {
+  for (std::size_t r = 0; r < scores.rows(); ++r) softmax_row(scores.row(r));
 }
 
 HalfMatrix layer_norm(const HalfMatrix& x, std::span<const float> gamma,
@@ -45,6 +68,7 @@ HalfMatrix layer_norm(const HalfMatrix& x, std::span<const float> gamma,
 
 HalfMatrix gelu(const HalfMatrix& x) {
   HalfMatrix out(x.rows(), x.cols());
+  clear_avx_upper();
   constexpr float kSqrt2OverPi = 0.7978845608028654f;
   for (std::size_t i = 0; i < x.size(); ++i) {
     const float v = x.flat()[i].to_float();
@@ -70,15 +94,8 @@ void add_bias(FloatMatrix& x, std::span<const float> bias) {
 
 FloatMatrix attention_scores(const HalfMatrix& qh, const HalfMatrix& kh,
                              float scale) {
-  FloatMatrix scores;
-  attention_scores_into(qh, kh, scale, scores);
-  return scores;
-}
-
-void attention_scores_into(const HalfMatrix& qh, const HalfMatrix& kh,
-                           float scale, FloatMatrix& scores) {
   VENOM_CHECK(qh.rows() == kh.rows());
-  scores.resize(qh.cols(), kh.cols());
+  FloatMatrix scores(qh.cols(), kh.cols());
   for (std::size_t i = 0; i < qh.cols(); ++i)
     for (std::size_t j = 0; j < kh.cols(); ++j) {
       float acc = 0.0f;
@@ -86,6 +103,7 @@ void attention_scores_into(const HalfMatrix& qh, const HalfMatrix& kh,
         acc += qh(d, i).to_float() * kh(d, j).to_float();
       scores(i, j) = acc * scale;
     }
+  return scores;
 }
 
 FloatMatrix add(const FloatMatrix& x, const FloatMatrix& y) {
@@ -144,6 +162,7 @@ FloatMatrix layer_norm_backward(const HalfMatrix& x,
 FloatMatrix gelu_backward(const HalfMatrix& x, const FloatMatrix& grad_y) {
   VENOM_CHECK(grad_y.rows() == x.rows() && grad_y.cols() == x.cols());
   FloatMatrix dx(x.rows(), x.cols());
+  clear_avx_upper();
   constexpr float kSqrt2OverPi = 0.7978845608028654f;
   constexpr float kCubic = 0.044715f;
   for (std::size_t i = 0; i < x.size(); ++i) {
@@ -158,15 +177,8 @@ FloatMatrix gelu_backward(const HalfMatrix& x, const FloatMatrix& grad_y) {
 }
 
 HalfMatrix attention_context(const FloatMatrix& p, const HalfMatrix& vh) {
-  HalfMatrix ctx;
-  attention_context_into(p, vh, ctx);
-  return ctx;
-}
-
-void attention_context_into(const FloatMatrix& p, const HalfMatrix& vh,
-                            HalfMatrix& ctx) {
   VENOM_CHECK(p.cols() == vh.cols());
-  ctx.resize(vh.rows(), p.rows());
+  HalfMatrix ctx(vh.rows(), p.rows());
   for (std::size_t d = 0; d < vh.rows(); ++d)
     for (std::size_t i = 0; i < p.rows(); ++i) {
       float acc = 0.0f;
@@ -174,6 +186,290 @@ void attention_context_into(const FloatMatrix& p, const HalfMatrix& vh,
         acc += p(i, j) * vh(d, j).to_float();
       ctx(d, i) = half_t(acc);
     }
+  return ctx;
+}
+
+// ------------------------------------------------------- attention core
+
+namespace {
+
+constexpr std::size_t kStrip = 16;     // register strip: 16 floats
+constexpr std::size_t kRows = 4;       // query rows sharing a loaded strip
+constexpr std::size_t kTaskRows = 32;  // query rows per task
+/// Score multiply-adds below which a call runs inline: roughly what
+/// waking the pool for the four passes costs.
+constexpr std::size_t kParallelWork = std::size_t(1) << 18;
+
+/// Adds the wall time of fn() to *slot (no clock reads when null).
+template <typename Fn>
+void timed(double* slot, Fn&& fn) {
+  if (slot == nullptr) {
+    fn();
+    return;
+  }
+  const auto t0 = std::chrono::steady_clock::now();
+  fn();
+  *slot += std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+               .count();
+}
+
+/// The core's one register micro-kernel, in spatha/microkernel.hpp's
+/// idiom: acc[r][u] = sum of a[x * a_step + r * a_row] * b[x * b_step + u]
+/// over x ascending in [0, len), for R rows and w <= kStrip lanes, then
+/// store(r, u, acc[r][u]). Each lane is one output element, accumulated
+/// in the scalar loop's order. The accumulators are local (nothing can
+/// alias them), so a full strip stays in vector registers: R rows of two
+/// 8-float registers share each loaded strip of b.
+template <std::size_t R, typename Store>
+void madd_strip(const float* a, std::size_t a_step, std::size_t a_row,
+                const float* b, std::size_t b_step, std::size_t len,
+                std::size_t w, Store&& store) {
+  float acc[R][kStrip] = {};
+  if (w == kStrip) {
+    for (std::size_t x = 0; x < len; ++x) {
+      const float* bp = b + x * b_step;
+#pragma GCC unroll 4
+      for (std::size_t r = 0; r < R; ++r) {
+        const float av = a[x * a_step + r * a_row];
+        for (std::size_t u = 0; u < kStrip; ++u) acc[r][u] += av * bp[u];
+      }
+    }
+  } else {
+    // Ragged strip: same order, runtime-bounded width.
+    for (std::size_t x = 0; x < len; ++x) {
+      const float* bp = b + x * b_step;
+      for (std::size_t r = 0; r < R; ++r) {
+        const float av = a[x * a_step + r * a_row];
+        for (std::size_t u = 0; u < w; ++u) acc[r][u] += av * bp[u];
+      }
+    }
+  }
+  for (std::size_t r = 0; r < R; ++r)
+    for (std::size_t u = 0; u < w; ++u) store(r, u, acc[r][u]);
+}
+
+/// Scores of query rows [i, i + R) against keys [j0, j1), in strips over
+/// keys: p[(i + r) * m + j] = (sum over d of q[d * n + i + r] *
+/// k[d * m + j]) * scale, attention_scores' expression.
+template <std::size_t R>
+void score_rows(const float* q, const float* k, std::size_t dh,
+                std::size_t n, std::size_t m, std::size_t i, std::size_t j0,
+                std::size_t j1, float scale, float* p) {
+  for (std::size_t j = j0; j < j1; j += kStrip)
+    madd_strip<R>(q + i, n, 1, k + j, m, dh, std::min(kStrip, j1 - j),
+                  [&](std::size_t r, std::size_t u, float acc) {
+                    p[(i + r) * m + j + u] = acc * scale;
+                  });
+}
+
+/// Context of query rows [i, i + R) over keys [j0, j1), in strips over d:
+/// out(row0 + d, col + i + r) = fp16(sum over j of p[(i + r) * m + j] *
+/// vt[j * dh + d]), attention_context's expression.
+template <std::size_t R>
+void context_rows(const float* p, const float* vt, std::size_t dh,
+                  std::size_t m, std::size_t i, std::size_t j0,
+                  std::size_t j1, HalfMatrix& out, std::size_t row0,
+                  std::size_t col) {
+  for (std::size_t d = 0; d < dh; d += kStrip)
+    madd_strip<R>(p + i * m + j0, 1, m, vt + j0 * dh + d, dh, j1 - j0,
+                  std::min(kStrip, dh - d),
+                  [&](std::size_t r, std::size_t u, float acc) {
+                    out(row0 + d + u, col + i + r) = half_t(acc);
+                  });
+}
+
+}  // namespace
+
+std::span<const AttentionCore::Seq> AttentionCore::packed(
+    std::span<const std::size_t> seq_ends, ScratchArena& arena) {
+  arena.reset();
+  Seq* seqs = arena.alloc<Seq>(seq_ends.size());
+  std::size_t s0 = 0;
+  for (std::size_t s = 0; s < seq_ends.size(); ++s) {
+    seqs[s] = Seq{s0, seq_ends[s] - s0, seq_ends[s] - s0};
+    s0 = seq_ends[s];
+  }
+  return {seqs, seq_ends.size()};
+}
+
+AttentionCore::AttentionCore(std::size_t heads, std::size_t head_dim,
+                             bool causal, std::size_t window,
+                             std::span<const Seq> seqs, ScratchArena& arena)
+    : heads_(heads), dh_(head_dim), causal_(causal), window_(window) {
+  VENOM_CHECK(heads >= 1 && head_dim >= 1 && !seqs.empty());
+  Layout* table = arena.alloc<Layout>(seqs.size());
+  std::size_t work = 0;
+  for (std::size_t s = 0; s < seqs.size(); ++s) {
+    const Seq& in = seqs[s];
+    VENOM_CHECK_MSG(in.queries >= 1 && in.keys >= in.queries,
+                    "attention sequence " << s << " has " << in.queries
+                                          << " queries over " << in.keys
+                                          << " keys");
+    table[s] = Layout{in.col, in.queries, in.keys, head_panels_,
+                      head_scores_, blocks_};
+    head_panels_ += dh_ * (in.queries + 2 * in.keys) + in.keys;
+    head_scores_ += in.queries * in.keys;
+    blocks_ += (in.queries + kTaskRows - 1) / kTaskRows;
+    work += in.queries * in.keys * dh_;
+  }
+  seqs_ = {table, seqs.size()};
+  panels_ = arena.alloc<float>(heads_ * head_panels_);
+  scores_ = arena.alloc<float>(heads_ * head_scores_);
+  parallel_ = heads_ * work >= kParallelWork;
+}
+
+float* AttentionCore::q_panel(std::size_t h, const Layout& seq) const {
+  return panels_ + h * head_panels_ + seq.panels;
+}
+
+float* AttentionCore::p_panel(std::size_t h, const Layout& seq) const {
+  return scores_ + h * head_scores_ + seq.scores;
+}
+
+std::pair<std::size_t, std::size_t> AttentionCore::live(
+    const Layout& seq, std::size_t r) const {
+  if (!causal_) return {0, seq.m};
+  const std::size_t hi = seq.m - seq.n + r + 1;
+  return {window_ != 0 && hi > window_ ? hi - window_ : 0, hi};
+}
+
+AttentionCore::Task AttentionCore::task(std::size_t t) const {
+  const std::size_t b = t % blocks_;
+  const Layout& seq =
+      *(std::upper_bound(seqs_.begin(), seqs_.end(), b,
+                         [](std::size_t v, const Layout& l) {
+                           return v < l.block0;
+                         }) -
+        1);
+  const std::size_t r0 = (b - seq.block0) * kTaskRows;
+  return Task{seq, t / blocks_, r0, std::min(seq.n, r0 + kTaskRows)};
+}
+
+void AttentionCore::run(
+    ThreadPool& pool, std::size_t count,
+    const std::function<void(std::size_t, std::size_t)>& fn) const {
+  if (parallel_)
+    pool.parallel_for_chunks(count, fn);
+  else
+    fn(0, count);
+}
+
+void AttentionCore::load(const HalfMatrix& q, const HalfMatrix& k,
+                         const HalfMatrix& v, ThreadPool& pool,
+                         ops::TimingBreakdown* timing) {
+  load(
+      [&](std::size_t h, std::size_t s) {
+        load_queries(h, s, q);
+        load_keys(h, s, k, v, seqs_[s].col, seqs_[s].n, 0);
+      },
+      pool, timing);
+}
+
+void AttentionCore::load(
+    const std::function<void(std::size_t, std::size_t)>& fill,
+    ThreadPool& pool, ops::TimingBreakdown* timing) {
+  const std::size_t seqs = seqs_.size();
+  timed(timing != nullptr ? &timing->attn_matmul_s : nullptr, [&] {
+    run(pool, heads_ * seqs, [&](std::size_t b, std::size_t e) {
+      for (std::size_t x = b; x < e; ++x) fill(x / seqs, x % seqs);
+    });
+  });
+}
+
+void AttentionCore::load_queries(std::size_t h, std::size_t s,
+                                 const HalfMatrix& q) {
+  const Layout& seq = seqs_[s];
+  float* qp = q_panel(h, seq);
+  for (std::size_t d = 0; d < dh_; ++d)
+    half_to_float_n(&q(h * dh_ + d, seq.col), qp + d * seq.n, seq.n);
+}
+
+void AttentionCore::load_keys(std::size_t h, std::size_t s,
+                              const HalfMatrix& k, const HalfMatrix& v,
+                              std::size_t src, std::size_t count,
+                              std::size_t key0) {
+  const Layout& seq = seqs_[s];
+  VENOM_CHECK(count >= 1 && key0 + count <= seq.m);
+  float* kp = q_panel(h, seq) + dh_ * seq.n;
+  float* vt = kp + dh_ * seq.m;
+  float* stage = vt + seq.m * dh_;
+  for (std::size_t d = 0; d < dh_; ++d) {
+    half_to_float_n(&k(h * dh_ + d, src), kp + d * seq.m + key0, count);
+    half_to_float_n(&v(h * dh_ + d, src), stage, count);
+    for (std::size_t j = 0; j < count; ++j)
+      vt[(key0 + j) * dh_ + d] = stage[j];
+  }
+}
+
+void AttentionCore::probabilities(ThreadPool& pool,
+                                  ops::TimingBreakdown* timing) {
+  const std::size_t tasks = heads_ * blocks_;
+  timed(timing != nullptr ? &timing->attn_matmul_s : nullptr, [&] {
+    run(pool, tasks, [this](std::size_t b, std::size_t e) {
+      for (std::size_t t = b; t < e; ++t) score_task(task(t));
+    });
+  });
+  timed(timing != nullptr ? &timing->softmax_s : nullptr, [&] {
+    run(pool, tasks, [this](std::size_t b, std::size_t e) {
+      for (std::size_t t = b; t < e; ++t) softmax_task(task(t));
+    });
+  });
+}
+
+const float* AttentionCore::probs(std::size_t h, std::size_t s) const {
+  return p_panel(h, seqs_[s]);
+}
+
+void AttentionCore::context(HalfMatrix& out, ThreadPool& pool,
+                            ops::TimingBreakdown* timing) const {
+  VENOM_CHECK(out.rows() == heads_ * dh_);
+  timed(timing != nullptr ? &timing->attn_matmul_s : nullptr, [&] {
+    run(pool, heads_ * blocks_, [&](std::size_t b, std::size_t e) {
+      for (std::size_t t = b; t < e; ++t) context_task(task(t), out);
+    });
+  });
+}
+
+void AttentionCore::score_task(const Task& t) {
+  const Layout& seq = t.seq;
+  const float* q = q_panel(t.h, seq);
+  const float* k = q + dh_ * seq.n;
+  float* p = p_panel(t.h, seq);
+  const float scale = 1.0f / std::sqrt(float(dh_));
+  std::size_t i = t.r0;
+  for (; i + kRows <= t.r1; i += kRows)
+    score_rows<kRows>(q, k, dh_, seq.n, seq.m, i, live(seq, i).first,
+                      live(seq, i + kRows - 1).second, scale, p);
+  for (; i < t.r1; ++i)
+    score_rows<1>(q, k, dh_, seq.n, seq.m, i, live(seq, i).first,
+                  live(seq, i).second, scale, p);
+}
+
+void AttentionCore::softmax_task(const Task& t) {
+  float* p = p_panel(t.h, t.seq);
+  for (std::size_t i = t.r0; i < t.r1; ++i) {
+    const auto [lo, hi] = live(t.seq, i);
+    float* row = p + i * t.seq.m;
+    std::fill(row, row + lo, 0.0f);
+    softmax_row({row + lo, hi - lo});
+    std::fill(row + hi, row + t.seq.m, 0.0f);
+  }
+}
+
+void AttentionCore::context_task(const Task& t, HalfMatrix& out) const {
+  const Layout& seq = t.seq;
+  const float* vt = q_panel(t.h, seq) + dh_ * (seq.n + seq.m);
+  const float* p = p_panel(t.h, seq);
+  const std::size_t row0 = t.h * dh_;
+  // The rows of a register block share the union of their live spans; a
+  // key one row does not see holds probability 0 in that row.
+  std::size_t i = t.r0;
+  for (; i + kRows <= t.r1; i += kRows)
+    context_rows<kRows>(p, vt, dh_, seq.m, i, live(seq, i).first,
+                        live(seq, i + kRows - 1).second, out, row0, seq.col);
+  for (; i < t.r1; ++i)
+    context_rows<1>(p, vt, dh_, seq.m, i, live(seq, i).first,
+                    live(seq, i).second, out, row0, seq.col);
 }
 
 }  // namespace venom::transformer

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <vector>
 
 #include "baselines/gemm.hpp"
 #include "baselines/spmm_24.hpp"
@@ -409,6 +411,92 @@ TEST(Attention, BatchedForwardValidatesSequenceEnds) {
   EXPECT_THROW(mha.forward_batched(x, short_ends), Error);
   EXPECT_THROW(mha.forward_batched(x, unsorted), Error);
   EXPECT_THROW(mha.forward_batched(x, leading_empty), Error);
+}
+
+// The vectorized, pool-parallel attention core against the scalar loops
+// it replaced: per (head, sequence) slices, attention_scores, the
+// causal/window mask, softmax_rows and attention_context. Probabilities
+// and context must match bit for bit, with one thread and with four.
+TEST(AttentionCore, BitIdenticalToScalarReference) {
+  ops::ExecContextOptions opts;
+  opts.threads = 1;
+  ops::ExecContext one(opts);
+  opts.threads = 4;
+  ops::ExecContext four(opts);
+  Rng rng(70);
+  constexpr std::size_t heads = 2;
+  struct Mask {
+    bool causal;
+    std::size_t window;
+  };
+  for (const std::size_t t : {1, 15, 16, 17, 33, 130})
+    for (const std::size_t dh : {8, 20, 64})
+      for (const Mask mask : {Mask{false, 0}, Mask{true, 0}, Mask{true, 5}})
+        for (std::size_t count = 1; count <= 3; ++count) {
+          SCOPED_TRACE(::testing::Message()
+                       << "T=" << t << " dh=" << dh << " causal="
+                       << mask.causal << " window=" << mask.window
+                       << " sequences=" << count);
+          const std::size_t lengths[] = {t, (t + 1) / 2, 1};
+          std::vector<std::size_t> ends;
+          std::size_t total = 0;
+          for (std::size_t s = 0; s < count; ++s)
+            ends.push_back(total += lengths[s]);
+          const HalfMatrix q = random_half_matrix(heads * dh, total, rng);
+          const HalfMatrix k = random_half_matrix(heads * dh, total, rng);
+          const HalfMatrix v = random_half_matrix(heads * dh, total, rng);
+
+          const float scale = 1.0f / std::sqrt(float(dh));
+          HalfMatrix want(heads * dh, total);
+          std::vector<FloatMatrix> want_p;
+          for (std::size_t h = 0; h < heads; ++h) {
+            std::size_t s0 = 0;
+            for (const std::size_t s1 : ends) {
+              HalfMatrix qh(dh, s1 - s0), kh(dh, s1 - s0), vh(dh, s1 - s0);
+              for (std::size_t d = 0; d < dh; ++d)
+                for (std::size_t c = s0; c < s1; ++c) {
+                  qh(d, c - s0) = q(h * dh + d, c);
+                  kh(d, c - s0) = k(h * dh + d, c);
+                  vh(d, c - s0) = v(h * dh + d, c);
+                }
+              FloatMatrix p = attention_scores(qh, kh, scale);
+              if (mask.causal)
+                for (std::size_t i = 0; i < p.rows(); ++i)
+                  for (std::size_t j = 0; j < p.cols(); ++j)
+                    if (j > i || (mask.window != 0 && j + mask.window <= i))
+                      p(i, j) = -1e30f;
+              softmax_rows(p);
+              const HalfMatrix ctx = attention_context(p, vh);
+              for (std::size_t d = 0; d < dh; ++d)
+                for (std::size_t c = s0; c < s1; ++c)
+                  want(h * dh + d, c) = ctx(d, c - s0);
+              want_p.push_back(std::move(p));
+              s0 = s1;
+            }
+          }
+
+          for (ops::ExecContext* ctx : {&one, &four}) {
+            ScratchArena arena;
+            AttentionCore core(heads, dh, mask.causal, mask.window,
+                               AttentionCore::packed(ends, arena), arena);
+            core.load(q, k, v, ctx->pool(), nullptr);
+            core.probabilities(ctx->pool(), nullptr);
+            HalfMatrix got(heads * dh, total);
+            core.context(got, ctx->pool(), nullptr);
+            std::size_t bad_p = 0;
+            for (std::size_t h = 0; h < heads; ++h)
+              for (std::size_t s = 0; s < count; ++s) {
+                const FloatMatrix& p = want_p[h * count + s];
+                bad_p += std::memcmp(core.probs(h, s), p.flat().data(),
+                                     p.size() * sizeof(float)) != 0;
+              }
+            std::size_t bad_ctx = 0;
+            for (std::size_t i = 0; i < got.size(); ++i)
+              bad_ctx += got.flat()[i].bits() != want.flat()[i].bits();
+            EXPECT_EQ(bad_p, 0u) << ctx->pool().size() << " threads";
+            EXPECT_EQ(bad_ctx, 0u) << ctx->pool().size() << " threads";
+          }
+        }
 }
 
 TEST(Encoder, BatchedForwardBitIdenticalPerSequence) {
