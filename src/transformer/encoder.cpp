@@ -47,23 +47,7 @@ HalfMatrix EncoderLayer::forward_batched(const HalfMatrix& x,
                                          TimingBreakdown* timing,
                                          ops::ExecContext* ctx) const {
   const HalfMatrix attn = mha_.forward_batched(x, seq_ends, timing, ctx);
-
-  auto t0 = std::chrono::steady_clock::now();
-  HalfMatrix h = layer_norm(add(x, attn), ln1_gamma_, ln1_beta_);
-  if (timing != nullptr) timing->other_s += seconds_since(t0);
-
-  const HalfMatrix ff1 = ffn_in_.forward(h, timing, ctx);
-
-  t0 = std::chrono::steady_clock::now();
-  const HalfMatrix act = gelu(ff1);
-  if (timing != nullptr) timing->other_s += seconds_since(t0);
-
-  const HalfMatrix ff2 = ffn_out_.forward(act, timing, ctx);
-
-  t0 = std::chrono::steady_clock::now();
-  HalfMatrix out = layer_norm(add(h, ff2), ln2_gamma_, ln2_beta_);
-  if (timing != nullptr) timing->other_s += seconds_since(t0);
-  return out;
+  return post_attention(x, attn, timing, ctx);
 }
 
 HalfMatrix EncoderLayer::forward_cached(const HalfMatrix& x,
@@ -74,21 +58,33 @@ HalfMatrix EncoderLayer::forward_cached(const HalfMatrix& x,
                                         ops::ExecContext* ctx) const {
   const HalfMatrix attn =
       mha_.forward_cached(x, seq_ends, caches, layer, timing, ctx);
+  return post_attention(x, attn, timing, ctx);
+}
+
+HalfMatrix EncoderLayer::post_attention(const HalfMatrix& x,
+                                        const HalfMatrix& attn,
+                                        TimingBreakdown* timing,
+                                        ops::ExecContext* ctx) const {
+  // The context the linear layers resolve to (ops::resolve).
+  ops::ExecContext* const run = ctx != nullptr ? ctx : ffn_in_.exec_context();
+  constexpr float kEps = 1e-5f;
 
   auto t0 = std::chrono::steady_clock::now();
-  HalfMatrix h = layer_norm(add(x, attn), ln1_gamma_, ln1_beta_);
+  HalfMatrix h =
+      layer_norm(add(x, attn, run), ln1_gamma_, ln1_beta_, kEps, run);
   if (timing != nullptr) timing->other_s += seconds_since(t0);
 
   const HalfMatrix ff1 = ffn_in_.forward(h, timing, ctx);
 
   t0 = std::chrono::steady_clock::now();
-  const HalfMatrix act = gelu(ff1);
+  const HalfMatrix act = gelu(ff1, run);
   if (timing != nullptr) timing->other_s += seconds_since(t0);
 
   const HalfMatrix ff2 = ffn_out_.forward(act, timing, ctx);
 
   t0 = std::chrono::steady_clock::now();
-  HalfMatrix out = layer_norm(add(h, ff2), ln2_gamma_, ln2_beta_);
+  HalfMatrix out =
+      layer_norm(add(h, ff2, run), ln2_gamma_, ln2_beta_, kEps, run);
   if (timing != nullptr) timing->other_s += seconds_since(t0);
   return out;
 }

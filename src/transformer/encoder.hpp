@@ -101,6 +101,13 @@ class EncoderLayer {
   const Linear& ffn_out() const { return ffn_out_; }
 
  private:
+  /// Everything after attention: LN1(x + attn) -> ffn_in -> gelu ->
+  /// ffn_out -> LN2(h + ff2), with the elementwise ops timed into
+  /// other_s. The three ops run on the linear layers' context.
+  HalfMatrix post_attention(const HalfMatrix& x, const HalfMatrix& attn,
+                            TimingBreakdown* timing,
+                            ops::ExecContext* ctx) const;
+
   std::size_t hidden_ = 0;
   MultiHeadAttention mha_;
   Linear ffn_in_, ffn_out_;

@@ -5,6 +5,7 @@
 #include <cmath>
 
 #include "common/error.hpp"
+#include "ops/context.hpp"
 
 #if defined(__AVX__)
 #include <immintrin.h>
@@ -18,11 +19,73 @@ namespace {
 /// halves of the AVX registers dirty, every SSE instruction pays a
 /// transition penalty, and gelu ran about 4x slower (on an AVX-512 x86
 /// VM) depending only on what ran before it. Clearing the upper halves
-/// first costs one instruction and changes no value.
+/// right before the tanhf loop (after any F16C conversion) costs one
+/// instruction and changes no value.
 void clear_avx_upper() {
 #if defined(__AVX__)
   _mm256_zeroupper();
 #endif
+}
+
+constexpr std::size_t kChunk = 2048;    // gelu / add: flat elements per task
+constexpr std::size_t kColBlock = 32;  // layer_norm: columns per task
+/// Elements below which gelu / add / layer_norm run inline: a decode
+/// step's (hidden x sessions) activations stay on the caller.
+constexpr std::size_t kParallelElems = std::size_t(1) << 14;
+
+/// fn over tasks [0, count) of an op touching `elems` elements: on ctx's
+/// pool for a large op, else inline.
+void run_tasks(ops::ExecContext* ctx, std::size_t elems, std::size_t count,
+               const std::function<void(std::size_t, std::size_t)>& fn) {
+  if (elems < kParallelElems)
+    fn(0, count);
+  else
+    ops::resolve(ctx).pool().parallel_for_chunks(count, fn);
+}
+
+/// fn(i, len) over the flat chunks [i, i + len) of n elements, each at
+/// most kChunk long.
+template <typename Fn>
+void flat_chunks(ops::ExecContext* ctx, std::size_t n, Fn&& fn) {
+  run_tasks(ctx, n, (n + kChunk - 1) / kChunk,
+            [&](std::size_t b, std::size_t e) {
+              for (std::size_t c = b; c < e; ++c)
+                fn(c * kChunk, std::min(kChunk, n - c * kChunk));
+            });
+}
+
+/// layer_norm of columns [t0, t0 + kColBlock) (clipped to x.cols()).
+/// One mean and one variance accumulator per column, rows swept in
+/// ascending f: each column sums in the scalar loop's order.
+void layer_norm_block(const HalfMatrix& x, std::span<const float> gamma,
+                      std::span<const float> beta, float eps, std::size_t t0,
+                      HalfMatrix& out) {
+  const std::size_t rows = x.rows();
+  const std::size_t w = std::min(kColBlock, x.cols() - t0);
+  float v[kColBlock], mean[kColBlock] = {}, var[kColBlock] = {};
+  float inv[kColBlock];
+  for (std::size_t f = 0; f < rows; ++f) {
+    half_to_float_n(&x(f, t0), v, w);
+    for (std::size_t u = 0; u < w; ++u) mean[u] += v[u];
+  }
+  for (std::size_t u = 0; u < w; ++u) mean[u] /= float(rows);
+  for (std::size_t f = 0; f < rows; ++f) {
+    half_to_float_n(&x(f, t0), v, w);
+    for (std::size_t u = 0; u < w; ++u) {
+      const float d = v[u] - mean[u];
+      var[u] += d * d;
+    }
+  }
+  for (std::size_t u = 0; u < w; ++u) {
+    var[u] /= float(rows);
+    inv[u] = 1.0f / std::sqrt(var[u] + eps);
+  }
+  for (std::size_t f = 0; f < rows; ++f) {
+    half_to_float_n(&x(f, t0), v, w);
+    for (std::size_t u = 0; u < w; ++u)
+      v[u] = (v[u] - mean[u]) * inv[u] * gamma[f] + beta[f];
+    float_to_half_n(v, &out(f, t0), w);
+  }
 }
 
 /// softmax_rows' sequence over one row. The attention core runs this same
@@ -45,44 +108,51 @@ void softmax_rows(FloatMatrix& scores) {
 }
 
 HalfMatrix layer_norm(const HalfMatrix& x, std::span<const float> gamma,
-                      std::span<const float> beta, float eps) {
+                      std::span<const float> beta, float eps,
+                      ops::ExecContext* ctx) {
   VENOM_CHECK(gamma.size() == x.rows() && beta.size() == x.rows());
   HalfMatrix out(x.rows(), x.cols());
-  for (std::size_t t = 0; t < x.cols(); ++t) {
-    float mean = 0.0f;
-    for (std::size_t f = 0; f < x.rows(); ++f) mean += x(f, t).to_float();
-    mean /= float(x.rows());
-    float var = 0.0f;
-    for (std::size_t f = 0; f < x.rows(); ++f) {
-      const float d = x(f, t).to_float() - mean;
-      var += d * d;
-    }
-    var /= float(x.rows());
-    const float inv = 1.0f / std::sqrt(var + eps);
-    for (std::size_t f = 0; f < x.rows(); ++f)
-      out(f, t) = half_t((x(f, t).to_float() - mean) * inv * gamma[f] +
-                         beta[f]);
-  }
+  run_tasks(ctx, x.size(), (x.cols() + kColBlock - 1) / kColBlock,
+            [&](std::size_t b, std::size_t e) {
+              for (std::size_t blk = b; blk < e; ++blk)
+                layer_norm_block(x, gamma, beta, eps, blk * kColBlock, out);
+            });
   return out;
 }
 
-HalfMatrix gelu(const HalfMatrix& x) {
+HalfMatrix gelu(const HalfMatrix& x, ops::ExecContext* ctx) {
   HalfMatrix out(x.rows(), x.cols());
-  clear_avx_upper();
+  const half_t* src = x.flat().data();
+  half_t* dst = out.flat().data();
   constexpr float kSqrt2OverPi = 0.7978845608028654f;
-  for (std::size_t i = 0; i < x.size(); ++i) {
-    const float v = x.flat()[i].to_float();
-    const float t = std::tanh(kSqrt2OverPi * (v + 0.044715f * v * v * v));
-    out.flat()[i] = half_t(0.5f * v * (1.0f + t));
-  }
+  flat_chunks(ctx, x.size(), [&](std::size_t i, std::size_t len) {
+    float buf[kChunk];
+    half_to_float_n(src + i, buf, len);
+    clear_avx_upper();  // the F16C conversion left the upper halves dirty
+    for (std::size_t j = 0; j < len; ++j) {
+      const float v = buf[j];
+      const float t = std::tanh(kSqrt2OverPi * (v + 0.044715f * v * v * v));
+      buf[j] = 0.5f * v * (1.0f + t);
+    }
+    float_to_half_n(buf, dst + i, len);
+  });
   return out;
 }
 
-HalfMatrix add(const HalfMatrix& x, const HalfMatrix& y) {
+HalfMatrix add(const HalfMatrix& x, const HalfMatrix& y,
+               ops::ExecContext* ctx) {
   VENOM_CHECK(x.rows() == y.rows() && x.cols() == y.cols());
   HalfMatrix out(x.rows(), x.cols());
-  for (std::size_t i = 0; i < x.size(); ++i)
-    out.flat()[i] = x.flat()[i] + y.flat()[i];
+  const half_t* xs = x.flat().data();
+  const half_t* ys = y.flat().data();
+  half_t* dst = out.flat().data();
+  flat_chunks(ctx, x.size(), [&](std::size_t i, std::size_t len) {
+    float a[kChunk], b[kChunk];
+    half_to_float_n(xs + i, a, len);
+    half_to_float_n(ys + i, b, len);
+    for (std::size_t j = 0; j < len; ++j) a[j] += b[j];
+    float_to_half_n(a, dst + i, len);
+  });
   return out;
 }
 

@@ -15,21 +15,58 @@
 #include "ops/timing.hpp"
 #include "tensor/matrix.hpp"
 
+namespace venom::ops {
+class ExecContext;
+}  // namespace venom::ops
+
 namespace venom::transformer {
 
 /// Row-wise softmax in place (each row is one attention query's scores).
 void softmax_rows(FloatMatrix& scores);
 
+// gelu, add and layer_norm: bulk-converted, pool-parallel kernels.
+//
+// Shape. gelu and add process fixed flat chunks of 2048 elements: each
+// chunk converts its fp16 inputs with half_to_float_n, applies the
+// per-element expression in float, and rounds back with float_to_half_n.
+// layer_norm processes fixed blocks of 32 columns (tokens): a block
+// sweeps the rows f in ascending order with one mean and one variance
+// accumulator per column, converting each row's 32-column segment.
+//
+// Threading. Chunks and column blocks run on ops::resolve(ctx).pool()
+// via parallel_for_chunks. An op over fewer than 2^14 elements runs
+// inline on the caller, so a decode step of a few sessions pays no
+// dispatch. The chunk size, block width and cutoff are fixed constants,
+// not options. `ctx` works as in Linear::forward: the encoder passes the
+// context its linear layers run on; nullptr means ExecContext::global().
+//
+// Bits. Every output element keeps the scalar loop's expression:
+// fp16(x + y), fp16(0.5 v (1 + tanh(sqrt(2/pi) (v + 0.044715 v^3)))),
+// and per column the mean and variance summed over f ascending, each
+// divided by float(rows), then fp16((v - mean) * inv * gamma[f] +
+// beta[f]) with inv = 1 / sqrt(var + eps). Vector lanes are independent
+// elements written as the same expression, so the compiler contracts
+// them as in the scalar loop; threads only partition elements or
+// columns. Results are therefore bit-identical to the per-element
+// to_float / half_t loops at any thread count, except that NaN outputs
+// may carry a different payload (see float_to_half_n).
+//
+// AVX state. gelu clears the upper AVX halves inside each chunk, after
+// the F16C conversion and before the std::tanh loop: glibc's SSE tanhf
+// runs about 4x slower when entered with them dirty.
+
 /// LayerNorm over the feature dimension of (features x tokens), per
 /// token (column), with scale gamma and shift beta (size = features).
 HalfMatrix layer_norm(const HalfMatrix& x, std::span<const float> gamma,
-                      std::span<const float> beta, float eps = 1e-5f);
+                      std::span<const float> beta, float eps = 1e-5f,
+                      ops::ExecContext* ctx = nullptr);
 
 /// GELU (tanh approximation) applied element-wise.
-HalfMatrix gelu(const HalfMatrix& x);
+HalfMatrix gelu(const HalfMatrix& x, ops::ExecContext* ctx = nullptr);
 
 /// x + y element-wise (residual connection).
-HalfMatrix add(const HalfMatrix& x, const HalfMatrix& y);
+HalfMatrix add(const HalfMatrix& x, const HalfMatrix& y,
+               ops::ExecContext* ctx = nullptr);
 
 /// Adds a per-feature bias to (features x tokens).
 void add_bias(FloatMatrix& x, std::span<const float> bias);

@@ -4,6 +4,8 @@
 
 #include <cmath>
 #include <cstring>
+#include <span>
+#include <string>
 #include <vector>
 
 #include "baselines/gemm.hpp"
@@ -17,6 +19,91 @@
 
 namespace venom::transformer {
 namespace {
+
+// The scalar loops gelu, add and layer_norm ran before they were
+// bulk-converted and pool-parallel; the fast ops must match them bitwise.
+HalfMatrix ref_layer_norm(const HalfMatrix& x, std::span<const float> gamma,
+                          std::span<const float> beta, float eps = 1e-5f) {
+  HalfMatrix out(x.rows(), x.cols());
+  for (std::size_t t = 0; t < x.cols(); ++t) {
+    float mean = 0.0f;
+    for (std::size_t f = 0; f < x.rows(); ++f) mean += x(f, t).to_float();
+    mean /= float(x.rows());
+    float var = 0.0f;
+    for (std::size_t f = 0; f < x.rows(); ++f) {
+      const float d = x(f, t).to_float() - mean;
+      var += d * d;
+    }
+    var /= float(x.rows());
+    const float inv = 1.0f / std::sqrt(var + eps);
+    for (std::size_t f = 0; f < x.rows(); ++f)
+      out(f, t) = half_t((x(f, t).to_float() - mean) * inv * gamma[f] +
+                         beta[f]);
+  }
+  return out;
+}
+
+HalfMatrix ref_gelu(const HalfMatrix& x) {
+  HalfMatrix out(x.rows(), x.cols());
+  constexpr float kSqrt2OverPi = 0.7978845608028654f;
+  for (std::size_t i = 0; i < x.size(); ++i) {
+    const float v = x.flat()[i].to_float();
+    const float t = std::tanh(kSqrt2OverPi * (v + 0.044715f * v * v * v));
+    out.flat()[i] = half_t(0.5f * v * (1.0f + t));
+  }
+  return out;
+}
+
+HalfMatrix ref_add(const HalfMatrix& x, const HalfMatrix& y) {
+  HalfMatrix out(x.rows(), x.cols());
+  for (std::size_t i = 0; i < x.size(); ++i)
+    out.flat()[i] = x.flat()[i] + y.flat()[i];
+  return out;
+}
+
+/// Elements of `got` whose bits differ from `want`'s. A NaN only has to
+/// stay a NaN: float_to_half_n may pick another payload.
+std::size_t bit_mismatches(const HalfMatrix& got, const HalfMatrix& want) {
+  EXPECT_EQ(got.rows(), want.rows());
+  EXPECT_EQ(got.cols(), want.cols());
+  std::size_t bad = 0;
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    const half_t g = got.flat()[i], w = want.flat()[i];
+    bad += w.is_nan() ? !g.is_nan() : g.bits() != w.bits();
+  }
+  return bad;
+}
+
+std::vector<float> random_affine(std::size_t n, Rng& rng, float lo,
+                                 float hi) {
+  std::vector<float> v(n);
+  for (auto& e : v) e = rng.uniform(lo, hi);
+  return v;
+}
+
+/// Checks gelu, add, layer_norm and layer_norm(add(...)) on random
+/// (rows x cols) inputs against the scalar loops, through `ctx`.
+void expect_elementwise_bit_identical(std::size_t rows, std::size_t cols,
+                                      Rng& rng, ops::ExecContext* ctx) {
+  SCOPED_TRACE(::testing::Message()
+               << rows << "x" << cols << ", "
+               << (ctx == nullptr ? std::string("global context")
+                                  : std::to_string(ctx->pool().size()) +
+                                        " threads"));
+  const HalfMatrix x = random_half_matrix(rows, cols, rng, 2.0f);
+  const HalfMatrix y = random_half_matrix(rows, cols, rng, 2.0f);
+  const std::vector<float> gamma = random_affine(rows, rng, 0.5f, 1.5f);
+  const std::vector<float> beta = random_affine(rows, rng, -0.5f, 0.5f);
+  EXPECT_EQ(bit_mismatches(gelu(x, ctx), ref_gelu(x)), 0u);
+  EXPECT_EQ(bit_mismatches(add(x, y, ctx), ref_add(x, y)), 0u);
+  EXPECT_EQ(bit_mismatches(layer_norm(x, gamma, beta, 1e-5f, ctx),
+                           ref_layer_norm(x, gamma, beta)),
+            0u);
+  EXPECT_EQ(
+      bit_mismatches(layer_norm(add(x, y, ctx), gamma, beta, 1e-5f, ctx),
+                     ref_layer_norm(ref_add(x, y), gamma, beta)),
+      0u);
+}
 
 TEST(Config, Presets) {
   EXPECT_EQ(bert_base().hidden, 768u);
@@ -104,6 +191,51 @@ TEST(Ops, AddAndBias) {
   add_bias(f, bias);
   EXPECT_FLOAT_EQ(f(0, 1), 11.0f);
   EXPECT_FLOAT_EQ(f(1, 0), 21.0f);
+}
+
+TEST(Ops, ElementwiseBitIdenticalToScalarReference) {
+  ops::ExecContextOptions opts;
+  opts.threads = 1;
+  ops::ExecContext one(opts);
+  opts.threads = 4;
+  ops::ExecContext four(opts);
+  const std::vector<ops::ExecContext*> contexts = {nullptr, &one, &four};
+
+  // gelu over every fp16 bit pattern.
+  HalfMatrix all(256, 256);
+  for (std::size_t i = 0; i < all.size(); ++i)
+    all.flat()[i] = half_t::from_bits(static_cast<std::uint16_t>(i));
+  const HalfMatrix want = ref_gelu(all);
+  for (ops::ExecContext* ctx : contexts) {
+    const HalfMatrix got = gelu(all, ctx);
+    std::size_t bad = 0;
+    for (std::size_t i = 0; i < all.size(); ++i)
+      bad += all.flat()[i].is_nan()
+                 ? !got.flat()[i].is_nan()
+                 : got.flat()[i].bits() != want.flat()[i].bits();
+    EXPECT_EQ(bad, 0u) << (ctx == nullptr ? 0 : ctx->pool().size())
+                       << " threads";
+  }
+
+  Rng rng(71);
+  for (const std::size_t rows : {1, 7, 64, 256, 768})
+    for (const std::size_t cols : {1, 3, 16, 31, 33, 100, 378, 1000})
+      for (ops::ExecContext* ctx : contexts)
+        expect_elementwise_bit_identical(rows, cols, rng, ctx);
+}
+
+TEST(Ops, ElementwiseInlineCutoffBitIdentical) {
+  // ops.cpp runs an op over fewer than 2^14 elements inline and a larger
+  // one on the pool; pin the bits on both sides of that cutoff.
+  constexpr std::size_t kRows = 64;
+  constexpr std::size_t kInlineElems = std::size_t(1) << 14;
+  ops::ExecContextOptions opts;
+  opts.threads = 1;
+  ops::ExecContext one(opts);
+  Rng rng(72);
+  for (const std::size_t cols :
+       {std::size_t(1), kInlineElems / kRows - 1, kInlineElems / kRows + 1})
+    expect_elementwise_bit_identical(kRows, cols, rng, &one);
 }
 
 TEST(Ops, AttentionScoresAndContext) {
