@@ -109,10 +109,7 @@ MeasuredResult autotune_measured(const VnmMatrix& a, const HalfMatrix& b,
   // (block_k, block_c) tiles fill the rest — the model prunes the search
   // so only configurations it considers competitive are ever timed.
   const spatha::SpmmConfig heuristic_cfg =
-      dtype == ops::Dtype::kI8
-          ? spatha::select_config_heuristic_i8(fmt, shape.r, shape.k,
-                                               shape.c)
-          : spatha::select_config_heuristic(fmt, shape.r, shape.k, shape.c);
+      spatha::select_config_heuristic(fmt, shape.r, shape.k, shape.c, dtype);
   std::vector<spatha::SpmmConfig> tiles = {heuristic_cfg};
   std::set<std::pair<std::size_t, std::size_t>> seen = {
       {heuristic_cfg.block_k, heuristic_cfg.block_c}};
@@ -208,20 +205,8 @@ MeasuredResult autotune_measured(const VnmMatrix& a, const HalfMatrix& b,
   }
 
   // The key carries the datapath's feature tag, so the entry lands where
-  // the matching select_config_* lookup will find it.
-  switch (dtype) {
-    case ops::Dtype::kI8:
-      result.key = spatha::make_tuning_key_i8(fmt, shape.r, shape.k, shape.c);
-      break;
-    case ops::Dtype::kF8E5M2:
-    case ops::Dtype::kF8E4M3:
-      result.key =
-          spatha::make_tuning_key_fp8(fmt, shape.r, shape.k, shape.c);
-      break;
-    case ops::Dtype::kF16:
-      result.key = spatha::make_tuning_key(fmt, shape.r, shape.k, shape.c);
-      break;
-  }
+  // select_config on the same dtype will find it.
+  result.key = spatha::make_tuning_key(fmt, shape.r, shape.k, shape.c, dtype);
   result.entry.config = result.best.config;
   result.entry.gflops = result.best.gflops;
   result.entry.heuristic_gflops = result.heuristic.gflops;

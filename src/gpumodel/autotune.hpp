@@ -22,7 +22,7 @@
 #include "common/thread_pool.hpp"
 #include "format/vnm.hpp"
 #include "gpumodel/kernel_models.hpp"
-#include "ops/matmul.hpp"
+#include "ops/dtype.hpp"
 #include "spatha/config.hpp"
 #include "spatha/tuning_cache.hpp"
 #include "tensor/matrix.hpp"
@@ -84,7 +84,7 @@ struct MeasureOptions {
   /// spmm_vnm_i8 / spmm_vnm_fp8 over a one-time quantized image of `a`),
   /// the baseline comes from the matching heuristic, and the result key
   /// carries the matching feature tag ("+i8" / "+fp8") so the entry is
-  /// exactly what select_config_i8 / select_config_fp8 look up.
+  /// exactly what select_config looks up for the same dtype.
   ops::Dtype dtype = ops::Dtype::kF16;
 };
 

@@ -56,6 +56,12 @@ class Reader {
   explicit Reader(const std::string& path) : in_(path, std::ios::binary),
                                              path_(path) {
     VENOM_CHECK_MSG(in_.good(), "cannot open '" << path << "' for reading");
+    in_.seekg(0, std::ios::end);
+    const std::streamoff size = in_.tellg();
+    in_.seekg(0, std::ios::beg);
+    VENOM_CHECK_MSG(in_.good() && size >= 0,
+                    "cannot size '" << path << "' for reading");
+    size_ = std::uint64_t(size);
   }
   void expect_magic(const char m[4]) {
     char got[4] = {};
@@ -76,8 +82,30 @@ class Reader {
     check();
     return v;
   }
+  /// `a * b` and `a + b` over header fields. A corrupt header throws
+  /// here instead of wrapping to a small count that would "load".
+  std::size_t mul(std::size_t a, std::size_t b) const {
+    std::size_t out = 0;
+    VENOM_CHECK_MSG(!__builtin_mul_overflow(a, b, &out),
+                    "'" << path_ << "' header sizes overflow");
+    return out;
+  }
+  std::size_t add(std::size_t a, std::size_t b) const {
+    std::size_t out = 0;
+    VENOM_CHECK_MSG(!__builtin_add_overflow(a, b, &out),
+                    "'" << path_ << "' header sizes overflow");
+    return out;
+  }
+  /// Reads `count` elements. The count comes from the header, so it is
+  /// checked against the bytes left in the file before anything is
+  /// allocated: a corrupt count throws venom::Error, not bad_alloc.
   template <typename T>
   std::vector<T> raw(std::size_t count) {
+    const std::uint64_t left = size_ - std::uint64_t(in_.tellg());
+    VENOM_CHECK_MSG(count <= left / sizeof(T),
+                    "'" << path_ << "' is truncated or corrupt: header claims "
+                        << count << " elements of " << sizeof(T)
+                        << " bytes, " << left << " bytes left");
     std::vector<T> data(count);
     in_.read(reinterpret_cast<char*>(data.data()),
              std::streamsize(count * sizeof(T)));
@@ -91,6 +119,7 @@ class Reader {
   }
   std::ifstream in_;
   std::string path_;
+  std::uint64_t size_ = 0;
 };
 
 }  // namespace
@@ -221,7 +250,7 @@ HalfMatrix load_half_matrix(const std::string& path) {
   VENOM_CHECK_MSG(r.u32() == kVersion, "unsupported version in " << path);
   const std::size_t rows = r.u64();
   const std::size_t cols = r.u64();
-  const auto bits = r.raw<std::uint16_t>(rows * cols);
+  const auto bits = r.raw<std::uint16_t>(r.mul(rows, cols));
   HalfMatrix m(rows, cols);
   for (std::size_t i = 0; i < m.size(); ++i)
     m.flat()[i] = half_t::from_bits(bits[i]);
@@ -234,7 +263,7 @@ FloatMatrix load_float_matrix(const std::string& path) {
   VENOM_CHECK_MSG(r.u32() == kVersion, "unsupported version in " << path);
   const std::size_t rows = r.u64();
   const std::size_t cols = r.u64();
-  const auto data = r.raw<float>(rows * cols);
+  const auto data = r.raw<float>(r.mul(rows, cols));
   FloatMatrix m(rows, cols);
   std::copy(data.begin(), data.end(), m.flat().begin());
   return m;
@@ -254,13 +283,13 @@ VnmMatrix load_vnm_matrix(const std::string& path) {
                       rows % cfg.v == 0,
                   "invalid VNM metadata in " << path);
   const std::size_t groups = cols / cfg.m;
-  const auto bits = r.raw<std::uint16_t>(rows * groups * cfg.n);
+  const auto bits = r.raw<std::uint16_t>(r.mul(r.mul(rows, groups), cfg.n));
   std::vector<half_t> values(bits.size());
   for (std::size_t i = 0; i < bits.size(); ++i)
     values[i] = half_t::from_bits(bits[i]);
   auto m_indices = r.raw<std::uint8_t>(values.size());
-  auto column_loc =
-      r.raw<std::uint8_t>((rows / cfg.v) * groups * cfg.selected_cols());
+  auto column_loc = r.raw<std::uint8_t>(
+      r.mul(r.mul(rows / cfg.v, groups), cfg.selected_cols()));
   return VnmMatrix::from_parts(cfg, rows, cols, std::move(values),
                                std::move(m_indices), std::move(column_loc));
 }
@@ -279,10 +308,10 @@ quant::QuantizedVnmMatrix load_quant_vnm_matrix(const std::string& path) {
                       rows % cfg.v == 0,
                   "invalid QVN metadata in " << path);
   const std::size_t groups = cols / cfg.m;
-  auto values = r.raw<std::int8_t>(rows * groups * cfg.n);
+  auto values = r.raw<std::int8_t>(r.mul(r.mul(rows, groups), cfg.n));
   auto m_indices = r.raw<std::uint8_t>(values.size());
-  auto column_loc =
-      r.raw<std::uint8_t>((rows / cfg.v) * groups * cfg.selected_cols());
+  auto column_loc = r.raw<std::uint8_t>(
+      r.mul(r.mul(rows / cfg.v, groups), cfg.selected_cols()));
   auto scales = r.raw<float>(rows);
   return quant::QuantizedVnmMatrix::from_parts(
       cfg, rows, cols, std::move(values), std::move(m_indices),
@@ -306,10 +335,10 @@ quant::Fp8VnmMatrix load_fp8_vnm_matrix(const std::string& path) {
   const Fp8Format format =
       format_code == 0 ? Fp8Format::kE5M2 : Fp8Format::kE4M3;
   const std::size_t groups = cols / cfg.m;
-  auto values = r.raw<std::uint8_t>(rows * groups * cfg.n);
+  auto values = r.raw<std::uint8_t>(r.mul(r.mul(rows, groups), cfg.n));
   auto m_indices = r.raw<std::uint8_t>(values.size());
-  auto column_loc =
-      r.raw<std::uint8_t>((rows / cfg.v) * groups * cfg.selected_cols());
+  auto column_loc = r.raw<std::uint8_t>(
+      r.mul(r.mul(rows / cfg.v, groups), cfg.selected_cols()));
   return quant::Fp8VnmMatrix::from_parts(cfg, rows, cols, format,
                                          std::move(values),
                                          std::move(m_indices),
@@ -327,7 +356,7 @@ NmMatrix load_nm_matrix(const std::string& path) {
   const std::size_t cols = r.u64();
   VENOM_CHECK_MSG(pattern.m >= 2 && cols % pattern.m == 0,
                   "invalid N:M metadata in " << path);
-  const std::size_t count = rows * (cols / pattern.m) * pattern.n;
+  const std::size_t count = r.mul(r.mul(rows, cols / pattern.m), pattern.n);
   const auto bits = r.raw<std::uint16_t>(count);
   std::vector<half_t> values(count);
   for (std::size_t i = 0; i < count; ++i)
@@ -458,7 +487,7 @@ CsrMatrix load_csr_matrix(const std::string& path) {
   const std::size_t rows = r.u64();
   const std::size_t cols = r.u64();
   const std::size_t nnz = r.u64();
-  auto offsets = r.raw<std::uint32_t>(rows + 1);
+  auto offsets = r.raw<std::uint32_t>(r.add(rows, 1));
   auto col_indices = r.raw<std::uint32_t>(nnz);
   const auto bits = r.raw<std::uint16_t>(nnz);
   std::vector<half_t> values(nnz);

@@ -6,6 +6,7 @@
 // (vnm-fast, nm, cvse, csr, dense-gemm) outrank the oracle and fidelity
 // paths (vnm-scalar, vnm-mma, spmm-24), which remain reachable through
 // VENOM_BACKEND / ops::force_backend for parity tests and A/B benches.
+#include <memory>
 #include <sstream>
 
 #include "baselines/gemm.hpp"
@@ -246,6 +247,34 @@ class DenseGemmBackend final : public Matmul {
 // vnm-fast by default: quantized execution engages only for explicitly
 // quantized args or through an override.
 
+/// The int8 left operand of a quantized dispatch: the caller's own image,
+/// else the context's memoized image of a fingerprinted fp16 weight,
+/// else a fresh quantization of a one-shot fp16 weight. Shared by the
+/// fast backend and its oracle so both run on the same image.
+std::shared_ptr<const quant::QuantizedVnmMatrix> int8_operand(
+    const MatmulArgs& args, ExecContext& ctx) {
+  if (args.qvnm != nullptr)  // non-owning: the caller keeps it alive
+    return {std::shared_ptr<const quant::QuantizedVnmMatrix>(), args.qvnm};
+  if (args.vnm_shared != nullptr)
+    return ctx.quant_cache().get_i8(*args.vnm, args.vnm_fingerprint);
+  return std::make_shared<const quant::QuantizedVnmMatrix>(
+      quant::QuantizedVnmMatrix::quantize(*args.vnm));
+}
+
+/// The fp8 left operand, resolved like int8_operand. On-the-fly
+/// quantization of fp16 args uses E4M3 (the higher-precision layout —
+/// the right trade for weights; E5M2 arrives via explicit args).
+std::shared_ptr<const quant::Fp8VnmMatrix> fp8_operand(const MatmulArgs& args,
+                                                       ExecContext& ctx) {
+  if (args.f8vnm != nullptr)
+    return {std::shared_ptr<const quant::Fp8VnmMatrix>(), args.f8vnm};
+  if (args.vnm_shared != nullptr)
+    return ctx.quant_cache().get_fp8(*args.vnm, args.vnm_fingerprint,
+                                     Fp8Format::kE4M3);
+  return std::make_shared<const quant::Fp8VnmMatrix>(
+      quant::Fp8VnmMatrix::quantize(*args.vnm, Fp8Format::kE4M3));
+}
+
 /// Packed int8 panels, int32 accumulation, per-row x per-column scale
 /// dequantization on the epilogue.
 class VnmInt8Backend final : public Matmul {
@@ -263,23 +292,13 @@ class VnmInt8Backend final : public Matmul {
            (desc.dtype == Dtype::kI8 || desc.dtype == Dtype::kF16);
   }
   FloatMatrix run(const MatmulArgs& args, ExecContext& ctx) const override {
-    if (args.qvnm != nullptr) return execute(*args.qvnm, args, ctx);
-    if (args.vnm_shared != nullptr)
-      return execute(
-          *ctx.quant_cache().get_i8(*args.vnm, args.vnm_fingerprint), args,
-          ctx);
-    return execute(quant::QuantizedVnmMatrix::quantize(*args.vnm), args, ctx);
-  }
-
- private:
-  static FloatMatrix execute(const quant::QuantizedVnmMatrix& a,
-                             const MatmulArgs& args, ExecContext& ctx) {
+    const auto a = int8_operand(args, ctx);
     const spatha::SpmmConfig cfg =
         args.config != nullptr
             ? *args.config
-            : ctx.select_config_i8(a.config(), a.rows(), a.cols(),
-                                   args.b->cols());
-    return quant::spmm_vnm_i8(a, *args.b, cfg, &ctx.pool(), &ctx.scratch());
+            : ctx.select_config(a->config(), a->rows(), a->cols(),
+                                args.b->cols(), Dtype::kI8);
+    return quant::spmm_vnm_i8(*a, *args.b, cfg, &ctx.pool(), &ctx.scratch());
   }
 };
 
@@ -298,23 +317,14 @@ class VnmInt8ScalarBackend final : public Matmul {
            (desc.dtype == Dtype::kI8 || desc.dtype == Dtype::kF16);
   }
   FloatMatrix run(const MatmulArgs& args, ExecContext& ctx) const override {
-    const spatha::ColumnLocMode mode =
-        args.config != nullptr ? args.config->column_loc
-                               : spatha::ColumnLocMode::kEnabled;
-    if (args.qvnm != nullptr)
-      return quant::spmm_vnm_i8_scalar(*args.qvnm, *args.b, mode);
-    if (args.vnm_shared != nullptr)
-      return quant::spmm_vnm_i8_scalar(
-          *ctx.quant_cache().get_i8(*args.vnm, args.vnm_fingerprint),
-          *args.b, mode);
     return quant::spmm_vnm_i8_scalar(
-        quant::QuantizedVnmMatrix::quantize(*args.vnm), *args.b, mode);
+        *int8_operand(args, ctx), *args.b,
+        args.config != nullptr ? args.config->column_loc
+                               : spatha::ColumnLocMode::kEnabled);
   }
 };
 
-/// fp8-stored weights, float panels, fp32 accumulation. On-the-fly
-/// quantization of fp16 args uses E4M3 (the higher-precision layout —
-/// the right trade for weights; E5M2 arrives via explicit args).
+/// fp8-stored weights, float panels, fp32 accumulation.
 class VnmFp8Backend final : public Matmul {
  public:
   std::string_view name() const override { return "vnm-fp8"; }
@@ -331,25 +341,17 @@ class VnmFp8Backend final : public Matmul {
             desc.dtype == Dtype::kF16);
   }
   FloatMatrix run(const MatmulArgs& args, ExecContext& ctx) const override {
-    if (args.f8vnm != nullptr) return execute(*args.f8vnm, args, ctx);
-    if (args.vnm_shared != nullptr)
-      return execute(*ctx.quant_cache().get_fp8(*args.vnm,
-                                                args.vnm_fingerprint,
-                                                Fp8Format::kE4M3),
-                     args, ctx);
-    return execute(quant::Fp8VnmMatrix::quantize(*args.vnm, Fp8Format::kE4M3),
-                   args, ctx);
-  }
-
- private:
-  static FloatMatrix execute(const quant::Fp8VnmMatrix& a,
-                             const MatmulArgs& args, ExecContext& ctx) {
+    const auto a = fp8_operand(args, ctx);
     const spatha::SpmmConfig cfg =
         args.config != nullptr
             ? *args.config
-            : ctx.select_config_fp8(a.config(), a.rows(), a.cols(),
-                                    args.b->cols());
-    return quant::spmm_vnm_fp8(a, *args.b, cfg, &ctx.pool(), &ctx.scratch());
+            : ctx.select_config(a->config(), a->rows(), a->cols(),
+                                args.b->cols(),
+                                a->format() == Fp8Format::kE5M2
+                                    ? Dtype::kF8E5M2
+                                    : Dtype::kF8E4M3);
+    return quant::spmm_vnm_fp8(*a, *args.b, cfg, &ctx.pool(),
+                               &ctx.scratch());
   }
 };
 
@@ -369,19 +371,10 @@ class VnmFp8ScalarBackend final : public Matmul {
             desc.dtype == Dtype::kF16);
   }
   FloatMatrix run(const MatmulArgs& args, ExecContext& ctx) const override {
-    const spatha::ColumnLocMode mode =
-        args.config != nullptr ? args.config->column_loc
-                               : spatha::ColumnLocMode::kEnabled;
-    if (args.f8vnm != nullptr)
-      return quant::spmm_vnm_fp8_scalar(*args.f8vnm, *args.b, mode);
-    if (args.vnm_shared != nullptr)
-      return quant::spmm_vnm_fp8_scalar(
-          *ctx.quant_cache().get_fp8(*args.vnm, args.vnm_fingerprint,
-                                     Fp8Format::kE4M3),
-          *args.b, mode);
     return quant::spmm_vnm_fp8_scalar(
-        quant::Fp8VnmMatrix::quantize(*args.vnm, Fp8Format::kE4M3), *args.b,
-        mode);
+        *fp8_operand(args, ctx), *args.b,
+        args.config != nullptr ? args.config->column_loc
+                               : spatha::ColumnLocMode::kEnabled);
   }
 };
 

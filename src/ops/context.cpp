@@ -24,30 +24,18 @@ const spatha::TuningCache& ExecContext::tuning_cache() const {
 spatha::SpmmConfig ExecContext::select_config(const VnmConfig& fmt,
                                               std::size_t rows,
                                               std::size_t cols,
-                                              std::size_t b_cols) const {
+                                              std::size_t b_cols,
+                                              Dtype dtype) const {
   // One shared policy with spatha::select_config (lookup -> validate ->
   // degrade to heuristic), differing only in which cache is consulted.
-  return spatha::select_config(tuning_cache(), fmt, rows, cols, b_cols);
-}
-
-spatha::SpmmConfig ExecContext::select_config_i8(const VnmConfig& fmt,
-                                                 std::size_t rows,
-                                                 std::size_t cols,
-                                                 std::size_t b_cols) const {
-  return spatha::select_config_i8(tuning_cache(), fmt, rows, cols, b_cols);
-}
-
-spatha::SpmmConfig ExecContext::select_config_fp8(const VnmConfig& fmt,
-                                                  std::size_t rows,
-                                                  std::size_t cols,
-                                                  std::size_t b_cols) const {
-  return spatha::select_config_fp8(tuning_cache(), fmt, rows, cols, b_cols);
+  return spatha::select_config(tuning_cache(), fmt, rows, cols, b_cols,
+                               dtype);
 }
 
 std::optional<spatha::SpmmConfig> ExecContext::tuned_config(
     const VnmConfig& fmt, std::size_t rows, std::size_t cols,
-    std::size_t b_cols) const {
-  return tuning_cache().lookup(fmt, rows, cols, b_cols);
+    std::size_t b_cols, Dtype dtype) const {
+  return tuning_cache().lookup(fmt, rows, cols, b_cols, dtype);
 }
 
 ExecContext& ExecContext::global() {

@@ -12,7 +12,8 @@
 //     operand bookkeeping, warm packed-panel scratch — across calls,
 //   * the empirical tuning cache consulted for kernel configurations
 //     (the process-wide $VENOM_TUNE_CACHE cache by default, or a private
-//     cache loaded from `tuning_cache_path`),
+//     cache loaded from `tuning_cache_path`) — one cache for every
+//     datapath, keyed by dtype (select_config),
 //   * a scratch pool recycling the kernels' packed fp16->float B panels
 //     and accumulator tiles across dispatches that bypass the plan cache.
 //
@@ -30,6 +31,7 @@
 
 #include "common/arena.hpp"
 #include "common/thread_pool.hpp"
+#include "ops/dtype.hpp"
 #include "ops/quant_cache.hpp"
 #include "spatha/config.hpp"
 #include "spatha/plan.hpp"
@@ -78,36 +80,21 @@ class ExecContext {
   ObjectPool<ScratchArena>& attn_scratch() const { return attn_scratch_; }
   const ExecContextOptions& options() const { return opts_; }
 
-  /// Kernel configuration for a V:N:M problem: the context's tuning
-  /// cache entry when one exists for this build's CPU features, else the
-  /// shape heuristic. With default options this is exactly
-  /// spatha::select_config, so dispatch through a context is bit- and
-  /// config-identical to the pre-ops direct kernel calls.
+  /// Kernel configuration for a V:N:M problem on the `dtype` datapath:
+  /// the context's tuning-cache entry under the dtype's tag when one
+  /// exists for this build's CPU features, else the dtype's shape
+  /// heuristic (the table in spatha/config.hpp). With default options
+  /// this is exactly spatha::select_config, so dispatch through a context
+  /// is bit- and config-identical to the pre-ops direct kernel calls.
   spatha::SpmmConfig select_config(const VnmConfig& fmt, std::size_t rows,
-                                   std::size_t cols,
-                                   std::size_t b_cols) const;
-
-  /// Kernel configuration for the int8 datapath: the context's
-  /// "+i8"-tagged tuning entry when one exists, else the
-  /// reduced-precision heuristic (spatha::select_config_i8).
-  spatha::SpmmConfig select_config_i8(const VnmConfig& fmt, std::size_t rows,
-                                      std::size_t cols,
-                                      std::size_t b_cols) const;
-
-  /// Kernel configuration for the fp8 datapath: the context's
-  /// "+fp8"-tagged tuning entry when one exists, else the fp16 heuristic
-  /// (spatha::select_config_fp8 — the fp8 kernel shares the float-panel
-  /// pipeline).
-  spatha::SpmmConfig select_config_fp8(const VnmConfig& fmt, std::size_t rows,
-                                       std::size_t cols,
-                                       std::size_t b_cols) const;
+                                   std::size_t cols, std::size_t b_cols,
+                                   Dtype dtype = Dtype::kF16) const;
 
   /// The tuned entry alone (no heuristic fallback) — lets tooling report
   /// what the tuning cache contributes vs the heuristic.
-  std::optional<spatha::SpmmConfig> tuned_config(const VnmConfig& fmt,
-                                                 std::size_t rows,
-                                                 std::size_t cols,
-                                                 std::size_t b_cols) const;
+  std::optional<spatha::SpmmConfig> tuned_config(
+      const VnmConfig& fmt, std::size_t rows, std::size_t cols,
+      std::size_t b_cols, Dtype dtype = Dtype::kF16) const;
 
   /// The context's tuning cache: the private one when a path was given
   /// (loaded on first use), else TuningCache::global(). Exposed so

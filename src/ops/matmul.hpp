@@ -32,6 +32,7 @@
 #include "format/nm.hpp"
 #include "format/vnm.hpp"
 #include "ops/context.hpp"
+#include "ops/dtype.hpp"
 #include "quant/quantized_vnm.hpp"
 #include "spatha/config.hpp"
 #include "spatha/epilogue.hpp"
@@ -51,21 +52,6 @@ const char* to_string(OperandFormat f);
 enum class OpKind : std::uint8_t { kMatmul, kMatmulTransposed, kSddmm };
 
 const char* to_string(OpKind k);
-
-/// Storage precision of the left operand's values. kF16 is the default
-/// fp16 datapath; the reduced-precision dtypes route to the quantized
-/// backends (vnm-int8 / vnm-fp8), which also accept kF16 descs and
-/// quantize on the fly — so `VENOM_BACKEND=vnm-int8` reroutes an
-/// ordinary fp16 V:N:M product without the caller changing its args.
-enum class Dtype : std::uint8_t { kF16, kI8, kF8E5M2, kF8E4M3 };
-
-const char* to_string(Dtype d);
-
-/// Inverse of to_string(Dtype), also accepting the short fp8 aliases the
-/// CLI uses ("e5m2" / "e4m3"). Returns false on an unknown name. Shared
-/// by the engine-plan loader and the venomtool dtype flags so every
-/// artefact and flag spells dtypes the same way.
-bool dtype_from_string(std::string_view name, Dtype& out);
 
 /// Shape + format summary of a product — what supports() and backend
 /// selection look at (no operand data access).

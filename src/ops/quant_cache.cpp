@@ -22,7 +22,7 @@ QuantCache::Entry& QuantCache::insert_locked(Entry entry) {
 
 std::shared_ptr<const quant::QuantizedVnmMatrix> QuantCache::get_i8(
     const VnmMatrix& a, std::uint64_t fp) {
-  const Key key{fp, a.rows(), a.cols(), 0};
+  const Key key{fp, a.rows(), a.cols(), Dtype::kI8};
   MutexLock lock(mutex_);
   if (Entry* hit = find_locked(key)) {
     ++stats_.hits;
@@ -38,7 +38,7 @@ std::shared_ptr<const quant::QuantizedVnmMatrix> QuantCache::get_i8(
 std::shared_ptr<const quant::Fp8VnmMatrix> QuantCache::get_fp8(
     const VnmMatrix& a, std::uint64_t fp, Fp8Format format) {
   const Key key{fp, a.rows(), a.cols(),
-                std::uint8_t(format == Fp8Format::kE5M2 ? 1 : 2)};
+                format == Fp8Format::kE5M2 ? Dtype::kF8E5M2 : Dtype::kF8E4M3};
   MutexLock lock(mutex_);
   if (Entry* hit = find_locked(key)) {
     ++stats_.hits;

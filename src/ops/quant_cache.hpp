@@ -20,6 +20,7 @@
 #include "common/fp8.hpp"
 #include "common/mutex.hpp"
 #include "format/vnm.hpp"
+#include "ops/dtype.hpp"
 #include "quant/quantized_vnm.hpp"
 
 namespace venom::ops {
@@ -55,7 +56,7 @@ class QuantCache {
     std::uint64_t fingerprint = 0;
     std::uint64_t rows = 0;
     std::uint64_t cols = 0;
-    std::uint8_t code = 0;  // 0 = int8, 1 = e5m2, 2 = e4m3
+    Dtype dtype = Dtype::kI8;
 
     friend bool operator==(const Key&, const Key&) = default;
   };

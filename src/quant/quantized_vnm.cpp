@@ -809,8 +809,8 @@ FloatMatrix spmm_vnm_i8(const QuantizedVnmMatrix& a, const HalfMatrix& b,
       tuning != nullptr ? *tuning : spatha::TuningCache::global();
   return spmm_vnm_i8(
       a, b,
-      spatha::select_config_i8(cache, a.config(), a.rows(), a.cols(),
-                               b.cols()),
+      spatha::select_config(cache, a.config(), a.rows(), a.cols(), b.cols(),
+                            ops::Dtype::kI8),
       pool);
 }
 
@@ -900,8 +900,10 @@ FloatMatrix spmm_vnm_fp8(const Fp8VnmMatrix& a, const HalfMatrix& b,
       tuning != nullptr ? *tuning : spatha::TuningCache::global();
   return spmm_vnm_fp8(
       a, b,
-      spatha::select_config_fp8(cache, a.config(), a.rows(), a.cols(),
-                                b.cols()),
+      spatha::select_config(cache, a.config(), a.rows(), a.cols(), b.cols(),
+                            a.format() == Fp8Format::kE5M2
+                                ? ops::Dtype::kF8E5M2
+                                : ops::Dtype::kF8E4M3),
       pool);
 }
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <sstream>
 
+#include "common/cpu_features.hpp"
 #include "common/error.hpp"
 #include "spatha/tuning_cache.hpp"
 
@@ -39,14 +40,15 @@ void validate(const SpmmConfig& cfg, const VnmConfig& fmt, std::size_t rows,
 }
 
 SpmmConfig select_config(const VnmConfig& fmt, std::size_t rows,
-                         std::size_t cols, std::size_t b_cols) {
-  return select_config(TuningCache::global(), fmt, rows, cols, b_cols);
+                         std::size_t cols, std::size_t b_cols,
+                         ops::Dtype dtype) {
+  return select_config(TuningCache::global(), fmt, rows, cols, b_cols, dtype);
 }
 
 SpmmConfig select_config(const TuningCache& cache, const VnmConfig& fmt,
                          std::size_t rows, std::size_t cols,
-                         std::size_t b_cols) {
-  const auto tuned = cache.lookup(fmt, rows, cols, b_cols);
+                         std::size_t b_cols, ops::Dtype dtype) {
+  const auto tuned = cache.lookup(fmt, rows, cols, b_cols, dtype);
   if (tuned.has_value()) {
     // The cache file is hand-editable: an entry that no longer validates
     // (wrong divisibility, out-of-range pipeline depth) degrades to the
@@ -57,11 +59,41 @@ SpmmConfig select_config(const TuningCache& cache, const VnmConfig& fmt,
     } catch (const Error&) {
     }
   }
-  return select_config_heuristic(fmt, rows, cols, b_cols);
+  return select_config_heuristic(fmt, rows, cols, b_cols, dtype);
+}
+
+// ------------------------------------------------------ datapath table
+// The two per-dtype decisions, side by side; everything else calls them.
+
+TuningKey make_tuning_key(const VnmConfig& fmt, std::size_t rows,
+                          std::size_t cols, std::size_t b_cols,
+                          ops::Dtype dtype) {
+  TuningKey key;
+  key.rows = rows;
+  key.cols = cols;
+  key.b_cols = b_cols;
+  key.v = fmt.v;
+  key.n = fmt.n;
+  key.m = fmt.m;
+  key.features = cpu_feature_string();
+  // The tags are on disk in every cache file: never respell them.
+  switch (dtype) {
+    case ops::Dtype::kF16:
+      break;
+    case ops::Dtype::kI8:
+      key.features += "+i8";
+      break;
+    case ops::Dtype::kF8E5M2:
+    case ops::Dtype::kF8E4M3:
+      key.features += "+fp8";
+      break;
+  }
+  return key;
 }
 
 SpmmConfig select_config_heuristic(const VnmConfig& fmt, std::size_t rows,
-                                   std::size_t cols, std::size_t b_cols) {
+                                   std::size_t cols, std::size_t b_cols,
+                                   ops::Dtype dtype) {
   (void)rows;
   SpmmConfig cfg;
   // K panel: cover many M-groups per staging step, but cap the gathered-B
@@ -82,53 +114,21 @@ SpmmConfig select_config_heuristic(const VnmConfig& fmt, std::size_t rows,
 
   // Deeper pipeline pays off once the K loop is long enough to fill it.
   cfg.batch_size = cols / cfg.block_k >= 4 ? 3 : 2;
-  return cfg;
-}
 
-SpmmConfig select_config_i8(const VnmConfig& fmt, std::size_t rows,
-                            std::size_t cols, std::size_t b_cols) {
-  return select_config_i8(TuningCache::global(), fmt, rows, cols, b_cols);
-}
-
-SpmmConfig select_config_i8(const TuningCache& cache, const VnmConfig& fmt,
-                            std::size_t rows, std::size_t cols,
-                            std::size_t b_cols) {
-  const auto tuned = cache.lookup_i8(fmt, rows, cols, b_cols);
-  if (tuned.has_value()) {
-    try {
-      validate(*tuned, fmt, rows, cols, b_cols);
-      return *tuned;
-    } catch (const Error&) {
-    }
+  switch (dtype) {
+    case ops::Dtype::kF16:
+      return cfg;
+    case ops::Dtype::kF8E5M2:
+    case ops::Dtype::kF8E4M3:
+      // The fp8 kernel upconverts its operands and runs the same
+      // float-panel pipeline, so it shares the fp16 tiling.
+      return cfg;
+    case ops::Dtype::kI8:
+      break;
   }
-  return select_config_heuristic_i8(fmt, rows, cols, b_cols);
-}
-
-SpmmConfig select_config_fp8(const VnmConfig& fmt, std::size_t rows,
-                             std::size_t cols, std::size_t b_cols) {
-  return select_config_fp8(TuningCache::global(), fmt, rows, cols, b_cols);
-}
-
-SpmmConfig select_config_fp8(const TuningCache& cache, const VnmConfig& fmt,
-                             std::size_t rows, std::size_t cols,
-                             std::size_t b_cols) {
-  const auto tuned = cache.lookup_fp8(fmt, rows, cols, b_cols);
-  if (tuned.has_value()) {
-    try {
-      validate(*tuned, fmt, rows, cols, b_cols);
-      return *tuned;
-    } catch (const Error&) {
-    }
-  }
-  return select_config_heuristic(fmt, rows, cols, b_cols);
-}
-
-SpmmConfig select_config_heuristic_i8(const VnmConfig& fmt, std::size_t rows,
-                                      std::size_t cols, std::size_t b_cols) {
-  SpmmConfig cfg = select_config_heuristic(fmt, rows, cols, b_cols);
-  // Wide C tiles: the per-panel fixed costs (the byte-interleave pack,
-  // the B quantization) amortize over columns, and the int32 accumulator
-  // tile stays cache-resident up to V x 128.
+  // int8 quad kernel. Wide C tiles: the per-panel fixed costs (the
+  // byte-interleave pack, the B quantization) amortize over columns, and
+  // the int32 accumulator tile stays cache-resident up to V x 128.
   cfg.block_c = std::min<std::size_t>(128, b_cols);
   cfg.warp_c = cfg.block_c;
   // K panel: the quad panel is re-streamed once per 16-column strip by
@@ -136,9 +136,9 @@ SpmmConfig select_config_heuristic_i8(const VnmConfig& fmt, std::size_t rows,
   // packs to exactly 4 * BSc bytes regardless of sel, so 32 groups at
   // BSc=128 is 16 KiB. A sweep over the Table-1 shape is flat from a
   // few groups up to this cap and falls off beyond it.
-  const std::size_t groups_budget =
+  const std::size_t i8_groups_budget =
       std::max<std::size_t>(1, (16u << 10) / (4 * cfg.block_c));
-  cfg.block_k = std::min(cols, std::max(fmt.m, groups_budget * fmt.m));
+  cfg.block_k = std::min(cols, std::max(fmt.m, i8_groups_budget * fmt.m));
   cfg.warp_k = std::min<std::size_t>(64, cfg.block_k);
   cfg.batch_size = cols / cfg.block_k >= 4 ? 3 : 2;
   return cfg;

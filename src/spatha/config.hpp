@@ -11,6 +11,7 @@
 #include <string>
 
 #include "format/vnm.hpp"
+#include "ops/dtype.hpp"
 
 namespace venom::spatha {
 
@@ -63,14 +64,33 @@ struct SpmmConfig {
 void validate(const SpmmConfig& cfg, const VnmConfig& fmt, std::size_t rows,
               std::size_t cols, std::size_t b_cols);
 
+/// Kernel-config selection is keyed by datapath. Which tuning-cache
+/// entry and which fallback heuristic a dtype uses is one table, written
+/// as two switches side by side in spatha/config.cpp:
+///
+///   dtype        tuning-cache tag   heuristic fallback
+///   kF16         ""                 fp16 tiling
+///   kI8          "+i8"              int8 quad-kernel tiling
+///   kF8E5M2      "+fp8"             fp16 tiling
+///   kF8E4M3      "+fp8"             fp16 tiling
+///
+/// The tag suffixes the CPU feature string of the TuningKey
+/// (make_tuning_key), so one cache file holds every datapath's entries
+/// without one shadowing another. The fp8 kernel decodes either format
+/// to float and runs the fp16 float-panel pipeline, so both fp8 flavours
+/// share one tag and the fp16 tiling; the int8 quad micro-kernel's
+/// optimum differs structurally, so it has its own tag and tiling.
+
 /// Configuration choice from problem shape. Consults the process-wide
 /// empirical tuning cache (spatha/tuning_cache.hpp) first — an entry for
-/// (shape, V:N:M, this build's CPU features) wins — and falls back to
-/// select_config_heuristic when none exists. Every dispatch path that
-/// defaults its config (spmm_vnm, the fused/batched variants, sddmm_vnm,
-/// transformer::Linear) therefore picks up tuned configs transparently.
+/// (shape, V:N:M, this build's CPU features, the dtype's tag) wins — and
+/// falls back to select_config_heuristic when none exists. Every
+/// dispatch path that defaults its config (spmm_vnm, the fused/batched
+/// variants, sddmm_vnm, transformer::Linear, the quantized kernels)
+/// therefore picks up tuned configs transparently.
 SpmmConfig select_config(const VnmConfig& fmt, std::size_t rows,
-                         std::size_t cols, std::size_t b_cols);
+                         std::size_t cols, std::size_t b_cols,
+                         ops::Dtype dtype = ops::Dtype::kF16);
 
 class TuningCache;
 
@@ -80,42 +100,19 @@ class TuningCache;
 /// hand-editable-cache degradation rules live in exactly one place.
 SpmmConfig select_config(const TuningCache& cache, const VnmConfig& fmt,
                          std::size_t rows, std::size_t cols,
-                         std::size_t b_cols);
+                         std::size_t b_cols,
+                         ops::Dtype dtype = ops::Dtype::kF16);
 
 /// The fixed shape-driven heuristic (the pre-tuning behaviour): picks
 /// tile sizes that divide the problem and balance panel footprint against
 /// parallelism. Also the baseline autotune_measured compares against.
-SpmmConfig select_config_heuristic(const VnmConfig& fmt, std::size_t rows,
-                                   std::size_t cols, std::size_t b_cols);
-
-/// Configuration choice for the int8 datapath (quant::spmm_vnm_i8): the
-/// "+i8"-tagged tuning-cache entry when one exists, else the
-/// reduced-precision heuristic. Separate from select_config because the
-/// integer quad micro-kernel's optimum differs structurally from the
-/// fp16 one (see select_config_heuristic_i8).
-SpmmConfig select_config_i8(const VnmConfig& fmt, std::size_t rows,
-                            std::size_t cols, std::size_t b_cols);
-SpmmConfig select_config_i8(const TuningCache& cache, const VnmConfig& fmt,
-                            std::size_t rows, std::size_t cols,
-                            std::size_t b_cols);
-
-/// Configuration choice for the fp8 datapath (quant::spmm_vnm_fp8): the
-/// "+fp8"-tagged tuning-cache entry when one exists, else the fp16
-/// heuristic — the fp8 kernel upconverts its operands and runs the same
-/// float-panel pipeline, so it shares the fp16 tiling optimum as a
-/// fallback while still honouring its own measured entries.
-SpmmConfig select_config_fp8(const VnmConfig& fmt, std::size_t rows,
-                             std::size_t cols, std::size_t b_cols);
-SpmmConfig select_config_fp8(const TuningCache& cache, const VnmConfig& fmt,
-                             std::size_t rows, std::size_t cols,
-                             std::size_t b_cols);
-
-/// Shape heuristic for the int8 quad kernel: tiny K panels (a handful of
+/// For kI8 it is the quad-kernel tiling: tiny K panels (a handful of
 /// M-groups — the quad-interleaved panel re-streams once per column
 /// strip, so it must stay L1-resident) and C tiles twice the fp16 width
 /// (the per-panel pack and per-row slot-scatter costs amortize over
 /// columns).
-SpmmConfig select_config_heuristic_i8(const VnmConfig& fmt, std::size_t rows,
-                                      std::size_t cols, std::size_t b_cols);
+SpmmConfig select_config_heuristic(const VnmConfig& fmt, std::size_t rows,
+                                   std::size_t cols, std::size_t b_cols,
+                                   ops::Dtype dtype = ops::Dtype::kF16);
 
 }  // namespace venom::spatha

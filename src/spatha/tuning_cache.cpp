@@ -2,38 +2,13 @@
 
 #include <cstdlib>
 
-#include "common/cpu_features.hpp"
 #include "common/error.hpp"
 #include "io/serialize.hpp"
 
 namespace venom::spatha {
 
-TuningKey make_tuning_key(const VnmConfig& fmt, std::size_t rows,
-                          std::size_t cols, std::size_t b_cols) {
-  TuningKey key;
-  key.rows = rows;
-  key.cols = cols;
-  key.b_cols = b_cols;
-  key.v = fmt.v;
-  key.n = fmt.n;
-  key.m = fmt.m;
-  key.features = cpu_feature_string();
-  return key;
-}
-
-TuningKey make_tuning_key_i8(const VnmConfig& fmt, std::size_t rows,
-                             std::size_t cols, std::size_t b_cols) {
-  TuningKey key = make_tuning_key(fmt, rows, cols, b_cols);
-  key.features += "+i8";
-  return key;
-}
-
-TuningKey make_tuning_key_fp8(const VnmConfig& fmt, std::size_t rows,
-                              std::size_t cols, std::size_t b_cols) {
-  TuningKey key = make_tuning_key(fmt, rows, cols, b_cols);
-  key.features += "+fp8";
-  return key;
-}
+// make_tuning_key lives in spatha/config.cpp, next to the dtype's
+// heuristic: the two halves of the datapath table stay side by side.
 
 TuningCache::TuningCache(TuningCache&& other) noexcept {
   MutexLock lock(other.mutex_);
@@ -66,31 +41,12 @@ std::optional<TuningEntry> TuningCache::find(const TuningKey& key) const {
 std::optional<SpmmConfig> TuningCache::lookup(const VnmConfig& fmt,
                                               std::size_t rows,
                                               std::size_t cols,
-                                              std::size_t b_cols) const {
+                                              std::size_t b_cols,
+                                              ops::Dtype dtype) const {
   // Fast path for the common untuned process: skip building the key (its
   // feature string allocates) when there is nothing to find.
   if (empty()) return std::nullopt;
-  const auto entry = find(make_tuning_key(fmt, rows, cols, b_cols));
-  if (!entry.has_value()) return std::nullopt;
-  return entry->config;
-}
-
-std::optional<SpmmConfig> TuningCache::lookup_i8(const VnmConfig& fmt,
-                                                 std::size_t rows,
-                                                 std::size_t cols,
-                                                 std::size_t b_cols) const {
-  if (empty()) return std::nullopt;
-  const auto entry = find(make_tuning_key_i8(fmt, rows, cols, b_cols));
-  if (!entry.has_value()) return std::nullopt;
-  return entry->config;
-}
-
-std::optional<SpmmConfig> TuningCache::lookup_fp8(const VnmConfig& fmt,
-                                                  std::size_t rows,
-                                                  std::size_t cols,
-                                                  std::size_t b_cols) const {
-  if (empty()) return std::nullopt;
-  const auto entry = find(make_tuning_key_fp8(fmt, rows, cols, b_cols));
+  const auto entry = find(make_tuning_key(fmt, rows, cols, b_cols, dtype));
   if (!entry.has_value()) return std::nullopt;
   return entry->config;
 }

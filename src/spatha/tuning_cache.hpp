@@ -8,10 +8,13 @@
 //
 // Dispatch integration: spatha::select_config consults the process-wide
 // cache before falling back to the fixed heuristic, so spmm_vnm, the
-// fused/batched variants, sddmm_vnm, and transformer::Linear all pick up
-// tuned configurations transparently. The global cache starts empty and
-// lazily loads the file named by $VENOM_TUNE_CACHE on first consultation;
-// a missing or corrupt file degrades silently to the heuristic.
+// fused/batched variants, sddmm_vnm, transformer::Linear, and the int8 /
+// fp8 kernels all pick up tuned configurations transparently. One cache
+// serves every datapath: the key's feature string carries the dtype's
+// tag (make_tuning_key; the table is in spatha/config.hpp). The global
+// cache starts empty and lazily loads the file named by
+// $VENOM_TUNE_CACHE on first consultation; a missing or corrupt file
+// degrades silently to the heuristic.
 #pragma once
 
 #include <cstddef>
@@ -42,25 +45,12 @@ struct TuningKey {
   friend auto operator<=>(const TuningKey&, const TuningKey&) = default;
 };
 
-/// Key for a problem as this binary would look it up (features = this
-/// build's cpu_feature_string()).
+/// Key for a problem on the `dtype` datapath as this binary would look
+/// it up: features = this build's cpu_feature_string() plus the dtype's
+/// tag ("" / "+i8" / "+fp8", see the table in spatha/config.hpp).
 TuningKey make_tuning_key(const VnmConfig& fmt, std::size_t rows,
-                          std::size_t cols, std::size_t b_cols);
-
-/// Key for the same problem executed through the int8 datapath
-/// (quant::spmm_vnm_i8). The integer micro-kernel wants very different
-/// tiles than the fp16 one — small L1-resident quad panels, wide C
-/// tiles — so its entries live under a "+i8"-suffixed feature tag in the
-/// same cache/file rather than shadowing the fp16 entry for the shape.
-TuningKey make_tuning_key_i8(const VnmConfig& fmt, std::size_t rows,
-                             std::size_t cols, std::size_t b_cols);
-
-/// Key for the fp8 datapath (quant::spmm_vnm_fp8), under a "+fp8" tag.
-/// E5M2 and E4M3 share one entry: the kernel decodes either format to
-/// float while hoisting and then runs the identical float-panel
-/// pipeline, so the tiling optimum does not depend on the fp8 flavour.
-TuningKey make_tuning_key_fp8(const VnmConfig& fmt, std::size_t rows,
-                              std::size_t cols, std::size_t b_cols);
+                          std::size_t cols, std::size_t b_cols,
+                          ops::Dtype dtype = ops::Dtype::kF16);
 
 /// One measured result. The heuristic throughput is stored alongside so
 /// tooling can report the tuning gain without re-measuring.
@@ -84,20 +74,11 @@ class TuningCache {
   std::optional<TuningEntry> find(const TuningKey& key) const
       VENOM_EXCLUDES(mutex_);
 
-  /// The tuned config for a problem under this build's feature set.
+  /// The tuned config for a problem on the `dtype` datapath under this
+  /// build's feature set (the entry at make_tuning_key).
   std::optional<SpmmConfig> lookup(const VnmConfig& fmt, std::size_t rows,
-                                   std::size_t cols,
-                                   std::size_t b_cols) const;
-
-  /// Same lookup under the int8-datapath key (make_tuning_key_i8).
-  std::optional<SpmmConfig> lookup_i8(const VnmConfig& fmt, std::size_t rows,
-                                      std::size_t cols,
-                                      std::size_t b_cols) const;
-
-  /// Same lookup under the fp8-datapath key (make_tuning_key_fp8).
-  std::optional<SpmmConfig> lookup_fp8(const VnmConfig& fmt, std::size_t rows,
-                                       std::size_t cols,
-                                       std::size_t b_cols) const;
+                                   std::size_t cols, std::size_t b_cols,
+                                   ops::Dtype dtype = ops::Dtype::kF16) const;
 
   /// Inserts or replaces the entry for `key`.
   void put(const TuningKey& key, const TuningEntry& entry)

@@ -270,6 +270,85 @@ TEST_F(IoTest, OverwriteIsClean) {
   EXPECT_TRUE(load_half_matrix(path("m.mat")) == second);
 }
 
+// Corrupt header counts. Every count a loader derives from header fields
+// is overflow-checked and compared against the bytes left in the file
+// before anything is allocated, so each container rejects a wrapping
+// product, a huge count, and a count one element past EOF with
+// venom::Error — never bad_alloc / length_error, never an empty "load".
+TEST_F(IoTest, CorruptHeaderCountsThrowBeforeAllocating) {
+  // magic, version 1, the u64 header fields, then `payload` zero bytes.
+  const auto write = [&](const char* magic,
+                         std::initializer_list<std::uint64_t> fields,
+                         std::size_t payload) {
+    const std::string p = path("corrupt.bin");
+    std::ofstream out(p, std::ios::binary | std::ios::trunc);
+    out.write(magic, 4);
+    const std::uint32_t version = 1;
+    out.write(reinterpret_cast<const char*>(&version), sizeof(version));
+    for (const std::uint64_t f : fields)
+      out.write(reinterpret_cast<const char*>(&f), sizeof(f));
+    const std::vector<char> zeros(payload, 0);
+    out.write(zeros.data(), std::streamsize(zeros.size()));
+    return p;
+  };
+  const std::uint64_t k30 = 1ull << 30, k32 = 1ull << 32, k33 = 1ull << 33;
+  const std::uint64_t k20 = 1ull << 20;
+
+  // MATH / MATF: rows, cols. 2^32 x 2^32 wraps the shape product to 0.
+  // 2 x 3 needs 12 / 24 payload bytes.
+  EXPECT_THROW(load_half_matrix(write("MATH", {k32, k32}, 0)), Error);
+  EXPECT_THROW(load_half_matrix(write("MATH", {k30, k30}, 0)), Error);
+  EXPECT_THROW(load_half_matrix(write("MATH", {2, 3}, 12 - 2)), Error);
+  EXPECT_THROW(load_float_matrix(write("MATF", {k32, k32}, 0)), Error);
+  EXPECT_THROW(load_float_matrix(write("MATF", {k30, k30}, 0)), Error);
+  EXPECT_THROW(load_float_matrix(write("MATF", {2, 3}, 24 - 4)), Error);
+
+  // VNM1: v, n, m, rows, cols. At 4:2:8, 2^33 x 2^33 makes the value
+  // count 2^33 * 2^30 * 2 = 2^64. 4 x 8 needs 8 halves + 8 m-indices +
+  // 4 column-locs = 28 bytes.
+  EXPECT_THROW(load_vnm_matrix(write("VNM1", {4, 2, 8, k33, k33}, 0)),
+               Error);
+  EXPECT_THROW(load_vnm_matrix(write("VNM1", {4, 2, 8, k20, k20}, 0)),
+               Error);
+  EXPECT_THROW(load_vnm_matrix(write("VNM1", {4, 2, 8, 4, 8}, 28 - 1)),
+               Error);
+
+  // NMF1: n, m, rows, cols. 2 x 4 at 2:4 needs 4 halves + 4 indices.
+  EXPECT_THROW(load_nm_matrix(write("NMF1", {2, 4, k33, k33}, 0)), Error);
+  EXPECT_THROW(load_nm_matrix(write("NMF1", {2, 4, k20, k20}, 0)), Error);
+  EXPECT_THROW(load_nm_matrix(write("NMF1", {2, 4, 2, 4}, 12 - 1)), Error);
+
+  // CSR1: rows, cols, nnz. rows = 2^64 - 1 wraps the offset count
+  // rows + 1 to 0. 1 x 4 with 2 nonzeros needs 2 offsets + 2 columns
+  // (u32) + 2 values (u16) = 20 bytes.
+  EXPECT_THROW(load_csr_matrix(write("CSR1", {~0ull, 4, 0}, 0)), Error);
+  EXPECT_THROW(load_csr_matrix(write("CSR1", {1, 4, 1ull << 40}, 8)),
+               Error);
+  EXPECT_THROW(load_csr_matrix(write("CSR1", {1, 4, 2}, 20 - 2)), Error);
+
+  // QVN1: as VNM1 with int8 values, plus one float scale per row:
+  // 8 + 8 + 4 + 16 = 36 bytes at 4 x 8.
+  EXPECT_THROW(
+      load_quant_vnm_matrix(write("QVN1", {4, 2, 8, k33, k33}, 0)), Error);
+  EXPECT_THROW(
+      load_quant_vnm_matrix(write("QVN1", {4, 2, 8, k20, k20}, 0)), Error);
+  EXPECT_THROW(
+      load_quant_vnm_matrix(write("QVN1", {4, 2, 8, 4, 8}, 36 - 4)), Error);
+
+  // FVN1: as VNM1 plus a format code, with fp8 values: 8 + 8 + 4 = 20.
+  EXPECT_THROW(
+      load_fp8_vnm_matrix(write("FVN1", {4, 2, 8, k33, k33, 1}, 0)), Error);
+  EXPECT_THROW(
+      load_fp8_vnm_matrix(write("FVN1", {4, 2, 8, k20, k20, 1}, 0)), Error);
+  EXPECT_THROW(
+      load_fp8_vnm_matrix(write("FVN1", {4, 2, 8, 4, 8, 1}, 20 - 1)), Error);
+
+  // The same header shapes with their full payload load: the checks
+  // reject exactly the missing element, not a valid file.
+  EXPECT_EQ(load_half_matrix(write("MATH", {2, 3}, 12)).size(), 6u);
+  EXPECT_EQ(load_float_matrix(write("MATF", {2, 3}, 24)).size(), 6u);
+}
+
 // ------------------------------------------------------ golden corpus
 //
 // Checked-in fixtures with pinned byte checksums lock the on-disk

@@ -319,17 +319,18 @@ TEST(QuantDispatch, TunedI8EntryRoundTripsAndDispatchesBitIdentically) {
   // reloaded the way a $VENOM_TUNE_CACHE process would see it: the entry
   // must survive the JSON round trip under its "+i8" tag.
   spatha::SpmmConfig tuned =
-      spatha::select_config_heuristic_i8(fmt, 64, 128, 32);
+      spatha::select_config_heuristic(fmt, 64, 128, 32, ops::Dtype::kI8);
   tuned.chunk_grain = 2;
   spatha::TuningEntry entry;
   entry.config = tuned;
-  const spatha::TuningKey key = spatha::make_tuning_key_i8(fmt, 64, 128, 32);
+  const spatha::TuningKey key =
+      spatha::make_tuning_key(fmt, 64, 128, 32, ops::Dtype::kI8);
   spatha::TuningCache on_disk;
   on_disk.put(key, entry);
   const std::string path = testing::TempDir() + "quant_i8_cache.json";
   io::save_tuning_cache(on_disk, path);
   const spatha::TuningCache loaded = io::load_tuning_cache(path);
-  const auto reloaded = loaded.lookup_i8(fmt, 64, 128, 32);
+  const auto reloaded = loaded.lookup(fmt, 64, 128, 32, ops::Dtype::kI8);
   ASSERT_TRUE(reloaded.has_value());
   EXPECT_EQ(*reloaded, tuned);
   // The fp16 lookup must not surface it.
@@ -340,7 +341,7 @@ TEST(QuantDispatch, TunedI8EntryRoundTripsAndDispatchesBitIdentically) {
   // bit-identical to both the untuned dispatch and the scalar oracle
   // (integer accumulation is exact under any valid tiling).
   spatha::TuningCache::global().put(key, entry);
-  ASSERT_EQ(spatha::select_config_i8(fmt, 64, 128, 32), tuned);
+  ASSERT_EQ(spatha::select_config(fmt, 64, 128, 32, ops::Dtype::kI8), tuned);
   const FloatMatrix tuned_out = ops::matmul(qargs);
   spatha::TuningCache::global().erase(key);
 

@@ -12,7 +12,6 @@
 #include "sptc/metadata.hpp"
 #include "sptc/mma.hpp"
 #include "sptc/shapes.hpp"
-#include "sptc/u4.hpp"
 #include "tensor/matrix.hpp"
 
 namespace venom::sptc {
@@ -206,71 +205,6 @@ TEST(Mma, Uint8VariantAccumulatesInt32) {
   mma_sp_u8(k, comp, pack_metadata(idx), b, c);
   // Every row has k/2 = 16 products of 2*3.
   for (auto v : c) EXPECT_EQ(v, 16 * 6);
-}
-
-// ---- uint4 variant ---------------------------------------------------------
-
-TEST(U4, PackUnpackRoundTrip) {
-  Rng rng(21);
-  std::vector<std::uint8_t> values(101);
-  for (auto& v : values) v = std::uint8_t(rng.uniform_index(16));
-  const auto packed = pack_u4(values);
-  EXPECT_EQ(packed.size(), 51u);
-  EXPECT_EQ(unpack_u4(packed, values.size()), values);
-}
-
-TEST(U4, LowNibbleFirst) {
-  const std::vector<std::uint8_t> values = {0x3, 0xa};
-  const auto packed = pack_u4(values);
-  ASSERT_EQ(packed.size(), 1u);
-  EXPECT_EQ(packed[0], 0xa3);
-  EXPECT_EQ(u4_at(packed, 0), 0x3);
-  EXPECT_EQ(u4_at(packed, 1), 0xa);
-}
-
-TEST(U4, RejectsWideValues) {
-  const std::vector<std::uint8_t> bad = {16};
-  EXPECT_THROW(pack_u4(bad), Error);
-}
-
-TEST(U4, MmaSpMatchesDenseExpansion) {
-  Rng rng(22);
-  for (std::size_t k : {64u, 128u}) {
-    const std::size_t kc = k / 2;
-    std::vector<std::uint8_t> a_vals(16 * kc), idx(16 * kc);
-    std::vector<std::int32_t> dense(16 * k, 0);
-    for (std::size_t i = 0; i < 16; ++i)
-      for (std::size_t g = 0; g < k / 4; ++g) {
-        const std::size_t p0 = rng.uniform_index(3);
-        const std::size_t p1 = p0 + 1 + rng.uniform_index(3 - p0);
-        for (std::size_t j = 0; j < 2; ++j) {
-          const std::size_t pos = j == 0 ? p0 : p1;
-          const auto v = std::uint8_t(rng.uniform_index(16));
-          a_vals[i * kc + g * 2 + j] = v;
-          idx[i * kc + g * 2 + j] = std::uint8_t(pos);
-          dense[i * k + g * 4 + pos] = v;
-        }
-      }
-    std::vector<std::uint8_t> b_vals(k * 8);
-    for (auto& v : b_vals) v = std::uint8_t(rng.uniform_index(16));
-
-    std::vector<std::int32_t> c(16 * 8, 0);
-    mma_sp_u4(k, pack_u4(a_vals), pack_metadata(idx), pack_u4(b_vals), c);
-    for (std::size_t i = 0; i < 16; ++i)
-      for (std::size_t n = 0; n < 8; ++n) {
-        std::int32_t ref = 0;
-        for (std::size_t j = 0; j < k; ++j)
-          ref += dense[i * k + j] * std::int32_t(b_vals[j * 8 + n]);
-        EXPECT_EQ(c[i * 8 + n], ref) << "k=" << k;
-      }
-  }
-}
-
-TEST(U4, MmaSpRejectsUnsupportedK) {
-  std::vector<std::uint8_t> a(16 * 16 / 2), b(32 * 8 / 2);
-  std::vector<std::uint32_t> meta(16);
-  std::vector<std::int32_t> c(16 * 8);
-  EXPECT_THROW(mma_sp_u4(32, a, meta, b, c), Error);
 }
 
 // ---- fragment layouts ----------------------------------------------------

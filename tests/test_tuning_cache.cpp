@@ -9,6 +9,7 @@
 #include <set>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "common/cpu_features.hpp"
 #include "common/rng.hpp"
@@ -356,16 +357,18 @@ TEST(AutotuneMeasuredI8, ProducesAnI8EntryReachableBySelectConfigI8) {
   // measured set, so the winner can never lose to it.
   EXPECT_GE(result.best.gflops, result.heuristic.gflops);
   EXPECT_EQ(result.heuristic.config,
-            spatha::select_config_heuristic_i8(fmt, 32, 64, 32));
+            spatha::select_config_heuristic(fmt, 32, 64, 32,
+                                            ops::Dtype::kI8));
 
   // The key carries the "+i8" feature tag — the entry lands where
-  // select_config_i8 looks, not under the fp16 key.
-  EXPECT_EQ(result.key, spatha::make_tuning_key_i8(fmt, 32, 64, 32));
+  // select_config(..., kI8) looks, not under the fp16 key.
+  EXPECT_EQ(result.key,
+            spatha::make_tuning_key(fmt, 32, 64, 32, ops::Dtype::kI8));
   EXPECT_EQ(result.key.features, cpu_feature_string() + "+i8");
 
   spatha::TuningCache cache;
   cache.put(result.key, result.entry);
-  EXPECT_EQ(spatha::select_config_i8(cache, fmt, 32, 64, 32),
+  EXPECT_EQ(spatha::select_config(cache, fmt, 32, 64, 32, ops::Dtype::kI8),
             result.best.config);
   // The fp16 lookup must NOT see the int8 entry.
   EXPECT_FALSE(cache.lookup(fmt, 32, 64, 32).has_value());
@@ -393,21 +396,24 @@ TEST(TuningCacheDispatch, PrivateContextI8EntryHonoredByConvenienceOverload) {
   // A +i8 entry whose column-loc mode is flipped to kFixed: a config
   // choice that changes which B rows the kernel gathers, so whether the
   // entry was honored is visible in the output bits.
-  spatha::SpmmConfig tuned = spatha::select_config_heuristic_i8(fmt, 64, 128, 32);
+  spatha::SpmmConfig tuned =
+      spatha::select_config_heuristic(fmt, 64, 128, 32, ops::Dtype::kI8);
   tuned.column_loc = spatha::ColumnLocMode::kFixed;
   spatha::TuningCache on_disk;
   spatha::TuningEntry entry;
   entry.config = tuned;
-  on_disk.put(spatha::make_tuning_key_i8(fmt, 64, 128, 32), entry);
+  on_disk.put(spatha::make_tuning_key(fmt, 64, 128, 32, ops::Dtype::kI8),
+              entry);
   const std::string path = temp_path("private_i8.json");
   io::save_tuning_cache(on_disk, path);
 
   ops::ExecContext ctx(
       ops::ExecContextOptions{.tuning_cache_path = path});
-  ASSERT_EQ(ctx.select_config_i8(fmt, 64, 128, 32), tuned);
+  ASSERT_EQ(ctx.select_config(fmt, 64, 128, 32, ops::Dtype::kI8), tuned);
   // The global cache has no such entry; its dispatch stays heuristic.
-  ASSERT_EQ(spatha::select_config_i8(fmt, 64, 128, 32),
-            spatha::select_config_heuristic_i8(fmt, 64, 128, 32));
+  ASSERT_EQ(spatha::select_config(fmt, 64, 128, 32, ops::Dtype::kI8),
+            spatha::select_config_heuristic(fmt, 64, 128, 32,
+                                            ops::Dtype::kI8));
 
   // The convenience overload with the context's cache must dispatch the
   // private entry (the regression: it used to consult only the global
@@ -435,15 +441,115 @@ TEST(TuningCacheDispatch, CorruptI8EntryDegradesToI8Heuristic) {
   // A +i8 entry that no longer validates for the shape (block_k not a
   // multiple of M) must degrade to the INT8 heuristic, not throw and not
   // fall back to the fp16 heuristic.
-  spatha::SpmmConfig bad = spatha::select_config_heuristic_i8(fmt, 64, 128, 32);
+  spatha::SpmmConfig bad =
+      spatha::select_config_heuristic(fmt, 64, 128, 32, ops::Dtype::kI8);
   bad.block_k = 100;
   spatha::TuningEntry entry;
   entry.config = bad;
-  const spatha::TuningKey key = spatha::make_tuning_key_i8(fmt, 64, 128, 32);
+  const spatha::TuningKey key =
+      spatha::make_tuning_key(fmt, 64, 128, 32, ops::Dtype::kI8);
   TuningCache::global().put(key, entry);
-  const auto selected = spatha::select_config_i8(fmt, 64, 128, 32);
+  const auto selected =
+      spatha::select_config(fmt, 64, 128, 32, ops::Dtype::kI8);
   TuningCache::global().erase(key);
-  EXPECT_EQ(selected, spatha::select_config_heuristic_i8(fmt, 64, 128, 32));
+  EXPECT_EQ(selected, spatha::select_config_heuristic(fmt, 64, 128, 32,
+                                                      ops::Dtype::kI8));
+}
+
+// The datapath tag table, pinned against literal JSON: the cache file is
+// written by hand with the on-disk feature suffixes "", "+i8" and
+// "+fp8" (not through make_tuning_key), so a respelled tag cannot pass
+// by agreeing with itself. Every dtype must resolve to exactly its own
+// entry — E5M2 and E4M3 share "+fp8" — and, with that entry removed,
+// fall back to its own heuristic: the int8 tiling for int8, the fp16
+// tiling for f16 and both fp8 flavours.
+TEST(TuningCacheDispatch, DatapathTagsResolveLiteralJsonEntries) {
+  const VnmConfig fmt{16, 2, 8};
+  const std::size_t r = 64, k = 512, c = 128;
+  const auto config = [](std::size_t bk, std::size_t bc, std::size_t grain) {
+    SpmmConfig cfg;
+    cfg.block_k = bk;
+    cfg.block_c = bc;
+    cfg.warp_r = 16;
+    cfg.warp_k = 32;
+    cfg.warp_c = bc;
+    cfg.chunk_grain = grain;  // nonzero: no heuristic picks it
+    return cfg;
+  };
+  const std::vector<std::pair<std::string, SpmmConfig>> entries = {
+      {"", config(64, 16, 1)},
+      {"+i8", config(32, 32, 2)},
+      {"+fp8", config(128, 8, 3)}};
+  // The entry each dtype owns (an index into `entries`).
+  const std::vector<std::pair<ops::Dtype, std::size_t>> owner = {
+      {ops::Dtype::kF16, 0},
+      {ops::Dtype::kI8, 1},
+      {ops::Dtype::kF8E5M2, 2},
+      {ops::Dtype::kF8E4M3, 2}};
+  const SpmmConfig f16_heuristic =
+      spatha::select_config_heuristic(fmt, r, k, c);
+  const SpmmConfig i8_heuristic =
+      spatha::select_config_heuristic(fmt, r, k, c, ops::Dtype::kI8);
+  // At this shape the two tilings differ, so a wrong fallback shows.
+  ASSERT_NE(f16_heuristic, i8_heuristic);
+
+  // `removed` names the entry left out of the file; entries.size() keeps
+  // all three.
+  for (std::size_t removed = 0; removed <= entries.size(); ++removed) {
+    SCOPED_TRACE("removed entry " + std::to_string(removed));
+    const std::string path = temp_path("datapath_tags.json");
+    {
+      std::ofstream out(path);
+      out << "{\"format\": \"venom-tune-cache\", \"version\": 1, "
+             "\"entries\": [";
+      const char* sep = "";
+      for (std::size_t i = 0; i < entries.size(); ++i) {
+        if (i == removed) continue;
+        const SpmmConfig& cfg = entries[i].second;
+        out << sep << "{\"r\": " << r << ", \"k\": " << k
+            << ", \"c\": " << c << ", \"v\": " << fmt.v
+            << ", \"n\": " << fmt.n << ", \"m\": " << fmt.m
+            << ", \"features\": \"" << cpu_feature_string()
+            << entries[i].first << "\", \"config\": {\"block_k\": "
+            << cfg.block_k << ", \"block_c\": " << cfg.block_c
+            << ", \"warp_r\": " << cfg.warp_r << ", \"warp_k\": "
+            << cfg.warp_k << ", \"warp_c\": " << cfg.warp_c
+            << ", \"batch_size\": " << cfg.batch_size
+            << ", \"chunk_grain\": " << cfg.chunk_grain
+            << "}, \"gflops\": 1, \"heuristic_gflops\": 1, "
+               "\"threads\": 0}";
+        sep = ", ";
+      }
+      out << "]}\n";
+    }
+    ops::ExecContext ctx(ops::ExecContextOptions{.tuning_cache_path = path});
+    ASSERT_EQ(ctx.tuning_cache().size(),
+              removed < entries.size() ? entries.size() - 1
+                                       : entries.size());
+    ASSERT_TRUE(TuningCache::global().try_load(path));
+
+    for (const auto& [dtype, index] : owner) {
+      SCOPED_TRACE(ops::to_string(dtype));
+      const SpmmConfig want =
+          index != removed ? entries[index].second
+          : dtype == ops::Dtype::kI8 ? i8_heuristic
+                                     : f16_heuristic;
+      EXPECT_EQ(spatha::select_config(fmt, r, k, c, dtype), want);
+      EXPECT_EQ(ctx.select_config(fmt, r, k, c, dtype), want);
+    }
+
+    for (const auto& [suffix, cfg] : entries) {
+      TuningKey key;
+      key.rows = r;
+      key.cols = k;
+      key.b_cols = c;
+      key.v = fmt.v;
+      key.n = fmt.n;
+      key.m = fmt.m;
+      key.features = cpu_feature_string() + suffix;
+      TuningCache::global().erase(key);
+    }
+  }
 }
 
 }  // namespace

@@ -27,8 +27,8 @@
 //       (f16|int8|e5m2|e4m3, default f16), print tuned vs heuristic
 //       GFLOP/s, and merge the winner into the JSON tuning cache
 //       (default venom_tune.json) under the dtype's feature tag. Export
-//       VENOM_TUNE_CACHE=<file> so select_config / select_config_i8 /
-//       select_config_fp8 dispatch the tuned configs transparently.
+//       VENOM_TUNE_CACHE=<file> so select_config dispatches the tuned
+//       configs transparently on the same dtype.
 //   venomtool tune-engine [--requests=N] [--tokens=N] [--hidden=N]
 //                         [--layers=N] [--out=plan.json]
 //       engine-level autotuning: sweep the serving knobs the kernel
@@ -206,8 +206,10 @@ int cmd_decompress(const std::vector<std::string>& args) {
 
 int cmd_quantize(const std::vector<std::string>& args) {
   if (args.size() != 3) return usage();
+  ops::Dtype dtype = ops::Dtype::kF16;
+  if (!ops::dtype_from_string(args[2], dtype) || dtype == ops::Dtype::kF16)
+    return usage();
   const VnmMatrix fp16 = io::load_vnm_matrix(args[0]);
-  const std::string& dtype = args[2];
   const std::size_t fp16_bytes = fp16.compressed_bytes();
 
   // Quantization error of the written image, relative to the largest
@@ -225,7 +227,7 @@ int cmd_quantize(const std::vector<std::string>& args) {
                 max_abs);
   };
 
-  if (dtype == "int8") {
+  if (dtype == ops::Dtype::kI8) {
     const auto q = quant::QuantizedVnmMatrix::quantize(fp16);
     io::save(q, args[1]);
     float smin = 0.0f, smax = 0.0f;
@@ -254,26 +256,23 @@ int cmd_quantize(const std::vector<std::string>& args) {
     std::printf("  round trip       : %s\n", ok ? "ok" : "MISMATCH");
     return ok ? 0 : 1;
   }
-  if (dtype == "e5m2" || dtype == "e4m3") {
-    const Fp8Format format =
-        dtype == "e5m2" ? Fp8Format::kE5M2 : Fp8Format::kE4M3;
-    const auto q = quant::Fp8VnmMatrix::quantize(fp16, format);
-    io::save(q, args[1]);
-    std::printf("quantized %zux%zu %zu:%zu:%zu to fp8 %s: %zu -> %zu bytes "
-                "(%.2fx)\n",
-                q.rows(), q.cols(), q.config().v, q.config().n, q.config().m,
-                to_string(format), fp16_bytes, q.compressed_bytes(),
-                double(fp16_bytes) / double(q.compressed_bytes()));
-    report_error(q.dequantize());
-    const auto back = io::load_fp8_vnm_matrix(args[1]);
-    const bool ok = back.format() == q.format() &&
-                    back.values() == q.values() &&
-                    back.m_indices() == q.m_indices() &&
-                    back.column_locs() == q.column_locs();
-    std::printf("  round trip       : %s\n", ok ? "ok" : "MISMATCH");
-    return ok ? 0 : 1;
-  }
-  return usage();
+  const Fp8Format format =
+      dtype == ops::Dtype::kF8E5M2 ? Fp8Format::kE5M2 : Fp8Format::kE4M3;
+  const auto q = quant::Fp8VnmMatrix::quantize(fp16, format);
+  io::save(q, args[1]);
+  std::printf("quantized %zux%zu %zu:%zu:%zu to fp8 %s: %zu -> %zu bytes "
+              "(%.2fx)\n",
+              q.rows(), q.cols(), q.config().v, q.config().n, q.config().m,
+              to_string(format), fp16_bytes, q.compressed_bytes(),
+              double(fp16_bytes) / double(q.compressed_bytes()));
+  report_error(q.dequantize());
+  const auto back = io::load_fp8_vnm_matrix(args[1]);
+  const bool ok = back.format() == q.format() &&
+                  back.values() == q.values() &&
+                  back.m_indices() == q.m_indices() &&
+                  back.column_locs() == q.column_locs();
+  std::printf("  round trip       : %s\n", ok ? "ok" : "MISMATCH");
+  return ok ? 0 : 1;
 }
 
 int cmd_info(const std::vector<std::string>& args) {
@@ -413,13 +412,8 @@ int cmd_backends(const std::vector<std::string>& args) {
   const std::size_t c = to_size(args[2]);
   const VnmConfig fmt{to_size(args[3]), to_size(args[4]), to_size(args[5])};
   ops::Dtype dtype = ops::Dtype::kF16;
-  if (args.size() == 7) {
-    if (args[6] == "f16") dtype = ops::Dtype::kF16;
-    else if (args[6] == "int8") dtype = ops::Dtype::kI8;
-    else if (args[6] == "e5m2") dtype = ops::Dtype::kF8E5M2;
-    else if (args[6] == "e4m3") dtype = ops::Dtype::kF8E4M3;
-    else return usage();
-  }
+  if (args.size() == 7 && !ops::dtype_from_string(args[6], dtype))
+    return usage();
 
   ops::MatmulDesc desc;
   desc.rows = r;
@@ -445,26 +439,16 @@ int cmd_backends(const std::vector<std::string>& args) {
   std::printf("\n");
 
   // Dtype-matched cache lookups: an int8 problem tunes under the "+i8"
-  // feature tag and dispatches through select_config_i8 — reporting the
-  // fp16 entry here would claim "no entry" for a shape the int8 tune
-  // just cached (and vice versa).
+  // feature tag — reporting the fp16 entry here would claim "no entry"
+  // for a shape the int8 tune just cached (and vice versa).
   const auto& ctx = ops::ExecContext::global();
-  const auto& cache = ctx.tuning_cache();
-  const bool i8 = dtype == ops::Dtype::kI8;
-  const bool fp8 =
-      dtype == ops::Dtype::kF8E5M2 || dtype == ops::Dtype::kF8E4M3;
-  const auto tuned = i8    ? cache.lookup_i8(fmt, r, k, c)
-                     : fp8 ? cache.lookup_fp8(fmt, r, k, c)
-                           : cache.lookup(fmt, r, k, c);
-  const auto heuristic = i8 ? spatha::select_config_heuristic_i8(fmt, r, k, c)
-                            : spatha::select_config_heuristic(fmt, r, k, c);
+  const auto tuned = ctx.tuned_config(fmt, r, k, c, dtype);
+  const auto heuristic = spatha::select_config_heuristic(fmt, r, k, c, dtype);
   if (tuned.has_value()) {
     // Print what dispatch would actually run: a cache entry that no
     // longer validates is degraded to the heuristic there, so report
     // that instead of the dead entry.
-    const auto effective = i8    ? ctx.select_config_i8(fmt, r, k, c)
-                           : fp8 ? ctx.select_config_fp8(fmt, r, k, c)
-                                 : ctx.select_config(fmt, r, k, c);
+    const auto effective = ctx.select_config(fmt, r, k, c, dtype);
     if (effective == *tuned)
       std::printf("  config (tuned)   : %s\n", tuned->describe().c_str());
     else
