@@ -22,9 +22,9 @@ void panel(const DeviceSpec& dev, const ModelConfig& cfg, std::size_t batch,
               v);
   bench::header({"sparsity", "GEMMs", "matmul", "softmax", "others", "total",
                  "speedup", "gemm-red"});
-  const ModeledLatency dense =
+  const ops::TimingBreakdown dense =
       model_encoder_latency(dev, cfg, batch, std::nullopt, layer_count);
-  const auto row = [&](const char* label, const ModeledLatency& lat) {
+  const auto row = [&](const char* label, const ops::TimingBreakdown& lat) {
     bench::cell(label);
     bench::cell(lat.gemm_s * 1e3, "%.1f");
     bench::cell(lat.attn_matmul_s * 1e3, "%.1f");

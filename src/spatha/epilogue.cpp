@@ -1,9 +1,9 @@
 #include "spatha/epilogue.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <vector>
 
+#include "common/fmath.hpp"
 #include "spatha/microkernel.hpp"
 
 namespace venom::spatha {
@@ -14,11 +14,8 @@ float apply_activation(Activation act, float v) {
       return v;
     case Activation::kRelu:
       return v > 0.0f ? v : 0.0f;
-    case Activation::kGelu: {
-      constexpr float kSqrt2OverPi = 0.7978845608028654f;
-      const float t = std::tanh(kSqrt2OverPi * (v + 0.044715f * v * v * v));
-      return 0.5f * v * (1.0f + t);
-    }
+    case Activation::kGelu:
+      return fmath::gelu(v);
   }
   return v;
 }

@@ -18,16 +18,16 @@ double weight_gemm(const DeviceSpec& dev, std::size_t out, std::size_t in,
 
 }  // namespace
 
-ModeledLatency model_encoder_latency(const DeviceSpec& dev,
-                                     const ModelConfig& cfg,
-                                     std::size_t batch,
-                                     std::optional<VnmConfig> sparse,
-                                     std::size_t layer_count) {
+ops::TimingBreakdown model_encoder_latency(const DeviceSpec& dev,
+                                           const ModelConfig& cfg,
+                                           std::size_t batch,
+                                           std::optional<VnmConfig> sparse,
+                                           std::size_t layer_count) {
   const std::size_t layers = layer_count == 0 ? cfg.layers : layer_count;
   const std::size_t tokens = batch * cfg.seq_len;
   const std::size_t dh = cfg.head_dim();
 
-  ModeledLatency lat;
+  ops::TimingBreakdown lat;
 
   // Linear-layer GEMMs: WQ, WK, WV, WO (hidden x hidden) and the two FFN
   // projections. These are the SpMM conversion sites of Fig. 14.

@@ -12,27 +12,21 @@
 
 #include "format/vnm.hpp"
 #include "gpumodel/kernel_models.hpp"
+#include "ops/timing.hpp"
 #include "transformer/config.hpp"
 
 namespace venom::transformer {
 
-/// Modeled per-class latency (seconds) of a full forward pass.
-struct ModeledLatency {
-  double gemm_s = 0;
-  double softmax_s = 0;
-  double attn_matmul_s = 0;
-  double other_s = 0;
-  double total() const { return gemm_s + softmax_s + attn_matmul_s + other_s; }
-};
-
 /// Models `layer_count` encoder layers (0 = cfg.layers) at the given
-/// batch size. If `sparse` is set, every linear weight runs through
-/// Spatha at that V:N:M configuration; otherwise dense cuBLAS.
-ModeledLatency model_encoder_latency(const gpumodel::DeviceSpec& dev,
-                                     const ModelConfig& cfg,
-                                     std::size_t batch,
-                                     std::optional<VnmConfig> sparse,
-                                     std::size_t layer_count = 0);
+/// batch size: the per-class latency (seconds) of a full forward pass, in
+/// the record the CPU forward pass fills. If `sparse` is set, every
+/// linear weight runs through Spatha at that V:N:M configuration;
+/// otherwise dense cuBLAS.
+ops::TimingBreakdown model_encoder_latency(const gpumodel::DeviceSpec& dev,
+                                           const ModelConfig& cfg,
+                                           std::size_t batch,
+                                           std::optional<VnmConfig> sparse,
+                                           std::size_t layer_count = 0);
 
 /// GEMM-only time (the "tensor contraction" the paper quotes 10-11x on).
 double model_gemm_time(const gpumodel::DeviceSpec& dev,

@@ -5,27 +5,12 @@
 #include <cmath>
 
 #include "common/error.hpp"
+#include "common/fmath.hpp"
 #include "ops/context.hpp"
-
-#if defined(__AVX__)
-#include <immintrin.h>
-#endif
 
 namespace venom::transformer {
 
 namespace {
-
-/// glibc's tanhf is SSE-encoded. When a thread reaches it with the upper
-/// halves of the AVX registers dirty, every SSE instruction pays a
-/// transition penalty, and gelu ran about 4x slower (on an AVX-512 x86
-/// VM) depending only on what ran before it. Clearing the upper halves
-/// right before the tanhf loop (after any F16C conversion) costs one
-/// instruction and changes no value.
-void clear_avx_upper() {
-#if defined(__AVX__)
-  _mm256_zeroupper();
-#endif
-}
 
 constexpr std::size_t kChunk = 2048;    // gelu / add: flat elements per task
 constexpr std::size_t kColBlock = 32;  // layer_norm: columns per task
@@ -88,23 +73,11 @@ void layer_norm_block(const HalfMatrix& x, std::span<const float> gamma,
   }
 }
 
-/// softmax_rows' sequence over one row. The attention core runs this same
-/// code over each row's unmasked span.
-void softmax_row(std::span<float> row) {
-  const float mx = *std::max_element(row.begin(), row.end());
-  float sum = 0.0f;
-  for (auto& v : row) {
-    v = std::exp(v - mx);
-    sum += v;
-  }
-  const float inv = 1.0f / sum;
-  for (auto& v : row) v *= inv;
-}
-
 }  // namespace
 
 void softmax_rows(FloatMatrix& scores) {
-  for (std::size_t r = 0; r < scores.rows(); ++r) softmax_row(scores.row(r));
+  for (std::size_t r = 0; r < scores.rows(); ++r)
+    fmath::softmax_n(scores.row(r).data(), scores.cols());
 }
 
 HalfMatrix layer_norm(const HalfMatrix& x, std::span<const float> gamma,
@@ -124,16 +97,10 @@ HalfMatrix gelu(const HalfMatrix& x, ops::ExecContext* ctx) {
   HalfMatrix out(x.rows(), x.cols());
   const half_t* src = x.flat().data();
   half_t* dst = out.flat().data();
-  constexpr float kSqrt2OverPi = 0.7978845608028654f;
   flat_chunks(ctx, x.size(), [&](std::size_t i, std::size_t len) {
     float buf[kChunk];
     half_to_float_n(src + i, buf, len);
-    clear_avx_upper();  // the F16C conversion left the upper halves dirty
-    for (std::size_t j = 0; j < len; ++j) {
-      const float v = buf[j];
-      const float t = std::tanh(kSqrt2OverPi * (v + 0.044715f * v * v * v));
-      buf[j] = 0.5f * v * (1.0f + t);
-    }
+    fmath::gelu_n(buf, buf, len);
     float_to_half_n(buf, dst + i, len);
   });
   return out;
@@ -232,16 +199,21 @@ FloatMatrix layer_norm_backward(const HalfMatrix& x,
 FloatMatrix gelu_backward(const HalfMatrix& x, const FloatMatrix& grad_y) {
   VENOM_CHECK(grad_y.rows() == x.rows() && grad_y.cols() == x.cols());
   FloatMatrix dx(x.rows(), x.cols());
-  clear_avx_upper();
   constexpr float kSqrt2OverPi = 0.7978845608028654f;
   constexpr float kCubic = 0.044715f;
-  for (std::size_t i = 0; i < x.size(); ++i) {
-    const float v = x.flat()[i].to_float();
-    const float u = kSqrt2OverPi * (v + kCubic * v * v * v);
-    const float t = std::tanh(u);
-    const float du = kSqrt2OverPi * (1.0f + 3.0f * kCubic * v * v);
-    const float d = 0.5f * (1.0f + t) + 0.5f * v * (1.0f - t * t) * du;
-    dx.flat()[i] = grad_y.flat()[i] * d;
+  float v[kChunk], t[kChunk];
+  for (std::size_t i = 0; i < x.size(); i += kChunk) {
+    const std::size_t len = std::min(kChunk, x.size() - i);
+    half_to_float_n(x.flat().data() + i, v, len);
+    for (std::size_t j = 0; j < len; ++j)
+      t[j] = kSqrt2OverPi * (v[j] + kCubic * v[j] * v[j] * v[j]);
+    fmath::tanh_n(t, t, len);
+    for (std::size_t j = 0; j < len; ++j) {
+      const float du = kSqrt2OverPi * (1.0f + 3.0f * kCubic * v[j] * v[j]);
+      const float d =
+          0.5f * (1.0f + t[j]) + 0.5f * v[j] * (1.0f - t[j] * t[j]) * du;
+      dx.flat()[i + j] = grad_y.flat()[i + j] * d;
+    }
   }
   return dx;
 }
@@ -521,7 +493,7 @@ void AttentionCore::softmax_task(const Task& t) {
     const auto [lo, hi] = live(t.seq, i);
     float* row = p + i * t.seq.m;
     std::fill(row, row + lo, 0.0f);
-    softmax_row({row + lo, hi - lo});
+    fmath::softmax_n(row + lo, hi - lo);
     std::fill(row + hi, row + t.seq.m, 0.0f);
   }
 }

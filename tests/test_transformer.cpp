@@ -10,6 +10,7 @@
 
 #include "baselines/gemm.hpp"
 #include "baselines/spmm_24.hpp"
+#include "common/fmath.hpp"
 #include "common/rng.hpp"
 #include "ops/ops.hpp"
 #include "spatha/plan.hpp"
@@ -48,7 +49,7 @@ HalfMatrix ref_gelu(const HalfMatrix& x) {
   constexpr float kSqrt2OverPi = 0.7978845608028654f;
   for (std::size_t i = 0; i < x.size(); ++i) {
     const float v = x.flat()[i].to_float();
-    const float t = std::tanh(kSqrt2OverPi * (v + 0.044715f * v * v * v));
+    const float t = fmath::tanh(kSqrt2OverPi * (v + 0.044715f * v * v * v));
     out.flat()[i] = half_t(0.5f * v * (1.0f + t));
   }
   return out;
@@ -129,6 +130,17 @@ TEST(Ops, SoftmaxRowsSumToOne) {
     }
     EXPECT_NEAR(sum, 1.0f, 1e-5f);
   }
+}
+
+TEST(Ops, SoftmaxRowsOfEmptyShapesAreNoOps) {
+  // A row of zero columns has no max to read; it must not be touched.
+  FloatMatrix no_cols(3, 0);
+  softmax_rows(no_cols);
+  EXPECT_EQ(no_cols.rows(), 3u);
+  EXPECT_EQ(no_cols.cols(), 0u);
+  FloatMatrix no_rows(0, 5);
+  softmax_rows(no_rows);
+  EXPECT_EQ(no_rows.size(), 0u);
 }
 
 TEST(Ops, SoftmaxStableUnderLargeInputs) {
