@@ -2,12 +2,14 @@
 
 #include <algorithm>
 #include <cstring>
+#include <optional>
 #include <set>
 #include <utility>
 
 #include "common/error.hpp"
 #include "common/timing.hpp"
 #include "quant/quantized_vnm.hpp"
+#include "spatha/microkernel.hpp"
 #include "spatha/spmm.hpp"
 
 namespace venom::gpumodel {
@@ -65,13 +67,16 @@ MeasuredResult autotune_measured(const VnmMatrix& a, const HalfMatrix& b,
   const DeviceSpec& dev = opts.dev != nullptr ? *opts.dev : rtx3090();
   const ops::Dtype dtype = opts.dtype;
 
-  // Reduced-precision images of A, built once up front: every candidate
-  // then measures exactly the operand bytes dispatch-time execution of
-  // that datapath would consume (the quantization cost is a per-weight
-  // one-off at serving time, so it does not belong inside the timer).
+  // The datapath's image of A, built once up front: every candidate then
+  // measures exactly the operand dispatch-time execution of that datapath
+  // consumes (packing and quantization are per-weight one-offs at serving
+  // time, so they do not belong inside the timer).
+  std::optional<spatha::PackedVnm> pa;
   quant::QuantizedVnmMatrix qa;
   quant::Fp8VnmMatrix fa;
-  if (dtype == ops::Dtype::kI8) {
+  if (dtype == ops::Dtype::kF16) {
+    pa.emplace(a);
+  } else if (dtype == ops::Dtype::kI8) {
     qa = quant::QuantizedVnmMatrix::quantize(a);
   } else if (dtype == ops::Dtype::kF8E5M2 || dtype == ops::Dtype::kF8E4M3) {
     fa = quant::Fp8VnmMatrix::quantize(a, dtype == ops::Dtype::kF8E5M2
@@ -92,7 +97,7 @@ MeasuredResult autotune_measured(const VnmMatrix& a, const HalfMatrix& b,
       case ops::Dtype::kF16:
         break;
     }
-    return spatha::spmm_vnm(a, b, cfg, p);
+    return spatha::spmm_vnm(*pa, b, cfg, p);
   };
   const auto measure = [&](const spatha::SpmmConfig& cfg, ThreadPool* p) {
     volatile float sink = 0.0f;  // keep the product from being elided
@@ -113,8 +118,15 @@ MeasuredResult autotune_measured(const VnmMatrix& a, const HalfMatrix& b,
   std::vector<spatha::SpmmConfig> tiles = {heuristic_cfg};
   std::set<std::pair<std::size_t, std::size_t>> seen = {
       {heuristic_cfg.block_k, heuristic_cfg.block_c}};
+  // The fp16 kernel's narrow path reads no tile extents, so at its
+  // widths only the grain axis is swept.
+  const bool tiles_apply =
+      dtype != ops::Dtype::kF16 ||
+      spatha::detail::packed_path(shape.c, heuristic_cfg) ==
+          spatha::detail::PackedPath::kWide;
   try {
     for (const TunedConfig& tc : enumerate_configs(dev, shape, fmt, space)) {
+      if (!tiles_apply) break;
       if (tiles.size() >= opts.max_tiles) break;
       if (!seen.insert({tc.config.block_k, tc.config.block_c}).second)
         continue;

@@ -25,17 +25,17 @@ namespace venom::ops {
 
 namespace {
 
-/// The production Spatha V:N:M pipeline (packed float panels +
-/// register-blocked micro-kernel), with the three dispatch tiers the
-/// former call sites hand-coded: explicit config (benches/ablations),
-/// plan cache (serving, via MatmulArgs::vnm_shared), and
-/// tuning-cache-aware direct execution.
+/// The production Spatha V:N:M pipeline (the packed weight; wide
+/// register-blocked and narrow rows-as-lanes stage 2), with the three
+/// dispatch tiers the former call sites hand-coded: explicit config
+/// (benches/ablations), plan cache (serving, via MatmulArgs::vnm_shared),
+/// and tuning-cache-aware direct execution.
 class VnmFastBackend final : public Matmul {
  public:
   std::string_view name() const override { return "vnm-fast"; }
   std::string describe() const override {
-    return "Spatha V:N:M SpMM, packed float panels + register-blocked "
-           "micro-kernel (production)";
+    return "Spatha V:N:M SpMM over the packed weight, register-blocked "
+           "wide / rows-as-lanes narrow (production)";
   }
   int priority() const override { return 100; }
   bool supports(const MatmulDesc& desc,
@@ -44,26 +44,28 @@ class VnmFastBackend final : public Matmul {
            desc.format == OperandFormat::kVnm && desc.dtype == Dtype::kF16;
   }
   FloatMatrix run(const MatmulArgs& args, ExecContext& ctx) const override {
-    if (args.config != nullptr)
-      return spatha::spmm_vnm(*args.vnm, *args.b, *args.config, &ctx.pool(),
-                              &ctx.scratch());
-    if (args.vnm_shared != nullptr)
+    if (args.config == nullptr && args.vnm_shared != nullptr)
       return plan(args, ctx)->execute(*args.b, &ctx.pool());
-    return spatha::spmm_vnm(*args.vnm, *args.b, select(args, ctx),
-                            &ctx.pool(), &ctx.scratch());
+    const spatha::SpmmConfig cfg =
+        args.config != nullptr ? *args.config : select(args, ctx);
+    if (const spatha::PackedVnm* packed = packed_of(args))
+      return spatha::spmm_vnm(*packed, *args.b, cfg, &ctx.pool(),
+                              &ctx.scratch());
+    return spatha::spmm_vnm(*args.vnm, *args.b, cfg, &ctx.pool(),
+                            &ctx.scratch());
   }
   HalfMatrix run_fused(const MatmulArgs& args,
                        const spatha::Epilogue& epilogue,
                        ExecContext& ctx) const override {
-    if (args.config != nullptr)
-      return spatha::spmm_vnm_fused(*args.vnm, *args.b, epilogue,
-                                    *args.config, &ctx.pool(),
-                                    &ctx.scratch());
-    if (args.vnm_shared != nullptr)
+    if (args.config == nullptr && args.vnm_shared != nullptr)
       return plan(args, ctx)->execute_fused(*args.b, epilogue, &ctx.pool());
-    return spatha::spmm_vnm_fused(*args.vnm, *args.b, epilogue,
-                                  select(args, ctx), &ctx.pool(),
-                                  &ctx.scratch());
+    const spatha::SpmmConfig cfg =
+        args.config != nullptr ? *args.config : select(args, ctx);
+    if (const spatha::PackedVnm* packed = packed_of(args))
+      return spatha::spmm_vnm_fused(*packed, *args.b, epilogue, cfg,
+                                    &ctx.pool(), &ctx.scratch());
+    return spatha::spmm_vnm_fused(*args.vnm, *args.b, epilogue, cfg,
+                                  &ctx.pool(), &ctx.scratch());
   }
 
  private:
@@ -72,9 +74,17 @@ class VnmFastBackend final : public Matmul {
     return ctx.select_config(args.vnm->config(), args.vnm->rows(),
                              args.vnm->cols(), args.b->cols());
   }
+  /// The caller's packed operand, if it supplied one (else the kernel
+  /// packs per call).
+  static const spatha::PackedVnm* packed_of(const MatmulArgs& args) {
+    if (args.vnm_packed == nullptr) return nullptr;
+    VENOM_CHECK_MSG(&args.vnm_packed->source() == args.vnm,
+                    "vnm_packed was not packed from vnm");
+    return args.vnm_packed.get();
+  }
   /// Serving tier: the caller pre-hashed its immutable operand, so the
-  /// context's PlanCache can reuse plans (and their warm packed-panel
-  /// scratch pools) without an O(nnz) fingerprint per call. The common
+  /// context's PlanCache can reuse plans (and the weight's packed form
+  /// and warm scratch pool) without an O(nnz) fingerprint per call. The common
   /// hit path is one cache probe; config selection (tuning-cache lookup
   /// + heuristic) runs only when a plan is actually built, with the
   /// context's choice — so a private tuning cache is honored on this
@@ -89,7 +99,8 @@ class VnmFastBackend final : public Matmul {
       return cached;
     const spatha::SpmmConfig cfg = select(args, ctx);
     return ctx.plan_cache().get_or_build(problem, args.vnm_shared,
-                                         args.vnm_fingerprint, &cfg);
+                                         args.vnm_fingerprint, &cfg,
+                                         args.vnm_packed);
   }
 };
 

@@ -206,9 +206,7 @@ HalfMatrix Matmul::run_fused(const MatmulArgs& args,
   HalfMatrix y(acc.rows(), acc.cols());
   for (std::size_t r = 0; r < acc.rows(); ++r) {
     float* arow = &acc(r, 0);
-    const float bias = epilogue.bias.empty() ? 0.0f : epilogue.bias[r];
-    for (std::size_t n = 0; n < acc.cols(); ++n)
-      arow[n] = spatha::apply_activation(epilogue.activation, arow[n] + bias);
+    spatha::apply_epilogue(epilogue, r, arow, acc.cols());
     float_to_half_n(arow, &y(r, 0), acc.cols());
   }
   return y;

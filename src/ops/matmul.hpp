@@ -36,6 +36,7 @@
 #include "quant/quantized_vnm.hpp"
 #include "spatha/config.hpp"
 #include "spatha/epilogue.hpp"
+#include "spatha/packed.hpp"
 #include "tensor/matrix.hpp"
 
 namespace venom::ops {
@@ -96,6 +97,11 @@ struct MatmulArgs {
   /// call, and so cached plans alias the caller's copy.
   std::shared_ptr<const VnmMatrix> vnm_shared;
   std::uint64_t vnm_fingerprint = 0;
+
+  /// Optional packed form of `vnm` (its source() is *vnm), built once by
+  /// the weight's holder (transformer::Linear). vnm-fast runs over it
+  /// instead of packing per call, and a plan built for it adopts it.
+  std::shared_ptr<const spatha::PackedVnm> vnm_packed;
 
   /// Shared handles keeping caller-owned quantized operands alive (the
   /// quantized analogues of vnm_shared; transformer::Linear's

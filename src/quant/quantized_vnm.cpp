@@ -140,8 +140,8 @@ QuantizedB quantize_columns(const HalfMatrix& b) {
 }
 
 /// Stage 1.2 of the int8 pipeline: gathers the B rows selected by
-/// column-loc into a packed panel — same layout as
-/// spatha::detail::gather_b_panel_f32 but half the traffic. The int8
+/// column-loc into a packed panel, panel[((g - g0) * sel + s) * width +
+/// n], at half the traffic of a float panel. The int8
 /// codes are widened to int16 here, once per gathered value, so stage 2
 /// can feed vpmaddwd-class multiply-adds straight from the panel.
 inline void gather_b_panel_i8(const QuantizedVnmMatrix& a,
@@ -502,9 +502,10 @@ inline void gather_b_panel_fp8(const Fp8VnmMatrix& a, const HalfMatrix& b,
   }
 }
 
-/// Stage 2 of the fp8 pipeline: identical to accumulate_panel_f32 except
-/// the nonzero hoist decodes through the fp8 table (and skips decoded
-/// zeros, which covers sub-fp8 fp16 values that flushed on quantize).
+/// Stage 2 of the fp8 pipeline: hoists each row's nonzero values and
+/// panel offsets, decoding through the fp8 table (and skipping decoded
+/// zeros, which covers sub-fp8 fp16 values that flushed on quantize),
+/// then accumulates 16-float register strips against the float panel.
 inline void accumulate_panel_fp8(const Fp8VnmMatrix& a, std::size_t br,
                                  std::size_t g0, std::size_t g1,
                                  std::size_t width,

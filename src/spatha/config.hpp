@@ -49,6 +49,9 @@ struct SpmmConfig {
   // chunk (ThreadPool::parallel_for_chunks grain). 0 lets the pool pick a
   // few chunks per worker; small grains balance ragged work, large grains
   // keep a chunk's scratch hot. Does not affect results or modelled time.
+  // At C <= detail::kNarrowMaxWidth the fp16 kernel runs its narrow path:
+  // there BSk/BSc are unused and the grain counts 16-row chunks, rounded
+  // up to a multiple of 4 (detail::narrow_grain).
   std::size_t chunk_grain = 0;
 
   StoreWidth store_width = StoreWidth::k128bit;
@@ -85,8 +88,8 @@ void validate(const SpmmConfig& cfg, const VnmConfig& fmt, std::size_t rows,
 /// empirical tuning cache (spatha/tuning_cache.hpp) first — an entry for
 /// (shape, V:N:M, this build's CPU features, the dtype's tag) wins — and
 /// falls back to select_config_heuristic when none exists. Every
-/// dispatch path that defaults its config (spmm_vnm, the fused/batched
-/// variants, sddmm_vnm, transformer::Linear, the quantized kernels)
+/// dispatch path that defaults its config (spmm_vnm, the fused
+/// variant, sddmm_vnm, transformer::Linear, the quantized kernels)
 /// therefore picks up tuned configs transparently.
 SpmmConfig select_config(const VnmConfig& fmt, std::size_t rows,
                          std::size_t cols, std::size_t b_cols,

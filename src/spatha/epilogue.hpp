@@ -5,9 +5,11 @@
 // launching separate element-wise kernels. spmm_vnm_fused applies the
 // epilogue inside the same tile pass that stage 3 would use, saving one
 // full read+write of C per fused op; the transformer Linear layer routes
-// through it.
+// through it. apply_epilogue is the one epilogue loop: the fused kernel's
+// stage 3 and the ops layer's generic fused path both run it per row.
 #pragma once
 
+#include <cstddef>
 #include <span>
 
 #include "common/thread_pool.hpp"
@@ -28,14 +30,27 @@ struct Epilogue {
   Activation activation = Activation::kNone;
 };
 
-/// The epilogue's scalar activation (float domain). Exposed so the ops
-/// layer's generic fused path applies exactly the arithmetic the fused
-/// Spatha stage 3 does — keeping the two bit-identical by construction.
+/// The epilogue's scalar activation (float domain): the per-element
+/// definition apply_epilogue reproduces bit for bit.
 float apply_activation(Activation act, float v);
 
+/// The epilogue over output row r: row[n] = apply_activation(act,
+/// row[n] + bias) for n < width, with bias = epilogue.bias[r], or +0.0f
+/// when there is none (so a -0 accumulator leaves as +0 either way).
+/// Vectorized; gelu runs through fmath::gelu_n.
+void apply_epilogue(const Epilogue& epilogue, std::size_t r, float* row,
+                    std::size_t width);
+
 /// C_half = act(A_vnm * B + bias), computed tile-by-tile with the
-/// epilogue fused into the write-back stage. `scratch` as in spmm_vnm:
-/// a pool owned by the caller keeps the packed panels warm across calls.
+/// epilogue fused into the write-back stage, over an operand packed once
+/// per weight. `scratch` as in spmm_vnm: a pool owned by the caller keeps
+/// the panels warm across calls.
+HalfMatrix spmm_vnm_fused(const PackedVnm& a, const HalfMatrix& b,
+                          const Epilogue& epilogue, const SpmmConfig& cfg,
+                          ThreadPool* pool = nullptr,
+                          SpmmScratchPool* scratch = nullptr);
+
+/// Same, packing `a` once for this call.
 HalfMatrix spmm_vnm_fused(const VnmMatrix& a, const HalfMatrix& b,
                           const Epilogue& epilogue, const SpmmConfig& cfg,
                           ThreadPool* pool = nullptr,
@@ -45,14 +60,5 @@ HalfMatrix spmm_vnm_fused(const VnmMatrix& a, const HalfMatrix& b,
 HalfMatrix spmm_vnm_fused(const VnmMatrix& a, const HalfMatrix& b,
                           const Epilogue& epilogue,
                           ThreadPool* pool = nullptr);
-
-/// Batched SpMM: one sparse operand against `batch` dense operands
-/// (weight reuse across a batch of activations, the inference hot path).
-/// All B matrices must share b_rows x b_cols; outputs align by index.
-/// The sparse operand's panels are gathered once per (block row, C tile)
-/// and reused across the whole batch.
-std::vector<FloatMatrix> spmm_vnm_batched(
-    const VnmMatrix& a, std::span<const HalfMatrix> bs,
-    ThreadPool* pool = nullptr);
 
 }  // namespace venom::spatha

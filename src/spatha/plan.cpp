@@ -27,7 +27,8 @@ SpmmPlan SpmmPlan::from_compressed(const SpmmProblem& problem,
 SpmmPlan SpmmPlan::from_compressed(
     const SpmmProblem& problem,
     std::shared_ptr<const VnmMatrix> compressed,
-    std::shared_ptr<SpmmScratchPool> scratch, const SpmmConfig* config) {
+    std::shared_ptr<SpmmScratchPool> scratch, const SpmmConfig* config,
+    std::shared_ptr<const PackedVnm> packed) {
   VENOM_CHECK_MSG(compressed != nullptr, "null compressed operand");
   VENOM_CHECK_MSG(compressed->rows() == problem.rows &&
                       compressed->cols() == problem.cols &&
@@ -39,6 +40,14 @@ SpmmPlan SpmmPlan::from_compressed(
                      ? *config
                      : select_config(problem.format, problem.rows,
                                      problem.cols, problem.b_cols);
+  VENOM_CHECK_MSG(packed == nullptr ||
+                      (packed->rows() == problem.rows &&
+                       packed->cols() == problem.cols &&
+                       packed->config() == problem.format),
+                  "packed operand does not match the problem");
+  plan.packed_ = packed != nullptr ? std::move(packed)
+                                   : std::make_shared<const PackedVnm>(
+                                         compressed);
   plan.weight_ = std::move(compressed);
   plan.scratch_ = scratch != nullptr ? std::move(scratch)
                                      : std::make_shared<SpmmScratchPool>();
@@ -50,7 +59,7 @@ FloatMatrix SpmmPlan::execute(const HalfMatrix& b, ThreadPool* pool) const {
                   "operand B is " << b.rows() << 'x' << b.cols()
                                   << ", plan expects " << problem_.cols << 'x'
                                   << problem_.b_cols);
-  return spmm_vnm(*weight_, b, config_, pool, scratch_.get());
+  return spmm_vnm(*packed_, b, config_, pool, scratch_.get());
 }
 
 HalfMatrix SpmmPlan::execute_fused(const HalfMatrix& b,
@@ -60,7 +69,7 @@ HalfMatrix SpmmPlan::execute_fused(const HalfMatrix& b,
                   "operand B is " << b.rows() << 'x' << b.cols()
                                   << ", plan expects " << problem_.cols << 'x'
                                   << problem_.b_cols);
-  return spmm_vnm_fused(*weight_, b, epilogue, config_, pool,
+  return spmm_vnm_fused(*packed_, b, epilogue, config_, pool,
                         scratch_.get());
 }
 
@@ -125,9 +134,10 @@ std::shared_ptr<const SpmmPlan> PlanCache::insert_locked(
     const Key evicted = lru_.back();
     entries_.erase(evicted);
     lru_.pop_back();
-    // Drop the weight's shared scratch pool once its last plan is gone,
-    // so weight churn (re-sparsifying training loops, model swaps)
-    // cannot grow the pool registry past what entries_ references.
+    // Drop the weight's shared state once its last plan is gone, so
+    // weight churn (re-sparsifying training loops, model swaps) cannot
+    // grow the registry past what entries_ references, and the packed
+    // operand is freed with the last plan that runs on it.
     const WeightKey wkey{evicted.second, {evicted.first.rows,
                                           evicted.first.cols}};
     bool still_referenced = false;
@@ -138,7 +148,7 @@ std::shared_ptr<const SpmmPlan> PlanCache::insert_locked(
         break;
       }
     }
-    if (!still_referenced) scratch_pools_.erase(wkey);
+    if (!still_referenced) weights_.erase(wkey);
   }
   return plan;
 }
@@ -172,29 +182,40 @@ std::shared_ptr<const SpmmPlan> PlanCache::get_or_build(
   return insert_locked(key, std::move(plan));
 }
 
-std::shared_ptr<SpmmScratchPool> PlanCache::scratch_pool_for(
-    const WeightKey& key) {
+PlanCache::WeightState PlanCache::weight_state_for(
+    const WeightKey& key, const std::shared_ptr<const VnmMatrix>& compressed,
+    std::shared_ptr<const PackedVnm> packed) {
+  {
+    MutexLock lock(mutex_);
+    const auto it = weights_.find(key);
+    if (it != weights_.end()) return it->second;
+  }
+  WeightState fresh{packed != nullptr
+                        ? std::move(packed)
+                        : std::make_shared<const PackedVnm>(compressed),
+                    std::make_shared<SpmmScratchPool>()};
   MutexLock lock(mutex_);
-  auto& pool = scratch_pools_[key];
-  if (pool == nullptr) pool = std::make_shared<SpmmScratchPool>();
-  return pool;
+  return weights_.emplace(key, std::move(fresh)).first->second;
 }
 
 std::shared_ptr<const SpmmPlan> PlanCache::get_or_build(
     const SpmmProblem& problem, std::shared_ptr<const VnmMatrix> compressed,
-    std::uint64_t fingerprint, const SpmmConfig* config) {
+    std::uint64_t fingerprint, const SpmmConfig* config,
+    std::shared_ptr<const PackedVnm> packed) {
   const Key key{problem, fingerprint};
   {
     MutexLock lock(mutex_);
     if (auto plan = find_locked(key)) return plan;
   }
-  // Plans for this weight share one scratch pool regardless of b_cols:
-  // the panel buffers are width-agnostic capacity, so a new batch width
-  // reuses warm scratch instead of starting a cold pool.
-  auto scratch = scratch_pool_for(
-      {fingerprint, {problem.rows, problem.cols}});
+  // Plans for this weight share one packed operand and one scratch pool
+  // regardless of b_cols: both are width-agnostic, so a new batch width
+  // neither packs again nor starts a cold pool.
+  WeightState state = weight_state_for(
+      {fingerprint, {problem.rows, problem.cols}}, compressed,
+      std::move(packed));
   auto plan = std::make_shared<const SpmmPlan>(SpmmPlan::from_compressed(
-      problem, std::move(compressed), std::move(scratch), config));
+      problem, std::move(compressed), std::move(state.scratch), config,
+      std::move(state.packed)));
   MutexLock lock(mutex_);
   return insert_locked(key, std::move(plan));
 }

@@ -37,9 +37,10 @@ struct SpmmProblem {
 };
 
 /// An executable sparse-matmul plan. Besides the compressed operand and
-/// the (tuning-cache-aware) kernel configuration, a plan owns a
-/// SpmmScratchPool, so the packed fp16->float B panels and accumulator
-/// tiles the kernels stage through are recycled across execute() calls —
+/// the (tuning-cache-aware) kernel configuration, a plan holds the
+/// operand's packed form (PackedVnm, built once per weight) and a
+/// SpmmScratchPool, so the fp16->float B panels and accumulator tiles the
+/// kernels stage through are recycled across execute() calls —
 /// steady-state repeated execution (inference serving) allocates only the
 /// output matrix.
 class SpmmPlan {
@@ -63,11 +64,15 @@ class SpmmPlan {
   /// `config`, when non-null, pins the kernel configuration instead of
   /// consulting the process-wide select_config — an ops::ExecContext
   /// with a private tuning cache passes its own choice through here.
+  /// `packed`, when supplied, must be a PackedVnm of *compressed: plans for
+  /// the same weight share it instead of packing again; when null the
+  /// plan packs its own.
   static SpmmPlan from_compressed(
       const SpmmProblem& problem,
       std::shared_ptr<const VnmMatrix> compressed,
       std::shared_ptr<SpmmScratchPool> scratch = nullptr,
-      const SpmmConfig* config = nullptr);
+      const SpmmConfig* config = nullptr,
+      std::shared_ptr<const PackedVnm> packed = nullptr);
 
   /// C = A * B. B must be cols x b_cols as declared in the problem.
   FloatMatrix execute(const HalfMatrix& b, ThreadPool* pool = nullptr) const;
@@ -78,6 +83,8 @@ class SpmmPlan {
 
   const SpmmProblem& problem() const { return problem_; }
   const VnmMatrix& compressed() const { return *weight_; }
+  /// The packed operand the kernels run over (shared per weight).
+  const std::shared_ptr<const PackedVnm>& packed() const { return packed_; }
   const SpmmConfig& config() const { return config_; }
 
   /// The plan's reusable kernel scratch (shared across concurrent
@@ -93,6 +100,7 @@ class SpmmPlan {
   SpmmProblem problem_;
   // Shared, not owned exclusively: see the sharing from_compressed.
   std::shared_ptr<const VnmMatrix> weight_;
+  std::shared_ptr<const PackedVnm> packed_;
   SpmmConfig config_;
   // shared_ptr so plans stay copyable and the deleter is bound where
   // detail::SpmmScratch is complete (plan.cpp).
@@ -132,10 +140,14 @@ class PlanCache {
   /// pins the built plan's kernel configuration (cache hits keep the
   /// config they were built with — a PlanCache is owned by one
   /// ExecContext, so a key never sees two different selections).
+  /// `packed`, when non-null, must be a PackedVnm of *compressed (a
+  /// holder that already packed its weight): the weight's first plan
+  /// adopts it instead of packing again.
   std::shared_ptr<const SpmmPlan> get_or_build(
       const SpmmProblem& problem,
       std::shared_ptr<const VnmMatrix> compressed,
-      std::uint64_t fingerprint, const SpmmConfig* config = nullptr)
+      std::uint64_t fingerprint, const SpmmConfig* config = nullptr,
+      std::shared_ptr<const PackedVnm> packed = nullptr)
       VENOM_EXCLUDES(mutex_);
 
   /// Probe without building: LRU-touches and counts a hit when the plan
@@ -155,10 +167,15 @@ class PlanCache {
   using Key = std::pair<SpmmProblem, std::uint64_t>;
 
   /// Weight identity (fingerprint + shape) independent of b_cols: plans
-  /// for the same weight at different batch widths share one scratch
-  /// pool, so ragged serving traffic cannot churn the packed panels cold.
+  /// for the same weight at different batch widths share one packed
+  /// operand and one scratch pool, so a new batch width neither packs
+  /// again nor starts with cold panels.
   using WeightKey = std::pair<std::uint64_t, std::pair<std::size_t,
                                                        std::size_t>>;
+  struct WeightState {
+    std::shared_ptr<const PackedVnm> packed;
+    std::shared_ptr<SpmmScratchPool> scratch;
+  };
 
   /// Lookup + LRU touch, no counter updates.
   std::shared_ptr<const SpmmPlan> touch_locked(const Key& key)
@@ -170,9 +187,13 @@ class PlanCache {
   std::shared_ptr<const SpmmPlan> insert_locked(
       const Key& key, std::shared_ptr<const SpmmPlan> plan)
       VENOM_REQUIRES(mutex_);
-  /// The shared scratch pool for a weight, created on first use. Takes
-  /// the lock itself — call it between locked scopes, never inside one.
-  std::shared_ptr<SpmmScratchPool> scratch_pool_for(const WeightKey& key)
+  /// The weight's shared state, created on first use around `packed`
+  /// or, when that is null, a fresh pack (which runs outside the lock; a
+  /// racing first use keeps the first insert). Takes the lock itself —
+  /// call it between locked scopes, never inside one.
+  WeightState weight_state_for(
+      const WeightKey& key, const std::shared_ptr<const VnmMatrix>& compressed,
+      std::shared_ptr<const PackedVnm> packed)
       VENOM_EXCLUDES(mutex_);
 
   mutable Mutex mutex_;
@@ -181,11 +202,10 @@ class PlanCache {
   std::map<Key, std::pair<std::shared_ptr<const SpmmPlan>,
                           std::list<Key>::iterator>>
       entries_ VENOM_GUARDED_BY(mutex_);
-  // One pool per distinct weight (bounded by the model's layer count in
-  // serving use, not by batch-width diversity); entries outlive plan
-  // evictions so a re-built plan comes back warm.
-  std::map<WeightKey, std::shared_ptr<SpmmScratchPool>> scratch_pools_
-      VENOM_GUARDED_BY(mutex_);
+  // One entry per distinct weight (bounded by the model's layer count in
+  // serving use, not by batch-width diversity), dropped with the weight's
+  // last cached plan.
+  std::map<WeightKey, WeightState> weights_ VENOM_GUARDED_BY(mutex_);
   std::size_t hits_ VENOM_GUARDED_BY(mutex_) = 0;
   std::size_t misses_ VENOM_GUARDED_BY(mutex_) = 0;
 };

@@ -1,6 +1,7 @@
 #include "spatha/spmm.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <vector>
 
 #include "spatha/microkernel.hpp"
@@ -12,56 +13,7 @@ namespace venom::spatha {
 FloatMatrix spmm_vnm(const VnmMatrix& a, const HalfMatrix& b,
                      const SpmmConfig& cfg, ThreadPool* pool,
                      SpmmScratchPool* scratch) {
-  const VnmConfig fmt = a.config();
-  VENOM_CHECK_MSG(a.cols() == b.rows(), "SpMM shape mismatch");
-  validate(cfg, fmt, a.rows(), a.cols(), b.cols());
-  if (pool == nullptr) pool = &ThreadPool::global();
-
-  FloatMatrix c(a.rows(), b.cols());
-  const std::size_t groups = a.groups_per_row();
-  const std::size_t groups_per_panel = cfg.block_k / fmt.m;
-  const std::size_t c_tiles = (b.cols() + cfg.block_c - 1) / cfg.block_c;
-  const std::size_t block_rows = a.block_rows();
-  const bool fixed = cfg.column_loc == ColumnLocMode::kFixed;
-
-  // One iteration per (block row, C tile): BSr = V, so each tile owns a
-  // V x BSc output and reuses one column-loc row — exactly the paper's
-  // thread-block decomposition (Fig. 5). Scratch lives per chunk, so the
-  // panel/accumulator buffers are reused across the tiles of a chunk —
-  // and, when a SpmmScratchPool is supplied, across calls.
-  pool->parallel_for_chunks(
-      block_rows * c_tiles, [&](std::size_t t0, std::size_t t1) {
-        detail::ScratchLease scratch_lease;
-        detail::SpmmScratch& s = scratch_lease.bind(scratch);
-        for (std::size_t t = t0; t < t1; ++t) {
-          const std::size_t br = t / c_tiles;
-          const std::size_t ct = t % c_tiles;
-          const std::size_t c0 = ct * cfg.block_c;
-          const std::size_t c1 = std::min(b.cols(), c0 + cfg.block_c);
-          const std::size_t width = c1 - c0;
-
-          s.acc.assign(fmt.v * width, 0.0f);
-          for (std::size_t g0 = 0; g0 < groups; g0 += groups_per_panel) {
-            const std::size_t g1 = std::min(groups, g0 + groups_per_panel);
-            // Stages 1.1 + 1.2: column-loc driven gather of B into a
-            // packed float panel (converted once per gather).
-            detail::gather_b_panel_f32(a, b, br, g0, g1, c0, c1, fixed,
-                                       s.panel);
-            // Stage 2: register-blocked indexed multiply-accumulate.
-            detail::accumulate_panel_f32(a, br, g0, g1, width, s,
-                                         s.acc.data());
-          }
-
-          // Stage 3: contiguous write-back of the finished output tile.
-          for (std::size_t dr = 0; dr < fmt.v; ++dr) {
-            float* crow = &c(br * fmt.v + dr, c0);
-            const float* arow = &s.acc[dr * width];
-            std::copy(arow, arow + width, crow);
-          }
-        }
-      },
-      cfg.chunk_grain);
-  return c;
+  return spmm_vnm(PackedVnm(a), b, cfg, pool, scratch);
 }
 
 FloatMatrix spmm_vnm(const VnmMatrix& a, const HalfMatrix& b,
@@ -119,7 +71,7 @@ FloatMatrix spmm_vnm_scalar(const VnmMatrix& a, const HalfMatrix& b,
             const half_t* brow =
                 &panel[((g - g0) * sel + a.m_index(r, g, j)) * width];
             for (std::size_t n = 0; n < width; ++n)
-              arow[n] += av * brow[n].to_float();
+              arow[n] = std::fma(av, brow[n].to_float(), arow[n]);
           }
         }
       }
@@ -409,7 +361,7 @@ FloatMatrix spmm_vnm_reference(const VnmMatrix& a, const HalfMatrix& b) {
         if (v.is_zero()) continue;
         const std::size_t col = a.dense_column(r, g, j);
         for (std::size_t n = 0; n < b.cols(); ++n)
-          c(r, n) += v.to_float() * b(col, n).to_float();
+          c(r, n) = std::fma(v.to_float(), b(col, n).to_float(), c(r, n));
       }
   return c;
 }

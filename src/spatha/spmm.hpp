@@ -1,19 +1,24 @@
 // Spatha SpMM kernels over the V:N:M format (Section 4.1, Figs. 4-8).
 //
-// Three implementations of C(RxC, fp32) = A_vnm(RxK) * B(KxC, fp16):
+// Implementations of C(RxC, fp32) = A_vnm(RxK) * B(KxC, fp16):
 //
-//   spmm_vnm            production path. Mirrors the paper's three stages:
-//                       (1.1) column-loc prefetch per block row,
-//                       (1.2) gather of the selected B rows into a
-//                             contiguous packed float panel (the SMEM
-//                             image, converted from fp16 once per gather),
-//                       (1.3/2) register-blocked multiply-accumulate
-//                             through the 2-bit m-indices against the
-//                             panel (see microkernel.hpp),
-//                       (3)  contiguous write-back of the output tile.
-//                       One pool iteration per (block row, C tile) — the
-//                       CPU analogue of one thread block per output tile —
-//                       with scratch reused across the tiles of a chunk.
+//   spmm_vnm            production path (vnm-fast), over the packed
+//                       operand (packed.hpp): A is laid out once per
+//                       weight, never per tile. Stages, per width:
+//                       wide (C above the measured crossover)
+//                         (1.1/1.2) per (block row, C tile, K panel), the
+//                               B rows selected by column-loc gathered
+//                               into a float panel (the SMEM image);
+//                         (2)   register-blocked explicit FMA, 8
+//                               independent accumulators per block;
+//                       narrow (C at or below the crossover)
+//                         (1.2) B converted to float and transposed once;
+//                         (2)   rows as lanes: 16 rows of a V block in
+//                               one register, a lookup of their B entries
+//                               and a masked FMA per slot;
+//                       (3) write-back (or the fused epilogue) per row.
+//                       The split is internal (microkernel.hpp); both
+//                       sides are bit-identical to the oracles below.
 //
 //   spmm_vnm_scalar     the seed's element-at-a-time path, kept as the
 //                       perf baseline and bit-exactness oracle.
@@ -24,6 +29,13 @@
 //                       mapping of Fig. 4 is exact.
 //
 //   spmm_vnm_reference  naive traversal used as the oracle in tests.
+//
+// Bits: every multiply-add of spmm_vnm, spmm_vnm_scalar and
+// spmm_vnm_reference is one fused multiply-add (an explicit lane fma or
+// std::fma), accumulated from +0 in ascending (group, j) order per
+// output element with zero-valued slots skipped. The result therefore
+// does not depend on the compiler's contraction or the build's lane
+// width.
 #pragma once
 
 #include <cstdint>
@@ -35,6 +47,7 @@
 #include "format/nm.hpp"
 #include "format/vnm.hpp"
 #include "spatha/config.hpp"
+#include "spatha/packed.hpp"
 #include "tensor/matrix.hpp"
 
 namespace venom::spatha {
@@ -45,12 +58,14 @@ namespace detail {
 /// SpmmScratchPool, across calls); resize() calls settle to no-ops after
 /// the buffers reach their high-water sizes, so the steady state performs
 /// no allocation per panel or per tile. Populated by the micro-kernel
-/// stages in microkernel.hpp.
+/// stages in microkernel.hpp and the quantized datapaths.
 struct SpmmScratch {
-  std::vector<float> panel;           // packed float image of gathered B
-  std::vector<float> acc;             // V x width fp32 accumulator tile
-  std::vector<float> a_vals;          // hoisted nonzero values of one row
-  std::vector<std::uint32_t> a_offs;  // matching panel-row float offsets
+  std::vector<float> panel;  // float image of gathered (or transposed) B
+  std::vector<float> acc;    // fp32 accumulator tile
+  // The fp8 datapath's hoisted nonzero values of one row and the fp8 /
+  // int8 datapaths' matching panel-row offsets.
+  std::vector<float> a_vals;
+  std::vector<std::uint32_t> a_offs;
   // Reduced-precision datapath (quant/quantized_vnm.hpp): the gathered
   // image of quantized B — widened to int16 for the vpmaddwd micro-kernel
   // (half of `panel`) or quad-interleaved biased-u8 for the VNNI
@@ -65,8 +80,8 @@ struct SpmmScratch {
 
 }  // namespace detail
 
-/// Freelist of per-chunk kernel scratch (packed fp16->float B panels,
-/// accumulator tiles, hoisted nonzero descriptors). A caller that owns one
+/// Freelist of per-chunk kernel scratch (fp16->float B panels,
+/// accumulator tiles). A caller that owns one
 /// — e.g. an SpmmPlan executed repeatedly while serving — amortizes the
 /// panel buffers across calls: after warmup the kernels allocate nothing.
 using SpmmScratchPool = ObjectPool<detail::SpmmScratch>;
@@ -93,9 +108,18 @@ struct ScratchLease {
 
 }  // namespace detail
 
-/// Production tiled kernel. `cfg` defaults to select_config(...).
-/// `scratch`, when non-null, supplies the per-chunk panel/accumulator
-/// buffers instead of stack-local vectors (see SpmmScratchPool).
+/// Production kernel over an operand packed once per weight (an
+/// SpmmPlan's, or a transformer::Linear's). `scratch`, when non-null,
+/// supplies the per-chunk
+/// panel/accumulator buffers instead of chunk-local vectors (see
+/// SpmmScratchPool).
+FloatMatrix spmm_vnm(const PackedVnm& a, const HalfMatrix& b,
+                     const SpmmConfig& cfg, ThreadPool* pool = nullptr,
+                     SpmmScratchPool* scratch = nullptr);
+
+/// Same, packing `a` once for this call (O(nnz), about one
+/// weight_fingerprint: hold a PackedVnm or a plan for repeated calls at
+/// small C).
 FloatMatrix spmm_vnm(const VnmMatrix& a, const HalfMatrix& b,
                      const SpmmConfig& cfg, ThreadPool* pool = nullptr,
                      SpmmScratchPool* scratch = nullptr);
@@ -106,8 +130,8 @@ FloatMatrix spmm_vnm(const VnmMatrix& a, const HalfMatrix& b,
 
 /// The seed's scalar stage-2 loop (half->float conversion per FMA, no
 /// register blocking). Kept as the measurement baseline for the packed
-/// float-panel pipeline and as a parity oracle: spmm_vnm is bit-identical
-/// to this path for every configuration.
+/// pipeline and as a parity oracle: spmm_vnm is bit-identical to this
+/// path for every configuration and width.
 FloatMatrix spmm_vnm_scalar(const VnmMatrix& a, const HalfMatrix& b,
                             const SpmmConfig& cfg,
                             ThreadPool* pool = nullptr);
@@ -126,8 +150,7 @@ FloatMatrix spmm_vnm_reference(const VnmMatrix& a, const HalfMatrix& b);
 /// DFSS-style dynamic-attention kernel [Chen et al., PPoPP'23 — the
 /// paper's ref. 6]. B converts to packed float once (bulk fp16->float),
 /// each row's nonzero descriptors are hoisted into flat scratch, and the
-/// multiply-accumulate runs the same register-blocked strips as the
-/// V:N:M micro-kernel. Per output element products accumulate in
+/// multiply-accumulate runs 16-float register strips (detail::kStrip). Per output element products accumulate in
 /// ascending (group, j) order, so the result is bit-identical to the
 /// scalar `venom::spmm_24` baseline it accelerates (any N:M pattern is
 /// accepted; the hardware-pattern restriction is spmm_24's, not this

@@ -8,7 +8,7 @@
 //
 // Dispatch integration: spatha::select_config consults the process-wide
 // cache before falling back to the fixed heuristic, so spmm_vnm, the
-// fused/batched variants, sddmm_vnm, transformer::Linear, and the int8 /
+// fused variant, sddmm_vnm, transformer::Linear, and the int8 /
 // fp8 kernels all pick up tuned configurations transparently. One cache
 // serves every datapath: the key's feature string carries the dtype's
 // tag (make_tuning_key; the table is in spatha/config.hpp). The global

@@ -47,16 +47,19 @@ void Linear::set_weight_dtype(ops::Dtype dtype) {
     VENOM_CHECK_MSG(sparse_ != nullptr,
                     "quantized weights require a sparsified layer (call "
                     "sparsify() before set_weight_dtype)");
+  if (dtype == weight_dtype_) return;  // the current image is up to date
   weight_dtype_ = dtype;
   requantize();
 }
 
 void Linear::requantize() {
+  packed_.reset();
   qweight_.reset();
   f8weight_.reset();
   if (sparse_ == nullptr) return;
   switch (weight_dtype_) {
     case ops::Dtype::kF16:
+      packed_ = std::make_shared<const spatha::PackedVnm>(sparse_);
       break;
     case ops::Dtype::kI8:
       qweight_ = std::make_shared<const quant::QuantizedVnmMatrix>(
@@ -83,11 +86,13 @@ HalfMatrix Linear::forward(const HalfMatrix& x, TimingBreakdown* timing,
   // Bias fused into the write-back stage of whichever backend dispatch
   // selects: the Spatha V:N:M backend for a sparsified weight, the
   // dense GEMM backend otherwise. The plan-cache tier (pre-hashed
-  // shared operand -> cached plan + warm packed-panel scratch) engages
-  // only when a context was attached: a context-less forward must not
-  // pin this layer's weight in the process-global cache beyond its
-  // lifetime. The fused epilogue is bit-identical to a separate
-  // bias+convert pass by construction, so all tiers agree bitwise.
+  // shared operand -> cached plan + warm scratch) engages only when a
+  // context was attached: a context-less forward must not pin this
+  // layer's weight in the process-global cache beyond its lifetime.
+  // Both tiers run over the layer's own packed weight (the plan cache
+  // adopts it), so neither packs per call. The fused epilogue is
+  // bit-identical to a separate bias+convert pass by construction, so
+  // all tiers agree bitwise.
   spatha::Epilogue epilogue;
   epilogue.bias = bias_;
   ops::MatmulArgs args;
@@ -101,6 +106,7 @@ HalfMatrix Linear::forward(const HalfMatrix& x, TimingBreakdown* timing,
   } else if (sparse_ != nullptr) {
     args = have_ctx ? ops::MatmulArgs::make(sparse_, sparse_fingerprint_, x)
                     : ops::MatmulArgs::make(*sparse_, x);
+    args.vnm_packed = packed_;
   } else {
     args = ops::MatmulArgs::make(weight_, x);
   }

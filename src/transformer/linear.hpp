@@ -120,8 +120,9 @@ class Linear {
   void mask_gradient_to_pattern(FloatMatrix& grad_weight) const;
 
  private:
-  /// Rebuilds the quantized weight image for the current dtype (no-op in
-  /// kF16). Called wherever the compressed weight changes.
+  /// Rebuilds the kernel image of the weight for the current dtype (the
+  /// packed form in kF16, the quantized one otherwise). Called wherever
+  /// the compressed weight or the dtype changes.
   void requantize();
 
   std::size_t out_ = 0;
@@ -136,6 +137,9 @@ class Linear {
   // weight is immutable afterwards) so plan-cache lookups in the serving
   // hot path skip the per-call O(nnz) fingerprint.
   std::uint64_t sparse_fingerprint_ = 0;
+  // vnm-fast's packed image of sparse_ (kF16 only), built with it so no
+  // forward packs per call; the context's plan cache adopts it.
+  std::shared_ptr<const spatha::PackedVnm> packed_;
   // Reduced-precision weight images; at most one is set, matching
   // weight_dtype_. Shared so MatmulArgs can alias them across calls.
   ops::Dtype weight_dtype_ = ops::Dtype::kF16;

@@ -1,9 +1,13 @@
-// Tests for the fused-epilogue and batched Spatha kernels.
+// Tests for the fused-epilogue Spatha kernel and its row epilogue.
 #include "spatha/epilogue.hpp"
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
+#include <vector>
 
 #include "baselines/gemm.hpp"
 #include "common/rng.hpp"
@@ -108,33 +112,44 @@ TEST(Fused, RejectsWrongBiasSize) {
   EXPECT_THROW(spmm_vnm_fused(a, b, ep), Error);
 }
 
-TEST(Batched, EachOutputMatchesSingleSpmm) {
-  Rng rng(6);
-  const VnmMatrix a = random_vnm(16, 40, {8, 2, 10}, 7);
-  std::vector<HalfMatrix> bs;
-  for (int i = 0; i < 3; ++i)
-    bs.push_back(random_half_matrix(40, 24, rng));
-  const auto cs = spmm_vnm_batched(a, bs);
-  ASSERT_EQ(cs.size(), 3u);
-  for (std::size_t i = 0; i < 3; ++i)
-    EXPECT_LT(rel_fro_error(cs[i], spmm_vnm(a, bs[i])), 1e-6f) << i;
-}
-
-TEST(Batched, SingleElementBatch) {
-  Rng rng(7);
-  const VnmMatrix a = random_vnm(8, 16, {4, 2, 8}, 8);
-  std::vector<HalfMatrix> bs = {random_half_matrix(16, 8, rng)};
-  const auto cs = spmm_vnm_batched(a, bs);
-  EXPECT_LT(rel_fro_error(cs[0], spmm_vnm(a, bs[0])), 1e-6f);
-}
-
-TEST(Batched, RejectsMismatchedShapesAndEmptyBatch) {
-  Rng rng(8);
-  const VnmMatrix a = random_vnm(8, 16, {4, 2, 8}, 9);
-  std::vector<HalfMatrix> bad = {random_half_matrix(16, 8, rng),
-                                 random_half_matrix(16, 4, rng)};
-  EXPECT_THROW(spmm_vnm_batched(a, bad), Error);
-  EXPECT_THROW(spmm_vnm_batched(a, {}), Error);
+TEST(Fused, RowEpilogueMatchesPerElementActivation) {
+  // apply_epilogue is stage 3's one loop (the fused kernel and the ops
+  // layer's generic fused path): vector body plus scalar tail, bit for bit
+  // apply_activation(act, v + bias) per element, specials included.
+  const float inf = std::numeric_limits<float>::infinity();
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  std::vector<float> row = {inf,   -inf,  nan,    -nan,  0.0f,  -0.0f,
+                            1e-40f, -1e-40f, 3.5f, -3.5f, 65504.0f, -0.7f};
+  Rng rng(9);
+  for (std::size_t i = row.size(); i < 37; ++i)
+    row.push_back(rng.uniform(-8.0f, 8.0f));
+  const std::vector<float> biases = {0.0f, -0.0f, 1.5f, -inf, nan};
+  const auto bits = [](float v) { return std::bit_cast<std::uint32_t>(v); };
+  for (const Activation act :
+       {Activation::kNone, Activation::kRelu, Activation::kGelu})
+    for (std::size_t width = 0; width <= row.size(); ++width)
+      for (std::size_t bi = 0; bi <= biases.size(); ++bi) {
+        // bi == biases.size(): no bias vector at all.
+        std::vector<float> bias(3, bi < biases.size() ? biases[bi] : 0.0f);
+        Epilogue ep;
+        ep.activation = act;
+        if (bi < biases.size()) ep.bias = bias;
+        std::vector<float> got(row.begin(), row.begin() + width);
+        apply_epilogue(ep, 2, got.data(), width);
+        for (std::size_t n = 0; n < width; ++n) {
+          const float b = bi < biases.size() ? biases[bi] : 0.0f;
+          const float want = apply_activation(act, row[n] + b);
+          // NaN + NaN keeps one operand's payload, and which one depends
+          // on the operand order the compiler picks for a commutative
+          // add: only NaN-ness is defined there.
+          if (std::isnan(row[n]) && std::isnan(b))
+            EXPECT_EQ(std::isnan(got[n]), std::isnan(want)) << n;
+          else
+            EXPECT_EQ(bits(got[n]), bits(want))
+                << "act " << int(act) << " width " << width << " n " << n
+                << " bias " << b;
+        }
+      }
 }
 
 }  // namespace

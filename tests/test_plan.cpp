@@ -6,6 +6,7 @@
 
 #include <atomic>
 #include <cmath>
+#include <memory>
 #include <thread>
 #include <vector>
 
@@ -126,6 +127,61 @@ TEST(PlanCache, CompressedOperandsHitWithoutRepruning) {
   // The cached plan executes on the compressed operand as-is.
   const HalfMatrix b = random_half_matrix(32, 8, rng);
   EXPECT_EQ(max_abs_diff(plan->execute(b), spmm_vnm(w, b)), 0.0f);
+}
+
+TEST(PlanCache, WidthsShareOnePackedOperandUntilTheLastPlanGoes) {
+  // The packed form is per weight: plans for one weight at two batch
+  // widths run on the same PackedVnm, and evicting the weight's last plan
+  // releases it.
+  Rng rng(14);
+  PlanCache cache(2);
+  const VnmConfig fmt{4, 2, 8};
+  const auto make = [&] {
+    return std::make_shared<const VnmMatrix>(VnmMatrix::from_dense_magnitude(
+        random_half_matrix(16, 32, rng), fmt));
+  };
+  const auto w = make();
+  const std::uint64_t fp = weight_fingerprint(*w);
+  auto p16 = cache.get_or_build(problem(16, 32, 16, fmt), w, fp);
+  auto p3 = cache.get_or_build(problem(16, 32, 3, fmt), w, fp);
+  ASSERT_NE(p16->packed(), nullptr);
+  EXPECT_EQ(p16->packed().get(), p3->packed().get());
+  const HalfMatrix b = random_half_matrix(32, 3, rng);
+  EXPECT_EQ(p3->execute(b), spmm_vnm_reference(*w, b));
+
+  const std::weak_ptr<const PackedVnm> packed = p16->packed();
+  p16.reset();
+  p3.reset();
+  const auto w2 = make();
+  cache.get_or_build(problem(16, 32, 16, fmt), w2, weight_fingerprint(*w2));
+  EXPECT_FALSE(packed.expired());  // the width-3 plan is still cached
+  const auto w3 = make();
+  cache.get_or_build(problem(16, 32, 16, fmt), w3, weight_fingerprint(*w3));
+  EXPECT_TRUE(packed.expired());
+}
+
+TEST(PlanCache, AdoptsTheHoldersPackedOperand) {
+  // A holder that packed its weight already (transformer::Linear) hands
+  // the packed form in; every width's plan runs on it, packing nothing.
+  Rng rng(15);
+  PlanCache cache(4);
+  const auto w = std::make_shared<const VnmMatrix>(
+      VnmMatrix::from_dense_magnitude(random_half_matrix(32, 32, rng),
+                                      {16, 2, 8}));
+  const auto packed = std::make_shared<const PackedVnm>(w);
+  EXPECT_EQ(&packed->source(), w.get());
+  const std::uint64_t fp = weight_fingerprint(*w);
+  const auto p1 = cache.get_or_build(problem(32, 32, 1, w->config()), w, fp,
+                                     nullptr, packed);
+  const auto p40 = cache.get_or_build(problem(32, 32, 40, w->config()), w,
+                                      fp);
+  EXPECT_EQ(p1->packed(), packed);
+  EXPECT_EQ(p40->packed(), packed);
+  for (const std::size_t width : {1, 40}) {
+    const HalfMatrix b = random_half_matrix(32, width, rng);
+    const auto& plan = width == 1 ? p1 : p40;
+    EXPECT_EQ(plan->execute(b), spmm_vnm_reference(*w, b));
+  }
 }
 
 TEST(PlanCache, ConcurrentGetOrBuildIsSafe) {

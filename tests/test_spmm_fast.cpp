@@ -1,20 +1,28 @@
-// Parity tests for the high-throughput SpMM pipeline: the packed
-// float-panel micro-kernel (spmm_vnm) must be bit-identical to both the
-// naive oracle (spmm_vnm_reference) and the seed scalar path
-// (spmm_vnm_scalar) — same fp32 accumulation order per output element —
-// across ragged shapes and both ColumnLocModes. Also covers the bulk
+// Parity tests for the high-throughput SpMM pipeline: the packed kernel
+// (spmm_vnm, both its wide and narrow stage 2, fused and through a plan)
+// must be bit-identical to both the naive oracle (spmm_vnm_reference) and
+// the seed scalar path (spmm_vnm_scalar) — same fp32 accumulation order
+// per output element — across widths, ragged shapes and both
+// ColumnLocModes. Also covers the bulk
 // fp16 converters and the chunked parallel_for.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <cstring>
+#include <limits>
+#include <sstream>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "baselines/spmm_24.hpp"
 #include "common/rng.hpp"
 #include "common/thread_pool.hpp"
 #include "spatha/epilogue.hpp"
+#include "spatha/microkernel.hpp"
+#include "spatha/plan.hpp"
 #include "spatha/spmm.hpp"
 
 namespace venom::spatha {
@@ -117,6 +125,199 @@ TEST(SpmmFast, FusedEpilogueMatchesHalfOfUnfused) {
   ASSERT_EQ(fused.cols(), expect.cols());
   for (std::size_t i = 0; i < fused.size(); ++i)
     EXPECT_EQ(fused.flat()[i].bits(), expect.flat()[i].bits()) << "at " << i;
+}
+
+// ---------------------------------------------------------------------------
+// The packed kernel across widths: both stage-2 paths (the production
+// choice and each one forced), the fused epilogue and the plan API against
+// both oracles. A mismatch reports its first (row, col).
+
+/// "" when equal bit for bit, else where and how they first differ.
+template <class T>
+std::string first_mismatch(const Matrix<T>& got, const Matrix<T>& want) {
+  if (got.rows() != want.rows() || got.cols() != want.cols())
+    return "shape " + std::to_string(got.rows()) + "x" +
+           std::to_string(got.cols()) + " vs " + std::to_string(want.rows()) +
+           "x" + std::to_string(want.cols());
+  for (std::size_t r = 0; r < got.rows(); ++r)
+    for (std::size_t c = 0; c < got.cols(); ++c)
+      if (std::memcmp(&got(r, c), &want(r, c), sizeof(T)) != 0) {
+        std::ostringstream os;
+        os << "first mismatch at (" << r << ", " << c << "): got "
+           << float(got(r, c)) << ", want " << float(want(r, c));
+        return os.str();
+      }
+  return "";
+}
+
+/// What the fused epilogue must produce: per element
+/// to_half(apply_activation(act, acc + bias)).
+HalfMatrix expected_fused(const FloatMatrix& acc, const Epilogue& ep) {
+  HalfMatrix y(acc.rows(), acc.cols());
+  for (std::size_t r = 0; r < acc.rows(); ++r)
+    for (std::size_t c = 0; c < acc.cols(); ++c)
+      y(r, c) = half_t(apply_activation(
+          ep.activation, acc(r, c) + (ep.bias.empty() ? 0.0f : ep.bias[r])));
+  return y;
+}
+
+/// Every packed entry point against spmm_vnm_reference and
+/// spmm_vnm_scalar for one (a, b, cfg).
+void expect_packed_matches_oracles(const VnmMatrix& a, const HalfMatrix& b,
+                                   const SpmmConfig& cfg,
+                                   const std::string& what) {
+  const FloatMatrix ref = spmm_vnm_reference(a, b);
+  ASSERT_EQ(first_mismatch(spmm_vnm_scalar(a, b, cfg), ref), "")
+      << what << ": scalar oracle vs reference";
+  EXPECT_EQ(first_mismatch(spmm_vnm(a, b, cfg), ref), "") << what;
+  const PackedVnm packed(a);
+  for (const detail::PackedPath path :
+       {detail::PackedPath::kWide, detail::PackedPath::kNarrow})
+    EXPECT_EQ(first_mismatch(detail::spmm_packed(packed, b, cfg, path), ref),
+              "")
+        << what << " path " << int(path);
+  const SpmmPlan plan = SpmmPlan::from_compressed(
+      SpmmProblem{a.rows(), a.cols(), b.cols(), a.config()}, a);
+  EXPECT_EQ(first_mismatch(plan.execute(b), ref), "") << what << " plan";
+
+  std::vector<float> bias(a.rows());
+  for (std::size_t r = 0; r < bias.size(); ++r)
+    bias[r] = 0.25f * static_cast<float>(int(r % 7) - 3);
+  for (const Activation act :
+       {Activation::kNone, Activation::kRelu, Activation::kGelu}) {
+    Epilogue ep;
+    ep.activation = act;
+    ep.bias = bias;
+    const HalfMatrix want = expected_fused(ref, ep);
+    EXPECT_EQ(first_mismatch(spmm_vnm_fused(a, b, ep, cfg), want), "")
+        << what << " fused act " << int(act);
+    for (const detail::PackedPath path :
+         {detail::PackedPath::kWide, detail::PackedPath::kNarrow})
+      EXPECT_EQ(first_mismatch(
+                    detail::spmm_packed_fused(packed, b, ep, cfg, path), want),
+                "")
+          << what << " fused act " << int(act) << " path " << int(path);
+    EXPECT_EQ(first_mismatch(plan.execute_fused(b, ep), want), "")
+        << what << " plan fused act " << int(act);
+  }
+}
+
+TEST(SpmmFast, OnesIdentityRandomPrePass) {
+  // Simple operands first: a layout fault shows on ones or the identity
+  // before the random case mixes it with the arithmetic.
+  const VnmConfig fmt{16, 2, 8};
+  const std::size_t rows = 32, cols = 32;
+  for (const std::size_t width : {1, 16, 64}) {
+    Rng rng(width);
+    HalfMatrix ones_a(rows, cols), eye_a(rows, cols), eye_b(cols, width),
+        ones_b(cols, width);
+    for (auto& v : ones_a.flat()) v = half_t(1.0f);
+    for (auto& v : ones_b.flat()) v = half_t(1.0f);
+    for (std::size_t i = 0; i < rows; ++i) eye_a(i, i) = half_t(1.0f);
+    for (std::size_t i = 0; i < std::min(cols, width); ++i)
+      eye_b(i, i) = half_t(1.0f);
+    const struct {
+      const char* name;
+      HalfMatrix a, b;
+    } inputs[] = {
+        {"ones", ones_a, ones_b},
+        {"identity", eye_a, eye_b},
+        {"random", random_half_matrix(rows, cols, rng),
+         random_half_matrix(cols, width, rng)},
+    };
+    for (const auto& in : inputs) {
+      const VnmMatrix a = VnmMatrix::from_dense_magnitude(in.a, fmt);
+      expect_packed_matches_oracles(
+          a, in.b, select_config(fmt, rows, cols, width),
+          std::string(in.name) + " C=" + std::to_string(width));
+    }
+  }
+}
+
+TEST(SpmmFast, WidthSweepMatchesOraclesOnBothPaths) {
+  // C on both sides of the narrow/wide crossover, V of 16, 64 and 128;
+  // one config as dispatch picks it and one with ragged K panels.
+  static_assert(detail::kNarrowMaxWidth >= 7 && detail::kNarrowMaxWidth < 16);
+  std::uint64_t seed = 900;
+  for (const std::size_t v : {16, 64, 128})
+    for (const std::size_t width : {1, 2, 3, 7, 15, 16, 17, 63, 64, 65}) {
+      const VnmConfig fmt{v, 2, 8};
+      const std::size_t rows = 2 * v, cols = 96;
+      Rng rng(seed + 1);
+      const VnmMatrix a = random_vnm(rows, cols, fmt, seed);
+      const HalfMatrix b = random_half_matrix(cols, width, rng);
+      SpmmConfig cfg = select_config(fmt, rows, cols, width);
+      const std::string what =
+          "V=" + std::to_string(v) + " C=" + std::to_string(width);
+      expect_packed_matches_oracles(a, b, cfg, what);
+      cfg.block_k = 40;  // 5 groups per panel: 5 + 5 + 2
+      expect_packed_matches_oracles(a, b, cfg, what + " BSk=40");
+      seed += 3;
+    }
+}
+
+TEST(SpmmFast, RaggedFormatsAtNarrowWidthsOnBothPaths) {
+  // The ragged kCases at widths under the crossover, plus one M-group
+  // wider than any register (M = 32), so the narrow path's masked-gather
+  // lookup runs on every lane width, and 16-row chunks that span several
+  // block rows (V < 16) or end past the last row run on both paths.
+  std::vector<Case> cases(std::begin(kCases), std::end(kCases));
+  cases.push_back({{16, 2, 32}, 48, 128, 0, 64, 16});
+  static_assert(detail::kNarrowMaxWidth >= 14);
+  std::uint64_t seed = 1300;
+  for (const Case& c : cases)
+    for (const std::size_t width : {5, 14}) {
+      Rng rng(seed + 1);
+      const VnmMatrix a = random_vnm(c.rows, c.cols, c.fmt, seed);
+      const HalfMatrix b = random_half_matrix(c.cols, width, rng);
+      SpmmConfig cfg = select_config(c.fmt, c.rows, c.cols, width);
+      cfg.block_k = c.block_k;
+      cfg.block_c = std::min(c.block_c, width);
+      expect_packed_matches_oracles(
+          a, b, cfg,
+          std::to_string(c.fmt.v) + ":" + std::to_string(c.fmt.n) + ":" +
+              std::to_string(c.fmt.m) + " C=" + std::to_string(width));
+      seed += 5;
+    }
+}
+
+TEST(SpmmFast, InfAndNanSelectedOnlyByZeroSlotsNeverReachTheOutput) {
+  // One nonzero column per group: each row's second slot holds a zero
+  // value that still names a B row. Those rows of B (when no nonzero
+  // names them) hold inf / NaN; a kernel that multiplied a zero slot
+  // (0 x inf = NaN) instead of skipping it would differ from the oracle.
+  const VnmConfig fmt{16, 2, 8};
+  const std::size_t rows = 32, cols = 64;
+  Rng rng(77);
+  HalfMatrix dense(rows, cols);
+  for (std::size_t r = 0; r < rows; ++r)
+    for (std::size_t g = 0; g < cols / fmt.m; ++g)
+      dense(r, g * fmt.m + g % 3) = half_t(rng.normal() + 4.0f);
+  const VnmMatrix a = VnmMatrix::from_dense_magnitude(dense, fmt);
+  std::vector<bool> used(cols, false), zero_only(cols, false);
+  for (std::size_t r = 0; r < rows; ++r)
+    for (std::size_t g = 0; g < a.groups_per_row(); ++g)
+      for (std::size_t j = 0; j < fmt.n; ++j)
+        (a.value(r, g, j).is_zero() ? zero_only : used)[a.dense_column(
+            r, g, j)] = true;
+  const float poison[] = {std::numeric_limits<float>::infinity(),
+                          -std::numeric_limits<float>::infinity(),
+                          std::numeric_limits<float>::quiet_NaN()};
+  for (const std::size_t width : {1, 5, 16, 33}) {
+    HalfMatrix b = random_half_matrix(cols, width, rng);
+    std::size_t poisoned = 0;
+    for (std::size_t k = 0; k < cols; ++k) {
+      if (!zero_only[k] || used[k]) continue;
+      for (std::size_t n = 0; n < width; ++n)
+        b(k, n) = half_t(poison[(k + n) % 3]);
+      ++poisoned;
+    }
+    ASSERT_GT(poisoned, 0u);
+    const FloatMatrix ref = spmm_vnm_reference(a, b);
+    for (const float x : ref.flat()) ASSERT_TRUE(std::isfinite(x));
+    expect_packed_matches_oracles(a, b, select_config(fmt, rows, cols, width),
+                                  "poisoned C=" + std::to_string(width));
+  }
 }
 
 TEST(SpmmNm, BitIdenticalToSpmm24Baseline) {
