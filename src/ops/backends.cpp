@@ -17,7 +17,6 @@
 #include "ops/matmul.hpp"
 #include "quant/quantized_vnm.hpp"
 #include "spatha/epilogue.hpp"
-#include "spatha/plan.hpp"
 #include "spatha/sddmm.hpp"
 #include "spatha/spmm.hpp"
 
@@ -25,11 +24,10 @@ namespace venom::ops {
 
 namespace {
 
-/// The production Spatha V:N:M pipeline (the packed weight; wide
-/// register-blocked and narrow rows-as-lanes stage 2), with the three
-/// dispatch tiers the former call sites hand-coded: explicit config
-/// (benches/ablations), plan cache (serving, via MatmulArgs::vnm_shared),
-/// and tuning-cache-aware direct execution.
+/// The production Spatha V:N:M pipeline over the packed weight (wide
+/// register-blocked and narrow rows-as-lanes stage 2). The kernel
+/// configuration is chosen per call; the packed operand is prepared once
+/// per weight (see packed()).
 class VnmFastBackend final : public Matmul {
  public:
   std::string_view name() const override { return "vnm-fast"; }
@@ -44,63 +42,39 @@ class VnmFastBackend final : public Matmul {
            desc.format == OperandFormat::kVnm && desc.dtype == Dtype::kF16;
   }
   FloatMatrix run(const MatmulArgs& args, ExecContext& ctx) const override {
-    if (args.config == nullptr && args.vnm_shared != nullptr)
-      return plan(args, ctx)->execute(*args.b, &ctx.pool());
-    const spatha::SpmmConfig cfg =
-        args.config != nullptr ? *args.config : select(args, ctx);
-    if (const spatha::PackedVnm* packed = packed_of(args))
-      return spatha::spmm_vnm(*packed, *args.b, cfg, &ctx.pool(),
-                              &ctx.scratch());
-    return spatha::spmm_vnm(*args.vnm, *args.b, cfg, &ctx.pool(),
-                            &ctx.scratch());
+    return spatha::spmm_vnm(*packed(args, ctx), *args.b, config(args, ctx),
+                            &ctx.pool(), &ctx.scratch());
   }
   HalfMatrix run_fused(const MatmulArgs& args,
                        const spatha::Epilogue& epilogue,
                        ExecContext& ctx) const override {
-    if (args.config == nullptr && args.vnm_shared != nullptr)
-      return plan(args, ctx)->execute_fused(*args.b, epilogue, &ctx.pool());
-    const spatha::SpmmConfig cfg =
-        args.config != nullptr ? *args.config : select(args, ctx);
-    if (const spatha::PackedVnm* packed = packed_of(args))
-      return spatha::spmm_vnm_fused(*packed, *args.b, epilogue, cfg,
-                                    &ctx.pool(), &ctx.scratch());
-    return spatha::spmm_vnm_fused(*args.vnm, *args.b, epilogue, cfg,
-                                  &ctx.pool(), &ctx.scratch());
+    return spatha::spmm_vnm_fused(*packed(args, ctx), *args.b, epilogue,
+                                  config(args, ctx), &ctx.pool(),
+                                  &ctx.scratch());
   }
 
  private:
-  static spatha::SpmmConfig select(const MatmulArgs& args,
+  static spatha::SpmmConfig config(const MatmulArgs& args,
                                    const ExecContext& ctx) {
+    if (args.config != nullptr) return *args.config;
     return ctx.select_config(args.vnm->config(), args.vnm->rows(),
                              args.vnm->cols(), args.b->cols());
   }
-  /// The caller's packed operand, if it supplied one (else the kernel
-  /// packs per call).
-  static const spatha::PackedVnm* packed_of(const MatmulArgs& args) {
-    if (args.vnm_packed == nullptr) return nullptr;
-    VENOM_CHECK_MSG(&args.vnm_packed->source() == args.vnm,
+  /// The caller's packed operand (transformer::Linear packs at
+  /// sparsify()), else the context's cached one for a fingerprinted
+  /// weight, else a pack for this call alone. A fingerprinted weight
+  /// always goes through the cache, which adopts the caller's packed
+  /// form and counts the lookup.
+  static std::shared_ptr<const spatha::PackedVnm> packed(
+      const MatmulArgs& args, ExecContext& ctx) {
+    VENOM_CHECK_MSG(args.vnm_packed == nullptr ||
+                        &args.vnm_packed->source() == args.vnm,
                     "vnm_packed was not packed from vnm");
-    return args.vnm_packed.get();
-  }
-  /// Serving tier: the caller pre-hashed its immutable operand, so the
-  /// context's PlanCache can reuse plans (and the weight's packed form
-  /// and warm scratch pool) without an O(nnz) fingerprint per call. The common
-  /// hit path is one cache probe; config selection (tuning-cache lookup
-  /// + heuristic) runs only when a plan is actually built, with the
-  /// context's choice — so a private tuning cache is honored on this
-  /// tier too.
-  static std::shared_ptr<const spatha::SpmmPlan> plan(const MatmulArgs& args,
-                                                      ExecContext& ctx) {
-    const spatha::SpmmProblem problem{.rows = args.vnm->rows(),
-                                      .cols = args.vnm->cols(),
-                                      .b_cols = args.b->cols(),
-                                      .format = args.vnm->config()};
-    if (auto cached = ctx.plan_cache().find(problem, args.vnm_fingerprint))
-      return cached;
-    const spatha::SpmmConfig cfg = select(args, ctx);
-    return ctx.plan_cache().get_or_build(problem, args.vnm_shared,
-                                         args.vnm_fingerprint, &cfg,
-                                         args.vnm_packed);
+    if (args.vnm_shared != nullptr)
+      return ctx.plan_cache().packed(args.vnm_shared, args.vnm_fingerprint,
+                                     args.vnm_packed);
+    if (args.vnm_packed != nullptr) return args.vnm_packed;
+    return std::make_shared<const spatha::PackedVnm>(*args.vnm);
   }
 };
 
@@ -251,15 +225,15 @@ class DenseGemmBackend final : public Matmul {
 //
 // The reduced-precision SpMM families (quant/quantized_vnm.hpp). Each
 // backend supports its own dtype AND plain fp16 V:N:M descs: fp16 args
-// quantize on the fly — memoized in the context's QuantCache when the
-// caller supplied a weight fingerprint (the serving tier), fresh
-// otherwise — so `VENOM_BACKEND=vnm-int8` reroutes an entire fp16 model
-// without any call-site change. Priority 40 keeps fp16 dispatch on
-// vnm-fast by default: quantized execution engages only for explicitly
-// quantized args or through an override.
+// quantize on the fly — kept in the weight's PlanCache entry when the
+// caller supplied a fingerprint (the serving tier), fresh otherwise — so
+// `VENOM_BACKEND=vnm-int8` reroutes an entire fp16 model without any
+// call-site change. Priority 40 keeps fp16 dispatch on vnm-fast by
+// default: quantized execution engages only for explicitly quantized
+// args or through an override.
 
 /// The int8 left operand of a quantized dispatch: the caller's own image,
-/// else the context's memoized image of a fingerprinted fp16 weight,
+/// else the context's cached image of a fingerprinted fp16 weight,
 /// else a fresh quantization of a one-shot fp16 weight. Shared by the
 /// fast backend and its oracle so both run on the same image.
 std::shared_ptr<const quant::QuantizedVnmMatrix> int8_operand(
@@ -267,7 +241,7 @@ std::shared_ptr<const quant::QuantizedVnmMatrix> int8_operand(
   if (args.qvnm != nullptr)  // non-owning: the caller keeps it alive
     return {std::shared_ptr<const quant::QuantizedVnmMatrix>(), args.qvnm};
   if (args.vnm_shared != nullptr)
-    return ctx.quant_cache().get_i8(*args.vnm, args.vnm_fingerprint);
+    return ctx.plan_cache().int8(args.vnm_shared, args.vnm_fingerprint);
   return std::make_shared<const quant::QuantizedVnmMatrix>(
       quant::QuantizedVnmMatrix::quantize(*args.vnm));
 }
@@ -280,8 +254,7 @@ std::shared_ptr<const quant::Fp8VnmMatrix> fp8_operand(const MatmulArgs& args,
   if (args.f8vnm != nullptr)
     return {std::shared_ptr<const quant::Fp8VnmMatrix>(), args.f8vnm};
   if (args.vnm_shared != nullptr)
-    return ctx.quant_cache().get_fp8(*args.vnm, args.vnm_fingerprint,
-                                     Fp8Format::kE4M3);
+    return ctx.plan_cache().fp8(args.vnm_shared, args.vnm_fingerprint);
   return std::make_shared<const quant::Fp8VnmMatrix>(
       quant::Fp8VnmMatrix::quantize(*args.vnm, Fp8Format::kE4M3));
 }

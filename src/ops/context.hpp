@@ -1,21 +1,22 @@
 // Execution context for the venom::ops operator layer.
 //
 // Before this layer existed every call site threaded ThreadPool::global(),
-// a PlanCache, the $VENOM_TUNE_CACHE tuning cache, and SpmmScratchPools by
-// hand through optional pointer parameters. An ExecContext bundles those
-// four concerns into one object that a caller owns for the lifetime of a
-// workload:
+// a plan cache, the $VENOM_TUNE_CACHE tuning cache, and SpmmScratchPools
+// by hand through optional pointer parameters. An ExecContext bundles
+// those four concerns into one object that a caller owns for the lifetime
+// of a workload:
 //
 //   * the thread pool the kernels parallelize on (shared process-wide
 //     pool by default, or a private pool when `threads` is set),
-//   * a PlanCache reusing kernel plans — config selection, compressed
-//     operand bookkeeping, warm packed-panel scratch — across calls,
+//   * a PlanCache (ops/plan_cache.hpp) keeping each fingerprinted
+//     weight's prepared operands (packed form, int8 and fp8 images)
+//     across calls at every batch width,
 //   * the empirical tuning cache consulted for kernel configurations
 //     (the process-wide $VENOM_TUNE_CACHE cache by default, or a private
 //     cache loaded from `tuning_cache_path`) — one cache for every
-//     datapath, keyed by dtype (select_config),
+//     datapath, keyed by dtype (select_config), consulted per call,
 //   * a scratch pool recycling the kernels' packed fp16->float B panels
-//     and accumulator tiles across dispatches that bypass the plan cache.
+//     and accumulator tiles across every dispatch on the context.
 //
 // ExecContext::global() is the process default used when a caller does
 // not supply one (tools, examples, tests); the serving engine owns a
@@ -32,9 +33,8 @@
 #include "common/arena.hpp"
 #include "common/thread_pool.hpp"
 #include "ops/dtype.hpp"
-#include "ops/quant_cache.hpp"
+#include "ops/plan_cache.hpp"
 #include "spatha/config.hpp"
-#include "spatha/plan.hpp"
 #include "spatha/spmm.hpp"
 #include "spatha/tuning_cache.hpp"
 
@@ -45,12 +45,8 @@ struct ExecContextOptions {
   /// Worker threads of a private pool; 0 shares the process-wide pool
   /// (the right default — private pools are for isolating workloads).
   std::size_t threads = 0;
+  /// How many distinct weights the PlanCache keeps prepared.
   std::size_t plan_cache_capacity = 64;
-  /// Capacity of the quantized-weight cache (ops/quant_cache.hpp): how
-  /// many distinct weights keep their int8/fp8 image warm when the
-  /// quantized backends run over fp16 args. 0 disables memoization
-  /// (every dispatch re-quantizes).
-  std::size_t quant_cache_capacity = 16;
   /// JSON tuning cache for kernel-config selection. Empty uses the
   /// process-wide cache (lazily loaded from $VENOM_TUNE_CACHE); a path
   /// loads a private cache (missing/corrupt files degrade to the
@@ -71,8 +67,7 @@ class ExecContext {
   ExecContext& operator=(const ExecContext&) = delete;
 
   ThreadPool& pool() const { return *pool_; }
-  spatha::PlanCache& plan_cache() const { return plan_cache_; }
-  QuantCache& quant_cache() const { return quant_cache_; }
+  PlanCache& plan_cache() const { return plan_cache_; }
   spatha::SpmmScratchPool& scratch() const { return scratch_; }
   /// Arenas for the transformer attention core's float panels and score
   /// rows. Pooled so a steady-state decode step reuses an arena already
@@ -110,8 +105,7 @@ class ExecContext {
   ExecContextOptions opts_;
   std::unique_ptr<ThreadPool> owned_pool_;  // only when opts_.threads > 0
   ThreadPool* pool_ = nullptr;
-  mutable spatha::PlanCache plan_cache_;
-  mutable QuantCache quant_cache_;
+  mutable PlanCache plan_cache_;
   mutable spatha::SpmmScratchPool scratch_;
   mutable ObjectPool<ScratchArena> attn_scratch_;
   // Lazy one-shot load of the private tuning cache. std::call_once (not a

@@ -85,22 +85,23 @@ struct MatmulArgs {
   const HalfMatrix* b = nullptr;
 
   /// Optional explicit kernel configuration for V:N:M backends (benches
-  /// and ablations). Null lets the backend consult the context's tuning
-  /// cache; non-null also bypasses the context's plan cache, since a
-  /// cached plan owns its own config.
+  /// and ablations). Null lets the backend select one per call from the
+  /// context's tuning cache. Either way the weight's prepared operands
+  /// still come from the context's PlanCache when `vnm_shared` is set.
   const spatha::SpmmConfig* config = nullptr;
 
   /// Optional shared handle to the V:N:M operand plus its precomputed
   /// weight_fingerprint(). A holder of an immutable compressed weight
-  /// (transformer::Linear) supplies both so dispatch can route through
-  /// the context's PlanCache without re-hashing O(nnz) structures per
-  /// call, and so cached plans alias the caller's copy.
+  /// (transformer::Linear) supplies both, so dispatch keeps the weight's
+  /// packed form and quantized images in the context's PlanCache, one
+  /// entry per weight at every batch width, without re-hashing O(nnz)
+  /// structures per call.
   std::shared_ptr<const VnmMatrix> vnm_shared;
   std::uint64_t vnm_fingerprint = 0;
 
   /// Optional packed form of `vnm` (its source() is *vnm), built once by
   /// the weight's holder (transformer::Linear). vnm-fast runs over it
-  /// instead of packing per call, and a plan built for it adopts it.
+  /// instead of packing, and the PlanCache entry adopts it.
   std::shared_ptr<const spatha::PackedVnm> vnm_packed;
 
   /// Shared handles keeping caller-owned quantized operands alive (the
@@ -114,7 +115,7 @@ struct MatmulArgs {
   static MatmulArgs make(const NmMatrix& a, const HalfMatrix& b);
   static MatmulArgs make(const CvseMatrix& a, const HalfMatrix& b);
   static MatmulArgs make(const CsrMatrix& a, const HalfMatrix& b);
-  /// Plan-cache-friendly V:N:M form (see vnm_shared).
+  /// Fingerprinted V:N:M form, prepared once per weight (see vnm_shared).
   static MatmulArgs make(std::shared_ptr<const VnmMatrix> a,
                          std::uint64_t fingerprint, const HalfMatrix& b);
 

@@ -34,10 +34,9 @@ InferenceEngine::InferenceEngine(
   opts_.validate();
   // The encoder is never mutated: every forward below passes the
   // engine's private context per call (ops::resolve), so one const
-  // encoder can back any number of replicas. Kernel configs are selected
-  // once per layer shape x batch width via this context's plan cache,
-  // and the plans' scratch pools keep the packed B panels warm across
-  // batches.
+  // encoder can back any number of replicas. This context's plan cache
+  // keeps each weight's prepared operands for every batch width, and its
+  // scratch pool keeps the packed B panels warm across batches.
   workers_.reserve(opts_.workers);
   for (std::size_t i = 0; i < opts_.workers; ++i)
     workers_.emplace_back([this] { worker_loop(); });

@@ -12,10 +12,10 @@
 // The encoder is held as shared_ptr<const>: an EngineGroup builds N
 // engines over ONE encoder, so replicating the serving capacity does not
 // replicate a single weight byte. Each engine owns a private
-// ops::ExecContext (thread pool handle, PlanCache with tuned SpmmConfig
-// selection and warm packed-panel scratch, tuning cache) passed per
-// forward call — the const-shared forward path added in this PR — so
-// replicas never contend on one plan cache.
+// ops::ExecContext (thread pool handle, PlanCache of per-weight prepared
+// operands, tuning cache, warm kernel scratch) passed per forward call —
+// the const-shared forward path — so replicas never contend on one plan
+// cache.
 //
 // Steady-state hot path: each worker owns a ScratchArena (segment
 // tables) and a reusable staging matrix whose buffers settle at their

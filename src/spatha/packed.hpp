@@ -3,8 +3,8 @@
 // Spatha lays out the compressed operand and its column-loc metadata
 // once, ahead of every launch (paper Section 4). PackedVnm is the CPU
 // analogue: built once per weight in O(nnz), immutable, and shared by
-// every execution at every batch width (an SpmmPlan holds it through a
-// shared_ptr; PlanCache builds one per weight). The kernels over it
+// every execution at every batch width (a transformer::Linear owns one;
+// ops::PlanCache keeps one per fingerprinted weight). The kernels over it
 // (spmm_vnm / spmm_vnm_fused, spatha/packed.cpp) read no fp16 of A and
 // hoist nothing per tile.
 //

@@ -81,9 +81,9 @@ struct SpmmScratch {
 }  // namespace detail
 
 /// Freelist of per-chunk kernel scratch (fp16->float B panels,
-/// accumulator tiles). A caller that owns one
-/// — e.g. an SpmmPlan executed repeatedly while serving — amortizes the
-/// panel buffers across calls: after warmup the kernels allocate nothing.
+/// accumulator tiles). A caller that owns one — e.g. the
+/// ops::ExecContext every serving dispatch runs on — amortizes the panel
+/// buffers across calls: after warmup the kernels allocate nothing.
 using SpmmScratchPool = ObjectPool<detail::SpmmScratch>;
 
 namespace detail {
@@ -108,18 +108,17 @@ struct ScratchLease {
 
 }  // namespace detail
 
-/// Production kernel over an operand packed once per weight (an
-/// SpmmPlan's, or a transformer::Linear's). `scratch`, when non-null,
-/// supplies the per-chunk
-/// panel/accumulator buffers instead of chunk-local vectors (see
-/// SpmmScratchPool).
+/// Production kernel over an operand packed once per weight (a
+/// transformer::Linear's, or an ops::PlanCache entry's). `scratch`, when
+/// non-null, supplies the per-chunk panel/accumulator buffers instead of
+/// chunk-local vectors (see SpmmScratchPool).
 FloatMatrix spmm_vnm(const PackedVnm& a, const HalfMatrix& b,
                      const SpmmConfig& cfg, ThreadPool* pool = nullptr,
                      SpmmScratchPool* scratch = nullptr);
 
 /// Same, packing `a` once for this call (O(nnz), about one
-/// weight_fingerprint: hold a PackedVnm or a plan for repeated calls at
-/// small C).
+/// weight_fingerprint: hold a PackedVnm, or pass a fingerprinted weight
+/// through ops::matmul, for repeated calls at small C).
 FloatMatrix spmm_vnm(const VnmMatrix& a, const HalfMatrix& b,
                      const SpmmConfig& cfg, ThreadPool* pool = nullptr,
                      SpmmScratchPool* scratch = nullptr);

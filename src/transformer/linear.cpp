@@ -85,14 +85,14 @@ HalfMatrix Linear::forward(const HalfMatrix& x, TimingBreakdown* timing,
   const bool have_ctx = ctx_override != nullptr || ctx_ != nullptr;
   // Bias fused into the write-back stage of whichever backend dispatch
   // selects: the Spatha V:N:M backend for a sparsified weight, the
-  // dense GEMM backend otherwise. The plan-cache tier (pre-hashed
-  // shared operand -> cached plan + warm scratch) engages only when a
+  // dense GEMM backend otherwise. The fingerprinted shared handle (the
+  // context's PlanCache entry for this weight) is passed only when a
   // context was attached: a context-less forward must not pin this
   // layer's weight in the process-global cache beyond its lifetime.
-  // Both tiers run over the layer's own packed weight (the plan cache
-  // adopts it), so neither packs per call. The fused epilogue is
-  // bit-identical to a separate bias+convert pass by construction, so
-  // all tiers agree bitwise.
+  // Both routes run over the layer's own packed weight (the cache adopts
+  // it), so neither packs per call. The fused epilogue is bit-identical
+  // to a separate bias+convert pass by construction, so both routes
+  // agree bitwise.
   spatha::Epilogue epilogue;
   epilogue.bias = bias_;
   ops::MatmulArgs args;

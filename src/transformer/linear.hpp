@@ -58,7 +58,7 @@ class Linear {
   /// Switches the storage precision of the sparse weight: kF16 restores
   /// the fp16 datapath; kI8 / kF8E5M2 / kF8E4M3 quantize the compressed
   /// weight eagerly (the layer owns the image — a context-less forward
-  /// never pins the global quant cache) and route forward() through the
+  /// never pins the global plan cache) and route forward() through the
   /// matching quantized backend. Requires a sparsified layer for the
   /// reduced dtypes; throws venom::Error otherwise. Training keeps fp16
   /// masters: backward() differentiates the fp16 weight, and
@@ -109,7 +109,7 @@ class Linear {
   /// One SGD step: w -= lr * dL/dW, b -= lr * dL/db. Sparse layers
   /// update only the surviving coordinates and recompress in place (the
   /// pattern is fixed by sparsify(); the plan-cache fingerprint
-  /// refreshes so stale plans cannot alias the updated weight).
+  /// refreshes so a stale cache entry cannot alias the updated weight).
   void apply_gradients(const Grads& g, float lr);
 
   /// Zeroes the entries of a weight gradient that the sparse pattern

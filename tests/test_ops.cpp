@@ -19,6 +19,8 @@
 #include "io/serialize.hpp"
 #include "ops/ops.hpp"
 #include "pruning/policies.hpp"
+#include "spatha/microkernel.hpp"
+#include "spatha/plan.hpp"
 #include "spatha/spmm.hpp"
 
 namespace venom::ops {
@@ -348,15 +350,18 @@ TEST(ExecContext, PrivatePoolRunsKernels) {
 
 TEST(ExecContext, PrivateTuningCacheReachesThePlanTier) {
   // A context constructed with tuning_cache_path must apply its private
-  // tuned configs on BOTH dispatch tiers — the direct one and the
-  // plan-cache one (the serving hot path), where the config is baked
-  // into the cached plan at build time.
+  // tuned configs on the shared-handle tier too (the serving hot path,
+  // where the weight's packed form comes from the context's PlanCache).
+  // The tuned entry pins ColumnLocMode::kFixed, which changes the bits,
+  // so the proof is in the output: it must be the tuned config's result,
+  // not the default selection's.
   const VnmCase& c = kVnmCases[0];
+  ASSERT_GT(c.b_cols, spatha::detail::kNarrowMaxWidth);
   spatha::TuningCache cache;
   spatha::TuningEntry entry;
   entry.config = spatha::select_config_heuristic(c.fmt, c.rows, c.cols,
                                                  c.b_cols);
-  entry.config.chunk_grain = 3;  // distinctive, results-neutral marker
+  entry.config.column_loc = spatha::ColumnLocMode::kFixed;
   cache.put(spatha::make_tuning_key(c.fmt, c.rows, c.cols, c.b_cols),
             entry);
   const std::string path = ::testing::TempDir() + "ops_private_tune.json";
@@ -365,23 +370,26 @@ TEST(ExecContext, PrivateTuningCacheReachesThePlanTier) {
   ExecContextOptions opts;
   opts.tuning_cache_path = path;
   ExecContext ctx(opts);
-  EXPECT_EQ(ctx.select_config(c.fmt, c.rows, c.cols, c.b_cols).chunk_grain,
-            3u);
+  const spatha::SpmmConfig tuned =
+      ctx.select_config(c.fmt, c.rows, c.cols, c.b_cols);
+  ASSERT_EQ(tuned.column_loc, spatha::ColumnLocMode::kFixed);
 
   const auto vnm = std::make_shared<const VnmMatrix>(
       random_vnm(c.rows, c.cols, c.fmt, 11));
+  const std::size_t sel = c.fmt.selected_cols();
+  bool identity_locs = true;
+  for (std::size_t i = 0; i < vnm->column_locs().size(); ++i)
+    identity_locs = identity_locs && vnm->column_locs()[i] == i % sel;
+  ASSERT_FALSE(identity_locs);
   Rng rng(12);
   const HalfMatrix x = random_half_matrix(c.cols, c.b_cols, rng);
-  const std::uint64_t fp = spatha::weight_fingerprint(*vnm);
-  EXPECT_EQ(matmul(MatmulArgs::make(vnm, fp, x), ctx),
-            spatha::spmm_vnm_reference(*vnm, x));
-  // Re-fetch the plan dispatch just built and cached: it must carry the
-  // private tuned config, not the process-global selection.
-  const spatha::SpmmProblem problem{.rows = c.rows, .cols = c.cols,
-                                    .b_cols = c.b_cols, .format = c.fmt};
-  const auto plan = ctx.plan_cache().get_or_build(problem, vnm, fp);
-  EXPECT_EQ(plan->config().chunk_grain, 3u);
-  EXPECT_EQ(ctx.plan_cache().hits(), 1u);
+  const MatmulArgs args =
+      MatmulArgs::make(vnm, spatha::weight_fingerprint(*vnm), x);
+  const FloatMatrix got = matmul(args, ctx);
+  EXPECT_EQ(got, spatha::spmm_vnm_scalar(*vnm, x, tuned));
+  ExecContext plain;
+  EXPECT_NE(got, matmul(args, plain));  // the default config's bits
+  EXPECT_EQ(ctx.plan_cache().misses(), 1u);
 }
 
 TEST(ExecContext, SelectConfigMatchesSpathaSelection) {

@@ -1,226 +1,196 @@
-// Tests for the plan-based execution API and plan cache, plus the
-// Linear backward pass that builds on the transposed kernel.
-#include "spatha/plan.hpp"
+// Tests for the weight fingerprint and the per-weight prepared-operand
+// cache (ops::PlanCache), plus the Linear backward pass that builds on
+// the transposed kernel.
+#include "ops/plan_cache.hpp"
 
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <cmath>
+#include <algorithm>
+#include <latch>
 #include <memory>
 #include <thread>
 #include <vector>
 
 #include "baselines/gemm.hpp"
 #include "common/rng.hpp"
+#include "ops/ops.hpp"
+#include "spatha/plan.hpp"
 #include "spatha/spmm.hpp"
 #include "transformer/linear.hpp"
 
-namespace venom::spatha {
+namespace venom::ops {
 namespace {
 
-SpmmProblem problem(std::size_t r, std::size_t k, std::size_t c,
-                    VnmConfig fmt) {
-  return SpmmProblem{.rows = r, .cols = k, .b_cols = c, .format = fmt};
+using spatha::PackedVnm;
+using spatha::spmm_vnm_reference;
+using spatha::weight_fingerprint;
+
+std::shared_ptr<const VnmMatrix> random_weight(std::size_t rows,
+                                               std::size_t cols,
+                                               VnmConfig fmt, Rng& rng) {
+  return std::make_shared<const VnmMatrix>(VnmMatrix::from_dense_magnitude(
+      random_half_matrix(rows, cols, rng), fmt));
 }
 
-TEST(SpmmPlan, BuildAndExecuteMatchesDirectKernel) {
-  Rng rng(1);
-  const HalfMatrix w = random_half_matrix(32, 64, rng);
-  const SpmmProblem p = problem(32, 64, 16, {8, 2, 8});
-  const SpmmPlan plan = SpmmPlan::build(p, w);
-  const HalfMatrix b = random_half_matrix(64, 16, rng);
-  EXPECT_LT(rel_fro_error(plan.execute(b),
-                          spmm_vnm(plan.compressed(), b)),
-            1e-6f);
-}
-
-TEST(SpmmPlan, FusedExecution) {
-  Rng rng(2);
-  const HalfMatrix w = random_half_matrix(16, 32, rng);
-  const SpmmProblem p = problem(16, 32, 8, {4, 2, 8});
-  const SpmmPlan plan = SpmmPlan::build(p, w);
-  const HalfMatrix b = random_half_matrix(32, 8, rng);
-  Epilogue ep;
-  ep.activation = Activation::kRelu;
-  const HalfMatrix y = plan.execute_fused(b, ep);
-  for (auto v : y.flat()) EXPECT_GE(v.to_float(), 0.0f);
-}
-
-TEST(SpmmPlan, ValidatesShapes) {
-  Rng rng(3);
-  const HalfMatrix w = random_half_matrix(32, 64, rng);
-  EXPECT_THROW(SpmmPlan::build(problem(32, 32, 16, {8, 2, 8}), w), Error);
-  const SpmmPlan plan = SpmmPlan::build(problem(32, 64, 16, {8, 2, 8}), w);
-  EXPECT_THROW(plan.execute(HalfMatrix(64, 8)), Error);   // wrong C
-  EXPECT_THROW(plan.execute(HalfMatrix(32, 16)), Error);  // wrong K
-}
-
-TEST(SpmmPlan, FromCompressedChecksConsistency) {
-  Rng rng(4);
-  const VnmMatrix c = VnmMatrix::from_dense_magnitude(
-      random_half_matrix(16, 32, rng), {4, 2, 8});
-  EXPECT_NO_THROW(SpmmPlan::from_compressed(problem(16, 32, 8, {4, 2, 8}),
-                                            c));
-  EXPECT_THROW(SpmmPlan::from_compressed(problem(16, 32, 8, {4, 2, 16}), c),
-               Error);
-}
-
-TEST(WeightFingerprint, SensitiveToContentAndShape) {
+TEST(WeightFingerprint, SensitiveToContentShapeAndFormat) {
   Rng rng(5);
-  const HalfMatrix a = random_half_matrix(8, 8, rng);
-  HalfMatrix b = a;
-  EXPECT_EQ(weight_fingerprint(a), weight_fingerprint(b));
-  b(3, 3) = b(3, 3) + half_t(1.0f);
-  EXPECT_NE(weight_fingerprint(a), weight_fingerprint(b));
-  // Same bytes, different shape.
-  HalfMatrix c(4, 16);
-  std::copy(a.flat().begin(), a.flat().end(), c.flat().begin());
-  EXPECT_NE(weight_fingerprint(a), weight_fingerprint(c));
+  const HalfMatrix dense = random_half_matrix(16, 32, rng);
+  const VnmConfig fmt{4, 2, 8};
+  const VnmMatrix a = VnmMatrix::from_dense_magnitude(dense, fmt);
+  EXPECT_EQ(weight_fingerprint(a), weight_fingerprint(VnmMatrix(a)));
+  HalfMatrix changed = a.to_dense();
+  for (half_t& v : changed.flat())
+    if (!v.is_zero()) {
+      v = half_t(2.0f * v.to_float());
+      break;
+    }
+  EXPECT_NE(weight_fingerprint(a),
+            weight_fingerprint(VnmMatrix::compress(changed, fmt)));
+  // The same dense values laid out in another shape.
+  HalfMatrix reshaped(32, 16);
+  std::copy(dense.flat().begin(), dense.flat().end(),
+            reshaped.flat().begin());
+  EXPECT_NE(weight_fingerprint(a), weight_fingerprint(
+                                       VnmMatrix::from_dense_magnitude(
+                                           reshaped, fmt)));
+  // The same weight in another V:N:M format.
+  EXPECT_NE(weight_fingerprint(a), weight_fingerprint(
+                                       VnmMatrix::from_dense_magnitude(
+                                           dense, VnmConfig{8, 2, 8})));
+}
+
+TEST(PlanCache, OneEntryPerWeightAtEveryWidth) {
+  // Everything dispatch prepares from a weight is per weight: every
+  // batch width, and the int8 datapath too, reads one entry with one
+  // packed form.
+  Rng rng(14);
+  ExecContext ctx;
+  const auto w = random_weight(48, 64, {16, 2, 8}, rng);
+  const std::uint64_t fp = weight_fingerprint(*w);
+  for (const std::size_t width : {1, 7, 14, 15, 16, 64}) {
+    const HalfMatrix x = random_half_matrix(64, width, rng);
+    EXPECT_EQ(matmul(MatmulArgs::make(w, fp, x), ctx),
+              spmm_vnm_reference(*w, x))
+        << "C = " << width;
+  }
+  EXPECT_EQ(ctx.plan_cache().misses(), 1u);
+  EXPECT_EQ(ctx.plan_cache().hits(), 5u);
+  EXPECT_EQ(ctx.plan_cache().size(), 1u);
+  const std::weak_ptr<const PackedVnm> packed = ctx.plan_cache().packed(w, fp);
+
+  const HalfMatrix x = random_half_matrix(64, 16, rng);
+  const MatmulArgs args = MatmulArgs::make(w, fp, x);
+  {
+    const ScopedBackend forced("vnm-int8");
+    const FloatMatrix first = matmul(args, ctx);
+    EXPECT_EQ(matmul(args, ctx), first);
+  }
+  EXPECT_EQ(ctx.plan_cache().misses(), 1u);
+  EXPECT_EQ(ctx.plan_cache().size(), 1u);
+  // The int8 image joined the entry; the packed form is still the one.
+  EXPECT_EQ(ctx.plan_cache().packed(w, fp), packed.lock());
+  // Any width goes, but B's depth must match the weight's.
+  EXPECT_THROW(matmul(MatmulArgs::make(w, fp, HalfMatrix(32, 16)), ctx),
+               Error);
 }
 
 TEST(PlanCache, HitsOnRepeatAndEvictsLru) {
   Rng rng(6);
   PlanCache cache(2);
-  const SpmmProblem p = problem(16, 32, 8, {4, 2, 8});
-  const HalfMatrix w1 = random_half_matrix(16, 32, rng);
-  const HalfMatrix w2 = random_half_matrix(16, 32, rng);
-  const HalfMatrix w3 = random_half_matrix(16, 32, rng);
-
-  const auto plan1 = cache.get_or_build(p, w1);
-  EXPECT_EQ(cache.misses(), 1u);
-  const auto plan1_again = cache.get_or_build(p, w1);
-  EXPECT_EQ(cache.hits(), 1u);
-  EXPECT_EQ(plan1.get(), plan1_again.get());  // same object
-
-  cache.get_or_build(p, w2);
-  cache.get_or_build(p, w3);  // evicts w1 (capacity 2)
-  EXPECT_EQ(cache.size(), 2u);
-  cache.get_or_build(p, w1);
-  EXPECT_EQ(cache.misses(), 4u);  // w1 was rebuilt
-}
-
-TEST(PlanCache, DistinguishesProblems) {
-  Rng rng(7);
-  PlanCache cache(4);
-  const HalfMatrix w = random_half_matrix(16, 32, rng);
-  cache.get_or_build(problem(16, 32, 8, {4, 2, 8}), w);
-  cache.get_or_build(problem(16, 32, 16, {4, 2, 8}), w);  // different C
-  EXPECT_EQ(cache.misses(), 2u);
-  EXPECT_EQ(cache.size(), 2u);
-}
-
-TEST(PlanCache, RejectsZeroCapacity) {
-  EXPECT_THROW(PlanCache(0), Error);
-}
-
-TEST(PlanCache, CompressedOperandsHitWithoutRepruning) {
-  Rng rng(12);
-  PlanCache cache(4);
-  const SpmmProblem p = problem(16, 32, 8, {4, 2, 8});
-  const VnmMatrix w = VnmMatrix::from_dense_magnitude(
-      random_half_matrix(16, 32, rng), {4, 2, 8});
-  const auto plan = cache.get_or_build(p, w);
-  const auto again = cache.get_or_build(p, w);
-  EXPECT_EQ(plan.get(), again.get());
-  EXPECT_EQ(cache.hits(), 1u);
-  EXPECT_EQ(cache.misses(), 1u);
-  // The cached plan executes on the compressed operand as-is.
-  const HalfMatrix b = random_half_matrix(32, 8, rng);
-  EXPECT_EQ(max_abs_diff(plan->execute(b), spmm_vnm(w, b)), 0.0f);
-}
-
-TEST(PlanCache, WidthsShareOnePackedOperandUntilTheLastPlanGoes) {
-  // The packed form is per weight: plans for one weight at two batch
-  // widths run on the same PackedVnm, and evicting the weight's last plan
-  // releases it.
-  Rng rng(14);
-  PlanCache cache(2);
   const VnmConfig fmt{4, 2, 8};
-  const auto make = [&] {
-    return std::make_shared<const VnmMatrix>(VnmMatrix::from_dense_magnitude(
-        random_half_matrix(16, 32, rng), fmt));
-  };
-  const auto w = make();
-  const std::uint64_t fp = weight_fingerprint(*w);
-  auto p16 = cache.get_or_build(problem(16, 32, 16, fmt), w, fp);
-  auto p3 = cache.get_or_build(problem(16, 32, 3, fmt), w, fp);
-  ASSERT_NE(p16->packed(), nullptr);
-  EXPECT_EQ(p16->packed().get(), p3->packed().get());
-  const HalfMatrix b = random_half_matrix(32, 3, rng);
-  EXPECT_EQ(p3->execute(b), spmm_vnm_reference(*w, b));
+  const auto w1 = random_weight(16, 32, fmt, rng);
+  const auto w2 = random_weight(16, 32, fmt, rng);
+  const auto w3 = random_weight(16, 32, fmt, rng);
+  const auto fp = [](const auto& w) { return weight_fingerprint(*w); };
 
-  const std::weak_ptr<const PackedVnm> packed = p16->packed();
-  p16.reset();
-  p3.reset();
-  const auto w2 = make();
-  cache.get_or_build(problem(16, 32, 16, fmt), w2, weight_fingerprint(*w2));
-  EXPECT_FALSE(packed.expired());  // the width-3 plan is still cached
-  const auto w3 = make();
-  cache.get_or_build(problem(16, 32, 16, fmt), w3, weight_fingerprint(*w3));
+  const auto first = cache.packed(w1, fp(w1));
+  EXPECT_EQ(cache.misses(), 1u);
+  EXPECT_EQ(cache.packed(w1, fp(w1)), first);  // same object
+  EXPECT_EQ(cache.hits(), 1u);
+
+  cache.packed(w2, fp(w2));
+  cache.packed(w1, fp(w1));  // w1 is now the most recent
+  cache.packed(w3, fp(w3));  // evicts w2
+  EXPECT_EQ(cache.size(), 2u);
+  EXPECT_EQ(cache.packed(w1, fp(w1)), first);
+  EXPECT_EQ(cache.misses(), 3u);
+  cache.packed(w2, fp(w2));
+  EXPECT_EQ(cache.misses(), 4u);  // w2 was prepared again
+}
+
+TEST(PlanCache, EvictionFreesTheWeightsImages) {
+  Rng rng(16);
+  PlanCache cache(1);
+  auto w1 = random_weight(16, 32, {4, 2, 8}, rng);
+  const auto w2 = random_weight(16, 32, {4, 2, 8}, rng);
+  const std::weak_ptr<const VnmMatrix> weight = w1;
+  const std::weak_ptr<const PackedVnm> packed =
+      cache.packed(w1, weight_fingerprint(*w1));
+  const std::weak_ptr<const quant::QuantizedVnmMatrix> i8 =
+      cache.int8(w1, weight_fingerprint(*w1));
+  w1.reset();
+  EXPECT_FALSE(packed.expired());
+  EXPECT_FALSE(i8.expired());
+  EXPECT_FALSE(weight.expired());
+
+  cache.packed(w2, weight_fingerprint(*w2));
+  EXPECT_EQ(cache.size(), 1u);
   EXPECT_TRUE(packed.expired());
+  EXPECT_TRUE(i8.expired());
+  EXPECT_TRUE(weight.expired());
 }
 
 TEST(PlanCache, AdoptsTheHoldersPackedOperand) {
   // A holder that packed its weight already (transformer::Linear) hands
-  // the packed form in; every width's plan runs on it, packing nothing.
+  // the packed form in; every width runs on it, packing nothing.
   Rng rng(15);
-  PlanCache cache(4);
-  const auto w = std::make_shared<const VnmMatrix>(
-      VnmMatrix::from_dense_magnitude(random_half_matrix(32, 32, rng),
-                                      {16, 2, 8}));
+  ExecContext ctx;
+  const auto w = random_weight(32, 32, {16, 2, 8}, rng);
   const auto packed = std::make_shared<const PackedVnm>(w);
-  EXPECT_EQ(&packed->source(), w.get());
   const std::uint64_t fp = weight_fingerprint(*w);
-  const auto p1 = cache.get_or_build(problem(32, 32, 1, w->config()), w, fp,
-                                     nullptr, packed);
-  const auto p40 = cache.get_or_build(problem(32, 32, 40, w->config()), w,
-                                      fp);
-  EXPECT_EQ(p1->packed(), packed);
-  EXPECT_EQ(p40->packed(), packed);
   for (const std::size_t width : {1, 40}) {
-    const HalfMatrix b = random_half_matrix(32, width, rng);
-    const auto& plan = width == 1 ? p1 : p40;
-    EXPECT_EQ(plan->execute(b), spmm_vnm_reference(*w, b));
+    const HalfMatrix x = random_half_matrix(32, width, rng);
+    MatmulArgs args = MatmulArgs::make(w, fp, x);
+    if (width == 1) args.vnm_packed = packed;
+    EXPECT_EQ(matmul(args, ctx), spmm_vnm_reference(*w, x));
   }
+  EXPECT_EQ(ctx.plan_cache().packed(w, fp), packed);
 }
 
-TEST(PlanCache, ConcurrentGetOrBuildIsSafe) {
+TEST(PlanCache, ConcurrentFirstUseAcrossDatapaths) {
+  // Four threads make the first use of one weight at once, two on the
+  // fp16 backend and two on the int8 one (called directly: the forced
+  // backend override is process-wide).
   Rng rng(13);
-  PlanCache cache(8);
-  const VnmMatrix w = VnmMatrix::from_dense_magnitude(
-      random_half_matrix(16, 32, rng), {4, 2, 8});
+  ExecContext ctx;
+  const auto w = random_weight(32, 64, {16, 2, 8}, rng);
+  const std::uint64_t fp = weight_fingerprint(*w);
+  const HalfMatrix x = random_half_matrix(64, 16, rng);
+  const MatmulArgs args = MatmulArgs::make(w, fp, x);
+  const Matmul* backends[] = {BackendRegistry::instance().find("vnm-fast"),
+                              BackendRegistry::instance().find("vnm-int8")};
+  constexpr std::size_t kThreads = 4, kCalls = 8;
+  std::vector<std::vector<FloatMatrix>> out(kThreads);
+  std::latch start(kThreads);
   std::vector<std::thread> threads;
-  std::atomic<std::size_t> served{0};
-  for (int t = 0; t < 4; ++t)
-    threads.emplace_back([&] {
-      for (std::size_t i = 0; i < 32; ++i) {
-        const auto plan =
-            cache.get_or_build(problem(16, 32, 8, {4, 2, 8}), w);
-        if (plan != nullptr) served.fetch_add(1);
-      }
+  for (std::size_t t = 0; t < kThreads; ++t)
+    threads.emplace_back([&, t] {
+      start.arrive_and_wait();
+      for (std::size_t i = 0; i < kCalls; ++i)
+        out[t].push_back(backends[t % 2]->run(args, ctx));
     });
   for (auto& t : threads) t.join();
-  EXPECT_EQ(served.load(), 128u);
-  EXPECT_EQ(cache.size(), 1u);
+
+  const quant::QuantizedVnmMatrix i8 = quant::QuantizedVnmMatrix::quantize(*w);
+  const FloatMatrix want[] = {spmm_vnm_reference(*w, x),
+                              backends[1]->run(MatmulArgs::make(i8, x), ctx)};
+  for (std::size_t t = 0; t < kThreads; ++t)
+    for (const FloatMatrix& y : out[t]) EXPECT_EQ(y, want[t % 2]);
+  EXPECT_EQ(ctx.plan_cache().size(), 1u);
+  EXPECT_EQ(ctx.plan_cache().misses(), 1u);
 }
 
-TEST(SpmmPlan, ScratchPoolWarmsAcrossExecutions) {
-  Rng rng(14);
-  const HalfMatrix w = random_half_matrix(32, 64, rng);
-  const SpmmProblem p = problem(32, 64, 16, {8, 2, 8});
-  const SpmmPlan plan = SpmmPlan::build(p, w);
-  const HalfMatrix b = random_half_matrix(64, 16, rng);
-  const FloatMatrix first = plan.execute(b);
-  for (int i = 0; i < 4; ++i) {
-    const FloatMatrix again = plan.execute(b);
-    for (std::size_t e = 0; e < first.size(); ++e)
-      ASSERT_EQ(again.flat()[e], first.flat()[e]);
-  }
-  // The pool is bounded by peak chunk concurrency (runners + caller), not
-  // by execution count: 5 runs must not mean 5x the scratch.
-  EXPECT_GE(plan.scratch().created(), 1u);
-  EXPECT_LE(plan.scratch().created(), ThreadPool::global().size() + 1);
-}
+TEST(PlanCache, RejectsZeroCapacity) { EXPECT_THROW(PlanCache(0), Error); }
 
 // ---- Linear backward (uses the transposed kernel) -------------------------
 
@@ -285,4 +255,4 @@ TEST(LinearBackward, ShapeChecks) {
 }
 
 }  // namespace
-}  // namespace venom::spatha
+}  // namespace venom::ops

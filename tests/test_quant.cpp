@@ -388,43 +388,10 @@ TEST(QuantDispatch, Fp16BackendsRejectQuantizedDescs) {
   }
 }
 
-TEST(QuantCache, MemoizesByFingerprintAndDtype) {
-  auto fp16 = std::make_shared<const VnmMatrix>(
-      random_vnm(16, 32, {4, 2, 8}, 100));
-  const std::uint64_t fp = spatha::weight_fingerprint(*fp16);
-  ops::QuantCache cache(4);
-
-  const auto first = cache.get_i8(*fp16, fp);
-  const auto second = cache.get_i8(*fp16, fp);
-  EXPECT_EQ(first.get(), second.get());  // same image, not a copy
-  EXPECT_EQ(cache.stats().misses, 1u);
-  EXPECT_EQ(cache.stats().hits, 1u);
-  EXPECT_EQ(cache.size(), 1u);
-
-  // Each fp8 format is its own key.
-  const auto e5 = cache.get_fp8(*fp16, fp, Fp8Format::kE5M2);
-  const auto e4 = cache.get_fp8(*fp16, fp, Fp8Format::kE4M3);
-  EXPECT_NE(e5->values(), e4->values());
-  EXPECT_EQ(cache.size(), 3u);
-  EXPECT_EQ(cache.get_fp8(*fp16, fp, Fp8Format::kE5M2).get(), e5.get());
-}
-
-TEST(QuantCache, EvictsLeastRecentlyUsed) {
-  ops::QuantCache cache(1);
-  const VnmMatrix a = random_vnm(8, 16, {4, 2, 8}, 101);
-  const VnmMatrix b = random_vnm(8, 16, {4, 2, 8}, 102);
-  cache.get_i8(a, spatha::weight_fingerprint(a));
-  cache.get_i8(b, spatha::weight_fingerprint(b));
-  EXPECT_EQ(cache.size(), 1u);
-  // `a` was evicted: fetching it again is a miss.
-  cache.get_i8(a, spatha::weight_fingerprint(a));
-  EXPECT_EQ(cache.stats().hits, 0u);
-  EXPECT_EQ(cache.stats().misses, 3u);
-}
-
-TEST(QuantCache, DispatchReusesTheContextCache) {
-  // Fingerprinted fp16 args through a forced quantized backend hit the
-  // ExecContext-owned cache from the second dispatch on.
+TEST(PlanCache, QuantizedDispatchReusesTheWeightsEntry) {
+  // Fingerprinted fp16 args through a forced quantized backend build the
+  // weight's int8 or fp8-E4M3 image once, in the weight's one PlanCache
+  // entry, with the bits of the explicitly quantized operand.
   ops::ExecContext ctx;
   auto fp16 = std::make_shared<const VnmMatrix>(
       random_vnm(16, 32, {4, 2, 8}, 105));
@@ -432,13 +399,21 @@ TEST(QuantCache, DispatchReusesTheContextCache) {
   Rng rng(106);
   const HalfMatrix b = random_half_matrix(32, 8, rng);
   const ops::MatmulArgs args = ops::MatmulArgs::make(fp16, fp, b);
+  const QuantizedVnmMatrix i8 = QuantizedVnmMatrix::quantize(*fp16);
+  const Fp8VnmMatrix f8 = Fp8VnmMatrix::quantize(*fp16, Fp8Format::kE4M3);
 
-  const ops::ScopedBackend forced("vnm-int8");
-  const FloatMatrix first = ops::matmul(args, ctx);
-  const FloatMatrix second = ops::matmul(args, ctx);
-  EXPECT_EQ(first, second);
-  EXPECT_EQ(ctx.quant_cache().stats().misses, 1u);
-  EXPECT_EQ(ctx.quant_cache().stats().hits, 1u);
+  for (const char* name : {"vnm-int8", "vnm-fp8"}) {
+    const ops::ScopedBackend forced(name);
+    const FloatMatrix first = ops::matmul(args, ctx);
+    EXPECT_EQ(ops::matmul(args, ctx), first) << name;
+    EXPECT_EQ(first, std::string(name) == "vnm-int8"
+                         ? ops::matmul(ops::MatmulArgs::make(i8, b), ctx)
+                         : ops::matmul(ops::MatmulArgs::make(f8, b), ctx))
+        << name;
+  }
+  EXPECT_EQ(ctx.plan_cache().misses(), 1u);
+  EXPECT_EQ(ctx.plan_cache().hits(), 3u);
+  EXPECT_EQ(ctx.plan_cache().size(), 1u);
 }
 
 // ---------------------------------------------------- transformer mode

@@ -1,5 +1,5 @@
 // Parity tests for the high-throughput SpMM pipeline: the packed kernel
-// (spmm_vnm, both its wide and narrow stage 2, fused and through a plan)
+// (spmm_vnm, both its wide and narrow stage 2, plain and fused)
 // must be bit-identical to both the naive oracle (spmm_vnm_reference) and
 // the seed scalar path (spmm_vnm_scalar) — same fp32 accumulation order
 // per output element — across widths, ragged shapes and both
@@ -22,7 +22,6 @@
 #include "common/thread_pool.hpp"
 #include "spatha/epilogue.hpp"
 #include "spatha/microkernel.hpp"
-#include "spatha/plan.hpp"
 #include "spatha/spmm.hpp"
 
 namespace venom::spatha {
@@ -129,8 +128,8 @@ TEST(SpmmFast, FusedEpilogueMatchesHalfOfUnfused) {
 
 // ---------------------------------------------------------------------------
 // The packed kernel across widths: both stage-2 paths (the production
-// choice and each one forced), the fused epilogue and the plan API against
-// both oracles. A mismatch reports its first (row, col).
+// choice and each one forced) and the fused epilogue against both
+// oracles. A mismatch reports its first (row, col).
 
 /// "" when equal bit for bit, else where and how they first differ.
 template <class T>
@@ -176,9 +175,6 @@ void expect_packed_matches_oracles(const VnmMatrix& a, const HalfMatrix& b,
     EXPECT_EQ(first_mismatch(detail::spmm_packed(packed, b, cfg, path), ref),
               "")
         << what << " path " << int(path);
-  const SpmmPlan plan = SpmmPlan::from_compressed(
-      SpmmProblem{a.rows(), a.cols(), b.cols(), a.config()}, a);
-  EXPECT_EQ(first_mismatch(plan.execute(b), ref), "") << what << " plan";
 
   std::vector<float> bias(a.rows());
   for (std::size_t r = 0; r < bias.size(); ++r)
@@ -197,8 +193,6 @@ void expect_packed_matches_oracles(const VnmMatrix& a, const HalfMatrix& b,
                     detail::spmm_packed_fused(packed, b, ep, cfg, path), want),
                 "")
           << what << " fused act " << int(act) << " path " << int(path);
-    EXPECT_EQ(first_mismatch(plan.execute_fused(b, ep), want), "")
-        << what << " plan fused act " << int(act);
   }
 }
 
@@ -362,7 +356,7 @@ TEST(SpmmNm, HandlesNonHardwarePatterns) {
 }
 
 TEST(SpmmNm, ScratchPoolExecutionStaysBitIdentical) {
-  // spmm_vnm with a caller-owned scratch pool (the serving plan path)
+  // spmm_vnm with a caller-owned scratch pool (the serving path)
   // must not perturb results; repeated executions reuse pooled buffers.
   Rng rng(31);
   const VnmMatrix a = random_vnm(32, 80, {8, 2, 8}, 33);
