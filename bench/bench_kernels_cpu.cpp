@@ -99,14 +99,19 @@ void BM_SpathaVnmInt8(benchmark::State& state) {
 BENCHMARK(BM_SpathaVnmInt8)->Arg(8)->Arg(16)->Unit(benchmark::kMillisecond);
 
 void BM_SpathaVnmFp8(benchmark::State& state) {
+  // The fp8 weight with its packed decode built once (as an fp8
+  // transformer::Linear holds it): measures the packed kernels, not the
+  // per-weight decode and pack.
   const std::size_t m = std::size_t(state.range(0));
   const VnmConfig cfg{64, 2, m};
   const auto a = std::make_shared<const quant::Fp8VnmMatrix>(
       quant::Fp8VnmMatrix::quantize(
           VnmMatrix::from_dense_magnitude(weight(), cfg), Fp8Format::kE4M3));
   const HalfMatrix b = activations();
-  for (auto _ : state)
-    benchmark::DoNotOptimize(ops::matmul(ops::MatmulArgs::make(a, b)));
+  ops::MatmulArgs args = ops::MatmulArgs::make(a, b);
+  args.vnm_packed =
+      std::make_shared<const spatha::PackedVnm>(quant::pack_decoded(*a));
+  for (auto _ : state) benchmark::DoNotOptimize(ops::matmul(args));
   state.SetLabel("64:2:" + std::to_string(m) + " fp8-e4m3");
 }
 BENCHMARK(BM_SpathaVnmFp8)->Arg(8)->Arg(16)->Unit(benchmark::kMillisecond);
@@ -199,7 +204,9 @@ void print_fast_vs_seed() {
 
     const auto fa = std::make_shared<const quant::Fp8VnmMatrix>(
         quant::Fp8VnmMatrix::quantize(a, Fp8Format::kE4M3));
-    const ops::MatmulArgs fargs = ops::MatmulArgs::make(fa, b);
+    ops::MatmulArgs fargs = ops::MatmulArgs::make(fa, b);
+    fargs.vnm_packed =
+        std::make_shared<const spatha::PackedVnm>(quant::pack_decoded(*fa));
     const double f8_s = seconds_per_call(
         [&] { benchmark::DoNotOptimize(ops::matmul(fargs)); });
     std::printf("  %-24s %7.2f GFLOP/s  (%.2fx over fp16 fast)\n",

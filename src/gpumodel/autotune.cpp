@@ -70,7 +70,8 @@ MeasuredResult autotune_measured(const VnmMatrix& a, const HalfMatrix& b,
   // The datapath's image of A, built once up front: every candidate then
   // measures exactly the operand dispatch-time execution of that datapath
   // consumes (packing and quantization are per-weight one-offs at serving
-  // time, so they do not belong inside the timer).
+  // time, so they do not belong inside the timer). The fp8 datapath's
+  // image is the packed decode its fp16 kernels run over.
   std::optional<spatha::PackedVnm> pa;
   quant::QuantizedVnmMatrix qa;
   quant::Fp8VnmMatrix fa;
@@ -78,25 +79,18 @@ MeasuredResult autotune_measured(const VnmMatrix& a, const HalfMatrix& b,
     pa.emplace(a);
   } else if (dtype == ops::Dtype::kI8) {
     qa = quant::QuantizedVnmMatrix::quantize(a);
-  } else if (dtype == ops::Dtype::kF8E5M2 || dtype == ops::Dtype::kF8E4M3) {
+  } else {
     fa = quant::Fp8VnmMatrix::quantize(a, dtype == ops::Dtype::kF8E5M2
                                               ? Fp8Format::kE5M2
                                               : Fp8Format::kE4M3);
+    pa.emplace(quant::pack_decoded(fa));
   }
 
   // One call on the datapath under tune. Used for timing and for the
   // winner's verification, so what is verified is what was measured.
   const auto run_once = [&](const spatha::SpmmConfig& cfg,
                             ThreadPool* p) -> FloatMatrix {
-    switch (dtype) {
-      case ops::Dtype::kI8:
-        return quant::spmm_vnm_i8(qa, b, cfg, p);
-      case ops::Dtype::kF8E5M2:
-      case ops::Dtype::kF8E4M3:
-        return quant::spmm_vnm_fp8(fa, b, cfg, p);
-      case ops::Dtype::kF16:
-        break;
-    }
+    if (dtype == ops::Dtype::kI8) return quant::spmm_vnm_i8(qa, b, cfg, p);
     return spatha::spmm_vnm(*pa, b, cfg, p);
   };
   const auto measure = [&](const spatha::SpmmConfig& cfg, ThreadPool* p) {
@@ -118,10 +112,10 @@ MeasuredResult autotune_measured(const VnmMatrix& a, const HalfMatrix& b,
   std::vector<spatha::SpmmConfig> tiles = {heuristic_cfg};
   std::set<std::pair<std::size_t, std::size_t>> seen = {
       {heuristic_cfg.block_k, heuristic_cfg.block_c}};
-  // The fp16 kernel's narrow path reads no tile extents, so at its
-  // widths only the grain axis is swept.
+  // The packed kernels' narrow path (fp16 and fp8) reads no tile
+  // extents, so at its widths only the grain axis is swept.
   const bool tiles_apply =
-      dtype != ops::Dtype::kF16 ||
+      dtype == ops::Dtype::kI8 ||
       spatha::detail::packed_path(shape.c, heuristic_cfg) ==
           spatha::detail::PackedPath::kWide;
   try {

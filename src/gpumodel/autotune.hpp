@@ -80,8 +80,9 @@ struct MeasureOptions {
   bool verify = true;
   ThreadPool* pool = nullptr;   ///< measuring pool; nullptr = global()
   const DeviceSpec* dev = nullptr;  ///< seeding model; nullptr = rtx3090()
-  /// Datapath to tune: measurement runs the matching kernel (spmm_vnm /
-  /// spmm_vnm_i8 / spmm_vnm_fp8 over a one-time quantized image of `a`),
+  /// Datapath to tune: measurement runs the matching kernel over an
+  /// image of `a` built once (spmm_vnm over its packed form or over the
+  /// packed decode of its fp8 image, spmm_vnm_i8 over its int8 image),
   /// the baseline comes from the matching heuristic, and the result key
   /// carries the matching feature tag ("+i8" / "+fp8") so the entry is
   /// exactly what select_config looks up for the same dtype.

@@ -24,11 +24,43 @@ namespace venom::ops {
 
 namespace {
 
-/// The production Spatha V:N:M pipeline over the packed weight (wide
-/// register-blocked and narrow rows-as-lanes stage 2). The kernel
-/// configuration is chosen per call; the packed operand is prepared once
-/// per weight (see packed()).
-class VnmFastBackend final : public Matmul {
+/// vnm-fast's kernels (spmm_vnm / spmm_vnm_fused: wide register-blocked
+/// and narrow rows-as-lanes stage 2) over a packed float operand,
+/// prepared once per weight. The fp16 and fp8 datapaths differ only in
+/// where that operand comes from and whose tuning entries pick the
+/// kernel configuration, which is chosen per call.
+class PackedVnmBackend : public Matmul {
+ public:
+  FloatMatrix run(const MatmulArgs& args, ExecContext& ctx) const final {
+    const auto a = packed(args, ctx);
+    return spatha::spmm_vnm(*a, *args.b, config(*a, args, ctx), &ctx.pool(),
+                            &ctx.scratch());
+  }
+  HalfMatrix run_fused(const MatmulArgs& args,
+                       const spatha::Epilogue& epilogue,
+                       ExecContext& ctx) const final {
+    const auto a = packed(args, ctx);
+    return spatha::spmm_vnm_fused(*a, *args.b, epilogue,
+                                  config(*a, args, ctx), &ctx.pool(),
+                                  &ctx.scratch());
+  }
+
+ private:
+  virtual std::shared_ptr<const spatha::PackedVnm> packed(
+      const MatmulArgs& args, ExecContext& ctx) const = 0;
+  /// The datapath whose tuning-cache entries pick the configuration.
+  virtual Dtype dtype(const MatmulArgs& args) const = 0;
+  spatha::SpmmConfig config(const spatha::PackedVnm& a,
+                            const MatmulArgs& args,
+                            const ExecContext& ctx) const {
+    if (args.config != nullptr) return *args.config;
+    return ctx.select_config(a.config(), a.rows(), a.cols(), args.b->cols(),
+                             dtype(args));
+  }
+};
+
+/// The production Spatha V:N:M pipeline over the packed fp16 weight.
+class VnmFastBackend final : public PackedVnmBackend {
  public:
   std::string_view name() const override { return "vnm-fast"; }
   std::string describe() const override {
@@ -41,32 +73,15 @@ class VnmFastBackend final : public Matmul {
     return desc.kind == OpKind::kMatmul &&
            desc.format == OperandFormat::kVnm && desc.dtype == Dtype::kF16;
   }
-  FloatMatrix run(const MatmulArgs& args, ExecContext& ctx) const override {
-    return spatha::spmm_vnm(*packed(args, ctx), *args.b, config(args, ctx),
-                            &ctx.pool(), &ctx.scratch());
-  }
-  HalfMatrix run_fused(const MatmulArgs& args,
-                       const spatha::Epilogue& epilogue,
-                       ExecContext& ctx) const override {
-    return spatha::spmm_vnm_fused(*packed(args, ctx), *args.b, epilogue,
-                                  config(args, ctx), &ctx.pool(),
-                                  &ctx.scratch());
-  }
 
  private:
-  static spatha::SpmmConfig config(const MatmulArgs& args,
-                                   const ExecContext& ctx) {
-    if (args.config != nullptr) return *args.config;
-    return ctx.select_config(args.vnm->config(), args.vnm->rows(),
-                             args.vnm->cols(), args.b->cols());
-  }
   /// The caller's packed operand (transformer::Linear packs at
   /// sparsify()), else the context's cached one for a fingerprinted
   /// weight, else a pack for this call alone. A fingerprinted weight
   /// always goes through the cache, which adopts the caller's packed
   /// form and counts the lookup.
-  static std::shared_ptr<const spatha::PackedVnm> packed(
-      const MatmulArgs& args, ExecContext& ctx) {
+  std::shared_ptr<const spatha::PackedVnm> packed(
+      const MatmulArgs& args, ExecContext& ctx) const override {
     VENOM_CHECK_MSG(args.vnm_packed == nullptr ||
                         &args.vnm_packed->source() == args.vnm,
                     "vnm_packed was not packed from vnm");
@@ -76,6 +91,7 @@ class VnmFastBackend final : public Matmul {
     if (args.vnm_packed != nullptr) return args.vnm_packed;
     return std::make_shared<const spatha::PackedVnm>(*args.vnm);
   }
+  Dtype dtype(const MatmulArgs& /*args*/) const override { return Dtype::kF16; }
 };
 
 /// The seed's element-at-a-time V:N:M loop — perf baseline and
@@ -225,8 +241,9 @@ class DenseGemmBackend final : public Matmul {
 //
 // The reduced-precision SpMM families (quant/quantized_vnm.hpp). Each
 // backend supports its own dtype AND plain fp16 V:N:M descs: fp16 args
-// quantize on the fly — kept in the weight's PlanCache entry when the
-// caller supplied a fingerprint (the serving tier), fresh otherwise — so
+// quantize on the fly (to int8, or to fp8-E4M3 and its packed decode) —
+// kept in the weight's PlanCache entry when the caller supplied a
+// fingerprint (the serving tier), fresh otherwise — so
 // `VENOM_BACKEND=vnm-int8` reroutes an entire fp16 model without any
 // call-site change. Priority 40 keeps fp16 dispatch on vnm-fast by
 // default: quantized execution engages only for explicitly quantized
@@ -244,19 +261,6 @@ std::shared_ptr<const quant::QuantizedVnmMatrix> int8_operand(
     return ctx.plan_cache().int8(args.vnm_shared, args.vnm_fingerprint);
   return std::make_shared<const quant::QuantizedVnmMatrix>(
       quant::QuantizedVnmMatrix::quantize(*args.vnm));
-}
-
-/// The fp8 left operand, resolved like int8_operand. On-the-fly
-/// quantization of fp16 args uses E4M3 (the higher-precision layout —
-/// the right trade for weights; E5M2 arrives via explicit args).
-std::shared_ptr<const quant::Fp8VnmMatrix> fp8_operand(const MatmulArgs& args,
-                                                       ExecContext& ctx) {
-  if (args.f8vnm != nullptr)
-    return {std::shared_ptr<const quant::Fp8VnmMatrix>(), args.f8vnm};
-  if (args.vnm_shared != nullptr)
-    return ctx.plan_cache().fp8(args.vnm_shared, args.vnm_fingerprint);
-  return std::make_shared<const quant::Fp8VnmMatrix>(
-      quant::Fp8VnmMatrix::quantize(*args.vnm, Fp8Format::kE4M3));
 }
 
 /// Packed int8 panels, int32 accumulation, per-row x per-column scale
@@ -308,12 +312,13 @@ class VnmInt8ScalarBackend final : public Matmul {
   }
 };
 
-/// fp8-stored weights, float panels, fp32 accumulation.
-class VnmFp8Backend final : public Matmul {
+/// fp8-stored weights decoded once into the packed operand
+/// (quant::pack_decoded), then vnm-fast's kernels over it.
+class VnmFp8Backend final : public PackedVnmBackend {
  public:
   std::string_view name() const override { return "vnm-fp8"; }
   std::string describe() const override {
-    return "fp8 (e5m2/e4m3) V:N:M SpMM, float panels + fp32 accumulation "
+    return "fp8 (e5m2/e4m3) V:N:M SpMM, vnm-fast over the packed decode "
            "(quantized production)";
   }
   int priority() const override { return 40; }
@@ -324,22 +329,42 @@ class VnmFp8Backend final : public Matmul {
            (desc.dtype == Dtype::kF8E5M2 || desc.dtype == Dtype::kF8E4M3 ||
             desc.dtype == Dtype::kF16);
   }
-  FloatMatrix run(const MatmulArgs& args, ExecContext& ctx) const override {
-    const auto a = fp8_operand(args, ctx);
-    const spatha::SpmmConfig cfg =
-        args.config != nullptr
-            ? *args.config
-            : ctx.select_config(a->config(), a->rows(), a->cols(),
-                                args.b->cols(),
-                                a->format() == Fp8Format::kE5M2
-                                    ? Dtype::kF8E5M2
-                                    : Dtype::kF8E4M3);
-    return quant::spmm_vnm_fp8(*a, *args.b, cfg, &ctx.pool(),
-                               &ctx.scratch());
+
+ private:
+  /// The caller's packed decode of fp8 args (an fp8 transformer::Linear
+  /// packs it once; with fp16 args `vnm_packed` is the fp16 form), else
+  /// the context's cached decode of a fingerprinted fp16 weight's E4M3
+  /// image (the higher-precision layout, the right trade for weights),
+  /// else a pack for this call alone.
+  std::shared_ptr<const spatha::PackedVnm> packed(
+      const MatmulArgs& args, ExecContext& ctx) const override {
+    if (const quant::Fp8VnmMatrix* a = args.f8vnm) {
+      if (args.vnm_packed == nullptr)
+        return std::make_shared<const spatha::PackedVnm>(
+            quant::pack_decoded(*a));
+      const spatha::PackedVnm& p = *args.vnm_packed;
+      VENOM_CHECK_MSG(p.rows() == a->rows() && p.cols() == a->cols() &&
+                          p.config() == a->config(),
+                      "vnm_packed does not match the fp8 operand's shape "
+                      "and format");
+      return args.vnm_packed;
+    }
+    if (args.vnm_shared != nullptr)
+      return ctx.plan_cache().fp8(args.vnm_shared, args.vnm_fingerprint);
+    return std::make_shared<const spatha::PackedVnm>(quant::pack_decoded(
+        quant::Fp8VnmMatrix::quantize(*args.vnm, Fp8Format::kE4M3)));
+  }
+  /// Either format tunes under "+fp8".
+  Dtype dtype(const MatmulArgs& args) const override {
+    return args.f8vnm != nullptr && args.f8vnm->format() == Fp8Format::kE5M2
+               ? Dtype::kF8E5M2
+               : Dtype::kF8E4M3;
   }
 };
 
-/// Naive fp8 traversal — the bit-exactness oracle for vnm-fp8.
+/// Naive fp8 traversal — the bit-exactness oracle for vnm-fp8. It runs on
+/// a real Fp8VnmMatrix (fp16 args quantize to E4M3 per call), so it
+/// decodes per element.
 class VnmFp8ScalarBackend final : public Matmul {
  public:
   std::string_view name() const override { return "vnm-fp8-scalar"; }
@@ -354,11 +379,16 @@ class VnmFp8ScalarBackend final : public Matmul {
            (desc.dtype == Dtype::kF8E5M2 || desc.dtype == Dtype::kF8E4M3 ||
             desc.dtype == Dtype::kF16);
   }
-  FloatMatrix run(const MatmulArgs& args, ExecContext& ctx) const override {
+  FloatMatrix run(const MatmulArgs& args,
+                  ExecContext& /*ctx*/) const override {
+    const spatha::ColumnLocMode mode = args.config != nullptr
+                                           ? args.config->column_loc
+                                           : spatha::ColumnLocMode::kEnabled;
+    if (args.f8vnm != nullptr)
+      return quant::spmm_vnm_fp8_scalar(*args.f8vnm, *args.b, mode);
     return quant::spmm_vnm_fp8_scalar(
-        *fp8_operand(args, ctx), *args.b,
-        args.config != nullptr ? args.config->column_loc
-                               : spatha::ColumnLocMode::kEnabled);
+        quant::Fp8VnmMatrix::quantize(*args.vnm, Fp8Format::kE4M3), *args.b,
+        mode);
   }
 };
 

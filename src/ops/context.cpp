@@ -3,8 +3,7 @@
 namespace venom::ops {
 
 ExecContext::ExecContext(ExecContextOptions opts)
-    : opts_(std::move(opts)),
-      plan_cache_(opts_.plan_cache_capacity) {
+    : opts_(std::move(opts)) {
   if (opts_.threads > 0) {
     owned_pool_ = std::make_unique<ThreadPool>(opts_.threads);
     pool_ = owned_pool_.get();

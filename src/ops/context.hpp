@@ -9,8 +9,8 @@
 //   * the thread pool the kernels parallelize on (shared process-wide
 //     pool by default, or a private pool when `threads` is set),
 //   * a PlanCache (ops/plan_cache.hpp) keeping each fingerprinted
-//     weight's prepared operands (packed form, int8 and fp8 images)
-//     across calls at every batch width,
+//     weight's prepared operands (packed form, int8 image, packed fp8
+//     decode) across calls at every batch width,
 //   * the empirical tuning cache consulted for kernel configurations
 //     (the process-wide $VENOM_TUNE_CACHE cache by default, or a private
 //     cache loaded from `tuning_cache_path`) — one cache for every
@@ -20,8 +20,8 @@
 //
 // ExecContext::global() is the process default used when a caller does
 // not supply one (tools, examples, tests); the serving engine owns a
-// private context per engine so its cache capacity and statistics are
-// isolated from unrelated work.
+// private context per engine so its cache statistics are isolated from
+// unrelated work.
 #pragma once
 
 #include <cstddef>
@@ -45,8 +45,6 @@ struct ExecContextOptions {
   /// Worker threads of a private pool; 0 shares the process-wide pool
   /// (the right default — private pools are for isolating workloads).
   std::size_t threads = 0;
-  /// How many distinct weights the PlanCache keeps prepared.
-  std::size_t plan_cache_capacity = 64;
   /// JSON tuning cache for kernel-config selection. Empty uses the
   /// process-wide cache (lazily loaded from $VENOM_TUNE_CACHE); a path
   /// loads a private cache (missing/corrupt files degrade to the

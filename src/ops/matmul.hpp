@@ -99,9 +99,12 @@ struct MatmulArgs {
   std::shared_ptr<const VnmMatrix> vnm_shared;
   std::uint64_t vnm_fingerprint = 0;
 
-  /// Optional packed form of `vnm` (its source() is *vnm), built once by
-  /// the weight's holder (transformer::Linear). vnm-fast runs over it
-  /// instead of packing, and the PlanCache entry adopts it.
+  /// Optional packed float image of the left operand, fp16 or decoded
+  /// fp8, built once by the weight's holder (transformer::Linear). With
+  /// `vnm` its source() is *vnm: vnm-fast runs over it instead of
+  /// packing, and the PlanCache entry adopts it. With `f8vnm` it is
+  /// quant::pack_decoded(*f8vnm): vnm-fp8 runs over it instead of
+  /// decoding, after checking its shape and format.
   std::shared_ptr<const spatha::PackedVnm> vnm_packed;
 
   /// Shared handles keeping caller-owned quantized operands alive (the

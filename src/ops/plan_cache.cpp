@@ -64,11 +64,11 @@ std::shared_ptr<const quant::QuantizedVnmMatrix> PlanCache::int8(
   });
 }
 
-std::shared_ptr<const quant::Fp8VnmMatrix> PlanCache::fp8(
+std::shared_ptr<const spatha::PackedVnm> PlanCache::fp8(
     const std::shared_ptr<const VnmMatrix>& weight, std::uint64_t fp) {
   return prepared(weight, fp, &Entry::f8, [&] {
-    return std::make_shared<const quant::Fp8VnmMatrix>(
-        quant::Fp8VnmMatrix::quantize(*weight, Fp8Format::kE4M3));
+    return std::make_shared<const spatha::PackedVnm>(quant::pack_decoded(
+        quant::Fp8VnmMatrix::quantize(*weight, Fp8Format::kE4M3)));
   });
 }
 

@@ -11,8 +11,9 @@
 //   * the shared VnmMatrix;
 //   * its fp16 PackedVnm, adopted from a holder that packed it already
 //     (transformer::Linear) or packed on first fp16 use;
-//   * its int8 and fp8-E4M3 images, built on the first quantized dispatch
-//     over the fp16 args (the `VENOM_BACKEND=vnm-int8` reroute).
+//   * its int8 image and the packed decode of its fp8-E4M3 image (what
+//     vnm-fp8 runs vnm-fast's kernels over), built on the first quantized
+//     dispatch over the fp16 args (the `VENOM_BACKEND=vnm-int8` reroute).
 //
 // A ragged batch width therefore never misses. Callers without a
 // fingerprint (one-shot args) bypass the cache.
@@ -53,9 +54,9 @@ class PlanCache {
       const std::shared_ptr<const VnmMatrix>& weight, std::uint64_t fp)
       VENOM_EXCLUDES(mutex_);
 
-  /// The fp8-E4M3 image of `weight` (Fp8VnmMatrix::quantize), the format
-  /// fp16 args quantize to.
-  std::shared_ptr<const quant::Fp8VnmMatrix> fp8(
+  /// The packed decode (quant::pack_decoded) of `weight`'s fp8-E4M3
+  /// image (Fp8VnmMatrix::quantize), the format fp16 args quantize to.
+  std::shared_ptr<const spatha::PackedVnm> fp8(
       const std::shared_ptr<const VnmMatrix>& weight, std::uint64_t fp)
       VENOM_EXCLUDES(mutex_);
 
@@ -79,7 +80,7 @@ class PlanCache {
     std::shared_ptr<const VnmMatrix> weight;
     std::shared_ptr<const spatha::PackedVnm> packed;
     std::shared_ptr<const quant::QuantizedVnmMatrix> i8;
-    std::shared_ptr<const quant::Fp8VnmMatrix> f8;
+    std::shared_ptr<const spatha::PackedVnm> f8;
   };
 
   /// The `slot` image of the weight's entry, creating the entry (and

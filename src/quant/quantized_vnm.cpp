@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
+#include <memory>
 
 #if defined(__AVX2__)
 #include <immintrin.h>
@@ -481,88 +481,6 @@ inline void accumulate_panel_i8_vnni(const QuantizedVnmMatrix& a,
 }
 #endif  // __AVX512VNNI__
 
-/// fp8 gather: same packed float panel as the fp16 path (fp8 is only the
-/// A-operand storage; B stays fp16 and converts once per gather).
-inline void gather_b_panel_fp8(const Fp8VnmMatrix& a, const HalfMatrix& b,
-                               std::size_t br, std::size_t g0, std::size_t g1,
-                               std::size_t c0, std::size_t width, bool fixed,
-                               std::vector<float>& panel) {
-  const VnmConfig fmt = a.config();
-  const std::size_t sel = fmt.selected_cols();
-  const std::size_t groups = a.groups_per_row();
-  panel.resize((g1 - g0) * sel * width);
-  const std::uint8_t* cloc =
-      a.column_locs().data() + (br * groups + g0) * sel;
-  for (std::size_t g = g0; g < g1; ++g) {
-    for (std::size_t s = 0; s < sel; ++s) {
-      const std::size_t offset = fixed ? s : cloc[(g - g0) * sel + s];
-      half_to_float_n(&b(g * fmt.m + offset, c0),
-                      &panel[((g - g0) * sel + s) * width], width);
-    }
-  }
-}
-
-/// Stage 2 of the fp8 pipeline: hoists each row's nonzero values and
-/// panel offsets, decoding through the fp8 table (and skipping decoded
-/// zeros, which covers sub-fp8 fp16 values that flushed on quantize),
-/// then accumulates 16-float register strips against the float panel.
-inline void accumulate_panel_fp8(const Fp8VnmMatrix& a, std::size_t br,
-                                 std::size_t g0, std::size_t g1,
-                                 std::size_t width,
-                                 spatha::detail::SpmmScratch& s,
-                                 float* acc) {
-  const VnmConfig fmt = a.config();
-  const std::size_t sel = fmt.selected_cols();
-  const std::size_t groups = a.groups_per_row();
-  const Fp8Format f8 = a.format();
-  const std::size_t span = (g1 - g0) * fmt.n;
-  s.a_vals.resize(span);
-  s.a_offs.resize(span);
-  const float* pan = s.panel.data();
-
-  for (std::size_t dr = 0; dr < fmt.v; ++dr) {
-    const std::size_t r = br * fmt.v + dr;
-    const std::uint8_t* vals = a.values().data() + (r * groups + g0) * fmt.n;
-    const std::uint8_t* midx =
-        a.m_indices().data() + (r * groups + g0) * fmt.n;
-    std::size_t cnt = 0;
-    for (std::size_t k = 0; k < span; ++k) {
-      const float av = fp8_to_float(vals[k], f8);
-      if (av == 0.0f) continue;
-      s.a_vals[cnt] = av;
-      s.a_offs[cnt] = static_cast<std::uint32_t>(
-          ((k / fmt.n) * sel + midx[k]) * width);
-      ++cnt;
-    }
-
-    float* arow = acc + dr * width;
-    std::size_t n0 = 0;
-    for (; n0 + spatha::detail::kStrip <= width;
-         n0 += spatha::detail::kStrip) {
-      float regs[spatha::detail::kStrip];
-      for (std::size_t u = 0; u < spatha::detail::kStrip; ++u)
-        regs[u] = arow[n0 + u];
-      for (std::size_t t = 0; t < cnt; ++t) {
-        const float av = s.a_vals[t];
-        const float* bp = pan + s.a_offs[t] + n0;
-        for (std::size_t u = 0; u < spatha::detail::kStrip; ++u)
-          regs[u] += av * bp[u];
-      }
-      for (std::size_t u = 0; u < spatha::detail::kStrip; ++u)
-        arow[n0 + u] = regs[u];
-    }
-    if (n0 < width) {
-      const std::size_t rem = width - n0;
-      for (std::size_t t = 0; t < cnt; ++t) {
-        const float av = s.a_vals[t];
-        const float* bp = pan + s.a_offs[t] + n0;
-        float* ar = arow + n0;
-        for (std::size_t u = 0; u < rem; ++u) ar[u] += av * bp[u];
-      }
-    }
-  }
-}
-
 void check_parts(const VnmConfig& cfg, std::size_t rows, std::size_t cols,
                  std::size_t values_size, std::size_t m_indices_size,
                  std::size_t column_loc_size) {
@@ -679,9 +597,13 @@ Fp8VnmMatrix Fp8VnmMatrix::quantize(const VnmMatrix& fp16, Fp8Format format) {
 }
 
 VnmMatrix Fp8VnmMatrix::dequantize() const {
+  // One conversion per code, not per value: spmm_vnm_fp8 decodes per call.
+  half_t table[256];
+  for (unsigned code = 0; code < 256; ++code)
+    table[code] = half_t(fp8_to_float(std::uint8_t(code), format_));
   std::vector<half_t> values(values_.size());
   for (std::size_t i = 0; i < values_.size(); ++i)
-    values[i] = half_t(fp8_to_float(values_[i], format_));
+    values[i] = table[values_[i]];
   return VnmMatrix::from_parts(cfg_, rows_, cols_, std::move(values),
                                m_indices_, column_loc_);
 }
@@ -850,48 +772,14 @@ FloatMatrix spmm_vnm_i8_scalar(const QuantizedVnmMatrix& a,
   return c;
 }
 
+spatha::PackedVnm pack_decoded(const Fp8VnmMatrix& a) {
+  return spatha::PackedVnm(std::make_shared<const VnmMatrix>(a.dequantize()));
+}
+
 FloatMatrix spmm_vnm_fp8(const Fp8VnmMatrix& a, const HalfMatrix& b,
                          const spatha::SpmmConfig& cfg, ThreadPool* pool,
                          spatha::SpmmScratchPool* scratch) {
-  const VnmConfig fmt = a.config();
-  VENOM_CHECK_MSG(a.cols() == b.rows(), "fp8 SpMM shape mismatch");
-  spatha::validate(cfg, fmt, a.rows(), a.cols(), b.cols());
-  if (pool == nullptr) pool = &ThreadPool::global();
-
-  FloatMatrix c(a.rows(), b.cols());
-  const std::size_t groups = a.groups_per_row();
-  const std::size_t groups_per_panel = cfg.block_k / fmt.m;
-  const std::size_t c_tiles = (b.cols() + cfg.block_c - 1) / cfg.block_c;
-  const std::size_t block_rows = a.block_rows();
-  const bool fixed = cfg.column_loc == spatha::ColumnLocMode::kFixed;
-
-  pool->parallel_for_chunks(
-      block_rows * c_tiles, [&](std::size_t t0, std::size_t t1) {
-        spatha::detail::ScratchLease scratch_lease;
-        spatha::detail::SpmmScratch& s = scratch_lease.bind(scratch);
-        for (std::size_t t = t0; t < t1; ++t) {
-          const std::size_t br = t / c_tiles;
-          const std::size_t ct = t % c_tiles;
-          const std::size_t c0 = ct * cfg.block_c;
-          const std::size_t c1 = std::min(b.cols(), c0 + cfg.block_c);
-          const std::size_t width = c1 - c0;
-
-          s.acc.assign(fmt.v * width, 0.0f);
-          for (std::size_t g0 = 0; g0 < groups; g0 += groups_per_panel) {
-            const std::size_t g1 = std::min(groups, g0 + groups_per_panel);
-            gather_b_panel_fp8(a, b, br, g0, g1, c0, width, fixed, s.panel);
-            accumulate_panel_fp8(a, br, g0, g1, width, s, s.acc.data());
-          }
-
-          for (std::size_t dr = 0; dr < fmt.v; ++dr) {
-            float* crow = &c(br * fmt.v + dr, c0);
-            const float* arow = &s.acc[dr * width];
-            std::copy(arow, arow + width, crow);
-          }
-        }
-      },
-      cfg.chunk_grain);
-  return c;
+  return spatha::spmm_vnm(pack_decoded(a), b, cfg, pool, scratch);
 }
 
 FloatMatrix spmm_vnm_fp8(const Fp8VnmMatrix& a, const HalfMatrix& b,
@@ -930,7 +818,8 @@ FloatMatrix spmm_vnm_fp8_scalar(const Fp8VnmMatrix& a, const HalfMatrix& b,
         const std::size_t col =
             g * fmt.m + (fixed ? mi : a.column_loc(br, g, mi));
         half_to_float_n(&b(col, 0), brow_f.data(), width);
-        for (std::size_t n = 0; n < width; ++n) crow[n] += av * brow_f[n];
+        for (std::size_t n = 0; n < width; ++n)
+          crow[n] = std::fma(av, brow_f[n], crow[n]);
       }
     }
   }

@@ -12,17 +12,18 @@
 //   Fp8VnmMatrix        direct E5M2/E4M3 re-encoding of the fp16 values
 //                       (fp8 carries its own exponent, so no scales).
 //
-// Both share the m-indices / column-loc structures unchanged, so every
-// kernel below walks the exact Fig. 5 decomposition of spatha::spmm_vnm:
-// column-loc gather of B into a packed panel, register-blocked
-// multiply-accumulate, contiguous write-back. The int8 path gathers a
-// packed *int8* B panel (4x less panel traffic than the float image) and
-// accumulates in int32, dequantizing on the epilogue with
-// scale_row * scale_col; the fp8 path upconverts its operands to float
-// once per gather exactly like the fp16 pipeline. Each fast kernel has a
+// Both share the m-indices / column-loc structures unchanged. The int8
+// datapath has its own kernel on the exact Fig. 5 decomposition of
+// spatha::spmm_vnm: column-loc gather of a packed *int8* B panel (4x
+// less panel traffic than the float image), register-blocked int32
+// accumulation, and a scale_row * scale_col dequantizing write-back.
+// fp8 is a storage format, not a kernel: every fp8 value is exact in
+// fp16, so the datapath decodes the weight once (pack_decoded) into the
+// fp16 pipeline's packed operand and runs vnm-fast's kernels over it,
+// with fp32 accumulation as on the tensor cores. Each datapath has a
 // scalar oracle it is bit-identical to (int32 accumulation is exact; the
-// fp8 path accumulates per output element in the oracle's ascending
-// (group, j) order).
+// packed kernels and the fp8 oracle both accumulate each output element
+// by std::fma-defined multiply-adds in ascending (group, j) order).
 #pragma once
 
 #include <cstdint>
@@ -189,11 +190,14 @@ FloatMatrix spmm_vnm_i8_scalar(
     const QuantizedVnmMatrix& a, const HalfMatrix& b,
     spatha::ColumnLocMode mode = spatha::ColumnLocMode::kEnabled);
 
-/// C(fp32) = A_fp8 * B: B gathers into packed float panels exactly like
-/// the fp16 pipeline (one bulk fp16->float conversion per gather); the
-/// fp8 nonzeros decode through the 256-entry table while hoisting, and
-/// products accumulate in fp32 in ascending (group, j) order per output
-/// element — bit-identical to spmm_vnm_fp8_scalar.
+/// The packed float image of `a`: spatha::PackedVnm over (and owning)
+/// its exact fp16 decode. Built once per weight by an fp8
+/// transformer::Linear and by ops::PlanCache.
+spatha::PackedVnm pack_decoded(const Fp8VnmMatrix& a);
+
+/// C(fp32) = A_fp8 * B: spatha::spmm_vnm (`cfg` as there) over
+/// pack_decoded(a), packed for this call. Bit-identical to
+/// spmm_vnm_fp8_scalar on every configuration, width and lane width.
 FloatMatrix spmm_vnm_fp8(const Fp8VnmMatrix& a, const HalfMatrix& b,
                          const spatha::SpmmConfig& cfg,
                          ThreadPool* pool = nullptr,
@@ -206,7 +210,8 @@ FloatMatrix spmm_vnm_fp8(const Fp8VnmMatrix& a, const HalfMatrix& b,
                          ThreadPool* pool = nullptr,
                          const spatha::TuningCache* tuning = nullptr);
 
-/// Naive oracle for the fp8 path.
+/// Naive oracle for the fp8 path: per element, decoded fp8 values of
+/// nonzero slots accumulate from +0 by std::fma in (group, j) order.
 FloatMatrix spmm_vnm_fp8_scalar(
     const Fp8VnmMatrix& a, const HalfMatrix& b,
     spatha::ColumnLocMode mode = spatha::ColumnLocMode::kEnabled);

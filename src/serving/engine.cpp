@@ -23,10 +23,6 @@ InferenceEngine::InferenceEngine(
     std::uint32_t replica_id)
     : encoder_(std::move(encoder)), opts_(options_with_plan(std::move(opts))),
       replica_id_(replica_id),
-      ctx_(ops::ExecContextOptions{.threads = 0,
-                                   .plan_cache_capacity =
-                                       opts_.plan_cache_capacity,
-                                   .tuning_cache_path = {}}),
       batcher_(opts_.batching),
       latency_ms_(std::max<std::size_t>(1, opts_.latency_window), 0.0),
       decode_ms_(std::max<std::size_t>(1, opts_.latency_window), 0.0) {

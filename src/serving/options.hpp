@@ -28,7 +28,6 @@ struct Options {
   /// inside the kernels via the shared ThreadPool; extra workers overlap
   /// batch assembly/split with compute at the cost of pool contention.
   std::size_t workers = 1;
-  std::size_t plan_cache_capacity = 64;
   /// Latency samples retained for the p50/p99 estimate (ring buffer).
   std::size_t latency_window = 4096;
   /// Engine replicas an EngineGroup routes across (shared const weights,

@@ -79,10 +79,11 @@ void validate(const SpmmConfig& cfg, const VnmConfig& fmt, std::size_t rows,
 ///
 /// The tag suffixes the CPU feature string of the TuningKey
 /// (make_tuning_key), so one cache file holds every datapath's entries
-/// without one shadowing another. The fp8 kernel decodes either format
-/// to float and runs the fp16 float-panel pipeline, so both fp8 flavours
-/// share one tag and the fp16 tiling; the int8 quad micro-kernel's
-/// optimum differs structurally, so it has its own tag and tiling.
+/// without one shadowing another. The fp8 datapath runs vnm-fast's
+/// kernels over its weight's packed decode, so both fp8 flavours share
+/// one tag (kept apart from fp16's: it is on disk) and the fp16 tiling;
+/// the int8 quad micro-kernel's optimum differs structurally, so it has
+/// its own tag and tiling.
 
 /// Configuration choice from problem shape. Consults the process-wide
 /// empirical tuning cache (spatha/tuning_cache.hpp) first — an entry for

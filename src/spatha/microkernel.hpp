@@ -51,7 +51,8 @@
 namespace venom::spatha::detail {
 
 /// Width of the register strip of the scalar-coded strip kernels
-/// (spmm_nm, the quantized datapaths): 16 floats = one zmm register.
+/// (spmm_nm and the int8 datapath's non-AVX2 body): 16 lanes = one zmm
+/// register. The fp16 and fp8 datapaths run the packed kernels below.
 constexpr std::size_t kStrip = 16;
 
 /// Widest C the narrow path takes: the measured crossover. On a 4-vCPU

@@ -58,19 +58,17 @@ namespace detail {
 /// SpmmScratchPool, across calls); resize() calls settle to no-ops after
 /// the buffers reach their high-water sizes, so the steady state performs
 /// no allocation per panel or per tile. Populated by the micro-kernel
-/// stages in microkernel.hpp and the quantized datapaths.
+/// stages in microkernel.hpp (fp16 and fp8), the SDDMM and the int8 path.
 struct SpmmScratch {
   std::vector<float> panel;  // float image of gathered (or transposed) B
   std::vector<float> acc;    // fp32 accumulator tile
-  // The fp8 datapath's hoisted nonzero values of one row and the fp8 /
-  // int8 datapaths' matching panel-row offsets.
-  std::vector<float> a_vals;
+  // int8 datapath (quant/quantized_vnm.hpp): the gathered image of
+  // quantized B — widened to int16 for the vpmaddwd micro-kernel (half
+  // of `panel`) or quad-interleaved biased-u8 for the VNNI vpdpbusd
+  // micro-kernel (a quarter) — its int32 accumulator tile, and the
+  // hoisted A-side codes of one row (packed dwords, code prefix sums,
+  // and the vpmaddwd kernel's panel-row offsets).
   std::vector<std::uint32_t> a_offs;
-  // Reduced-precision datapath (quant/quantized_vnm.hpp): the gathered
-  // image of quantized B — widened to int16 for the vpmaddwd micro-kernel
-  // (half of `panel`) or quad-interleaved biased-u8 for the VNNI
-  // vpdpbusd micro-kernel (a quarter) — its int32 accumulator tile, and
-  // the hoisted A-side codes of one row (packed dwords + padded bytes).
   std::vector<std::int16_t> panel_i16;
   std::vector<std::uint8_t> panel_u8;
   std::vector<std::int32_t> acc_i32;

@@ -66,12 +66,14 @@ void Linear::requantize() {
           quant::QuantizedVnmMatrix::quantize(*sparse_));
       break;
     case ops::Dtype::kF8E5M2:
-      f8weight_ = std::make_shared<const quant::Fp8VnmMatrix>(
-          quant::Fp8VnmMatrix::quantize(*sparse_, Fp8Format::kE5M2));
-      break;
     case ops::Dtype::kF8E4M3:
       f8weight_ = std::make_shared<const quant::Fp8VnmMatrix>(
-          quant::Fp8VnmMatrix::quantize(*sparse_, Fp8Format::kE4M3));
+          quant::Fp8VnmMatrix::quantize(*sparse_,
+                                        weight_dtype_ == ops::Dtype::kF8E5M2
+                                            ? Fp8Format::kE5M2
+                                            : Fp8Format::kE4M3));
+      packed_ = std::make_shared<const spatha::PackedVnm>(
+          quant::pack_decoded(*f8weight_));
       break;
   }
 }
@@ -90,9 +92,10 @@ HalfMatrix Linear::forward(const HalfMatrix& x, TimingBreakdown* timing,
   // context was attached: a context-less forward must not pin this
   // layer's weight in the process-global cache beyond its lifetime.
   // Both routes run over the layer's own packed weight (the cache adopts
-  // it), so neither packs per call. The fused epilogue is bit-identical
-  // to a separate bias+convert pass by construction, so both routes
-  // agree bitwise.
+  // it), so neither packs per call; so does an fp8 layer, whose packed
+  // form is the decode of its fp8 image. The fused epilogue is
+  // bit-identical to a separate bias+convert pass by construction, so
+  // both routes agree bitwise.
   spatha::Epilogue epilogue;
   epilogue.bias = bias_;
   ops::MatmulArgs args;
@@ -106,10 +109,10 @@ HalfMatrix Linear::forward(const HalfMatrix& x, TimingBreakdown* timing,
   } else if (sparse_ != nullptr) {
     args = have_ctx ? ops::MatmulArgs::make(sparse_, sparse_fingerprint_, x)
                     : ops::MatmulArgs::make(*sparse_, x);
-    args.vnm_packed = packed_;
   } else {
     args = ops::MatmulArgs::make(weight_, x);
   }
+  args.vnm_packed = packed_;  // the fp16 or fp8 datapath's; else null
   HalfMatrix y = ops::matmul_fused(args, epilogue, ctx);
   if (timing != nullptr) timing->gemm_s += seconds_since(t0);
   return y;

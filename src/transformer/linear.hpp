@@ -120,9 +120,9 @@ class Linear {
   void mask_gradient_to_pattern(FloatMatrix& grad_weight) const;
 
  private:
-  /// Rebuilds the kernel image of the weight for the current dtype (the
-  /// packed form in kF16, the quantized one otherwise). Called wherever
-  /// the compressed weight or the dtype changes.
+  /// Rebuilds the kernel images of the weight for the current dtype (see
+  /// packed_ and the quantized images). Called wherever the compressed
+  /// weight or the dtype changes.
   void requantize();
 
   std::size_t out_ = 0;
@@ -137,8 +137,8 @@ class Linear {
   // weight is immutable afterwards) so plan-cache lookups in the serving
   // hot path skip the per-call O(nnz) fingerprint.
   std::uint64_t sparse_fingerprint_ = 0;
-  // vnm-fast's packed image of sparse_ (kF16 only), built with it so no
-  // forward packs per call; the context's plan cache adopts it.
+  // The packed float image of sparse_ (kF16; the plan cache adopts it)
+  // or of f8weight_'s decode (fp8), built with it so no forward packs.
   std::shared_ptr<const spatha::PackedVnm> packed_;
   // Reduced-precision weight images; at most one is set, matching
   // weight_dtype_. Shared so MatmulArgs can alias them across calls.

@@ -1,8 +1,8 @@
 // Tests for the int8/fp8-quantized V:N:M datapath: container round
 // trips, fast-vs-scalar bit identity across ragged shapes and both
 // ColumnLocModes, registry dispatch (dtype descs, VENOM_BACKEND
-// rerouting, the ExecContext quant cache), and quantize->serve parity
-// of a whole encoder.
+// rerouting, the weight's plan-cache entry), the fp8 Linear's fused
+// epilogue, and quantize->serve parity of a whole encoder.
 #include "quant/quantized_vnm.hpp"
 
 #include <gtest/gtest.h>
@@ -16,6 +16,7 @@
 #include "io/serialize.hpp"
 #include "ops/context.hpp"
 #include "ops/ops.hpp"
+#include "spatha/epilogue.hpp"
 #include "spatha/plan.hpp"
 #include "spatha/spmm.hpp"
 #include "spatha/tuning_cache.hpp"
@@ -134,8 +135,11 @@ TEST(Footprint, Fp8HalvesValueBytesExactly) {
 // bit-identical to its scalar oracle on every shape and mode. For int8
 // this holds because int32 accumulation is exact and both sides share
 // the B-quantization helper and the dequantization expression; for fp8
-// because the fast strips accumulate each output element in the
-// oracle's ascending (group, j) order.
+// because the packed kernels over the exact fp16 decode accumulate each
+// output element by fused multiply-adds in the oracle's ascending
+// (group, j) order, as the oracle's std::fma does. The V = 16 / 64 rows
+// at C = 1, 14 (narrow path) and 15, 16, 17 (wide path) straddle the
+// packed kernels' crossover.
 
 struct RaggedCase {
   std::size_t rows, cols, b_cols;
@@ -146,6 +150,11 @@ constexpr RaggedCase kRaggedCases[] = {
     {16, 32, 7, {4, 2, 8}},    {32, 40, 13, {8, 2, 10}},
     {8, 64, 70, {8, 2, 16}},   {64, 30, 5, {2, 1, 5}},
     {12, 56, 33, {4, 2, 7}},   {30, 64, 17, {10, 2, 8}},
+    {32, 64, 1, {16, 2, 8}},   {64, 64, 1, {64, 2, 8}},
+    {16, 48, 14, {16, 2, 6}},  {64, 32, 14, {64, 1, 4}},
+    {48, 96, 15, {16, 2, 16}}, {128, 64, 15, {64, 2, 8}},
+    {16, 80, 16, {16, 1, 5}},  {64, 48, 16, {64, 2, 6}},
+    {32, 40, 17, {16, 2, 10}}, {64, 128, 17, {64, 2, 16}},
 };
 
 TEST(SpmmI8, FastMatchesScalarOnRaggedShapesBothModes) {
@@ -414,6 +423,26 @@ TEST(PlanCache, QuantizedDispatchReusesTheWeightsEntry) {
   EXPECT_EQ(ctx.plan_cache().misses(), 1u);
   EXPECT_EQ(ctx.plan_cache().hits(), 3u);
   EXPECT_EQ(ctx.plan_cache().size(), 1u);
+
+  // The fp8 slot is one packed decode of the E4M3 image, built on that
+  // first fp8 dispatch and served to every later one.
+  const auto packed = ctx.plan_cache().fp8(fp16, fp);
+  EXPECT_EQ(ctx.plan_cache().fp8(fp16, fp), packed);
+  EXPECT_EQ(packed->source().values(), f8.dequantize().values());
+  EXPECT_EQ(ctx.plan_cache().misses(), 1u);
+  EXPECT_EQ(ctx.plan_cache().hits(), 5u);
+  // At a width on each side of the packed kernels' crossover, forced
+  // vnm-fp8 over the cached decode equals the per-element oracle.
+  for (const std::size_t width : {std::size_t{3}, std::size_t{40}}) {
+    const HalfMatrix bw = random_half_matrix(32, width, rng);
+    const ops::ScopedBackend forced("vnm-fp8");
+    EXPECT_EQ(ops::matmul(ops::MatmulArgs::make(fp16, fp, bw), ctx),
+              spmm_vnm_fp8_scalar(f8, bw))
+        << "C=" << width;
+  }
+  EXPECT_EQ(ctx.plan_cache().misses(), 1u);
+  EXPECT_EQ(ctx.plan_cache().hits(), 7u);
+  EXPECT_EQ(ctx.plan_cache().fp8(fp16, fp), packed);
 }
 
 // ---------------------------------------------------- transformer mode
@@ -451,6 +480,34 @@ TEST(LinearQuant, QuantizedForwardCloseToFp16AndRestorable) {
   // Restoring fp16 is bit-identical to the pre-quantization forward.
   layer.set_weight_dtype(ops::Dtype::kF16);
   EXPECT_TRUE(layer.forward(x) == y_fp16);
+}
+
+TEST(LinearQuant, Fp8ForwardIsTheFusedEpilogueOverTheOracle) {
+  // An fp8 Linear runs the packed kernels over its decoded weight with
+  // the bias fused into stage 3; its output is the fp16 conversion of
+  // the bias epilogue applied to the per-element oracle, bit for bit, on
+  // the narrow (C <= 14) and wide paths alike.
+  Rng rng(112);
+  transformer::Linear layer = transformer::Linear::random(64, 96, rng);
+  layer.sparsify({16, 2, 8});
+  for (const ops::Dtype dtype : {ops::Dtype::kF8E5M2, ops::Dtype::kF8E4M3}) {
+    layer.set_weight_dtype(dtype);
+    ASSERT_NE(layer.fp8_weight(), nullptr);
+    spatha::Epilogue bias;
+    bias.bias = layer.bias();
+    for (const std::size_t width :
+         {std::size_t{1}, std::size_t{12}, std::size_t{70}}) {
+      const HalfMatrix x = random_half_matrix(96, width, rng, 0.5f);
+      FloatMatrix acc = spmm_vnm_fp8_scalar(*layer.fp8_weight(), x);
+      HalfMatrix want(acc.rows(), width);
+      for (std::size_t r = 0; r < acc.rows(); ++r) {
+        spatha::apply_epilogue(bias, r, &acc(r, 0), width);
+        float_to_half_n(&acc(r, 0), &want(r, 0), width);
+      }
+      EXPECT_TRUE(layer.forward(x) == want)
+          << ops::to_string(dtype) << " C=" << width;
+    }
+  }
 }
 
 TEST(EncoderQuant, QuantizeServeParityAgainstFp16) {
