@@ -153,10 +153,10 @@ VnmMatrix VnmMatrix::compress(const HalfMatrix& dense, VnmConfig cfg) {
   return out;
 }
 
-VnmMatrix VnmMatrix::from_parts(VnmConfig cfg, std::size_t rows,
-                                std::size_t cols, std::vector<half_t> values,
-                                std::vector<std::uint8_t> m_indices,
-                                std::vector<std::uint8_t> column_loc) {
+void detail::check_vnm_layout(const VnmConfig& cfg, std::size_t rows,
+                              std::size_t cols, std::size_t values_size,
+                              const std::vector<std::uint8_t>& m_indices,
+                              const std::vector<std::uint8_t>& column_loc) {
   VENOM_CHECK_MSG(cfg.v >= 1 && cfg.n >= 1 && cfg.m >= 2 && cfg.n <= cfg.m &&
                       cfg.n <= cfg.selected_cols(),
                   "invalid V:N:M config " << cfg.v << ':' << cfg.n << ':'
@@ -166,9 +166,9 @@ VnmMatrix VnmMatrix::from_parts(VnmConfig cfg, std::size_t rows,
                            << " not divisible by V/M");
   const std::size_t groups = cols / cfg.m;
   const std::size_t sel = cfg.selected_cols();
-  VENOM_CHECK_MSG(values.size() == rows * groups * cfg.n,
-                  "values size " << values.size());
-  VENOM_CHECK_MSG(m_indices.size() == values.size(),
+  VENOM_CHECK_MSG(values_size == rows * groups * cfg.n,
+                  "values size " << values_size);
+  VENOM_CHECK_MSG(m_indices.size() == values_size,
                   "m_indices size " << m_indices.size());
   VENOM_CHECK_MSG(column_loc.size() == (rows / cfg.v) * groups * sel,
                   "column_loc size " << column_loc.size());
@@ -176,6 +176,14 @@ VnmMatrix VnmMatrix::from_parts(VnmConfig cfg, std::size_t rows,
     VENOM_CHECK_MSG(idx < sel, "m-index " << int(idx) << " out of range");
   for (const std::uint8_t loc : column_loc)
     VENOM_CHECK_MSG(loc < cfg.m, "column-loc " << int(loc) << " out of range");
+}
+
+VnmMatrix VnmMatrix::from_parts(VnmConfig cfg, std::size_t rows,
+                                std::size_t cols, std::vector<half_t> values,
+                                std::vector<std::uint8_t> m_indices,
+                                std::vector<std::uint8_t> column_loc) {
+  check_vnm_parts(cfg, rows, cols, values.size(), m_indices, column_loc,
+                  [&](std::size_t i) { return values[i].is_zero(); });
 
   VnmMatrix out;
   out.cfg_ = cfg;

@@ -59,7 +59,8 @@ class VnmMatrix {
   static VnmMatrix compress(const HalfMatrix& dense, VnmConfig cfg);
 
   /// Reassembles a matrix from raw compressed structures (deserialization
-  /// path). Validates sizes and index ranges; throws venom::Error on any
+  /// path). Validates sizes, index ranges and that no (row, group) stores
+  /// two nonzeros in one selector slot; throws venom::Error on any
   /// inconsistency.
   static VnmMatrix from_parts(VnmConfig cfg, std::size_t rows,
                               std::size_t cols, std::vector<half_t> values,
@@ -121,5 +122,44 @@ class VnmMatrix {
   std::vector<std::uint8_t> m_indices_;
   std::vector<std::uint8_t> column_loc_;
 };
+
+namespace detail {
+/// The config, shape, size and index-range half of check_vnm_parts.
+void check_vnm_layout(const VnmConfig& cfg, std::size_t rows,
+                      std::size_t cols, std::size_t values_size,
+                      const std::vector<std::uint8_t>& m_indices,
+                      const std::vector<std::uint8_t>& column_loc);
+}  // namespace detail
+
+/// Validates raw V:N:M parts, the deserialization path of VnmMatrix and
+/// of the quantized containers: config, shape, sizes, index ranges, and
+/// that no (row, group) stores two nonzero values in one selector slot
+/// (the gathered 2:4 row has one position per slot; zero values may
+/// repeat a slot, as compress() pads). `is_zero(i)` tells whether value
+/// i of the row-major (row, group, j) array is zero. Throws venom::Error.
+template <typename IsZero>
+void check_vnm_parts(const VnmConfig& cfg, std::size_t rows,
+                     std::size_t cols, std::size_t values_size,
+                     const std::vector<std::uint8_t>& m_indices,
+                     const std::vector<std::uint8_t>& column_loc,
+                     IsZero is_zero) {
+  detail::check_vnm_layout(cfg, rows, cols, values_size, m_indices,
+                           column_loc);
+  const std::size_t groups = cols / cfg.m;
+  for (std::size_t r = 0; r < rows; ++r)
+    for (std::size_t g = 0; g < groups; ++g) {
+      unsigned used = 0;
+      for (std::size_t j = 0; j < cfg.n; ++j) {
+        const std::size_t i = (r * groups + g) * cfg.n + j;
+        if (is_zero(i)) continue;
+        const unsigned slot = 1u << m_indices[i];
+        VENOM_CHECK_MSG((used & slot) == 0,
+                        "row " << r << " group " << g
+                               << " stores two nonzeros in selector slot "
+                               << int(m_indices[i]));
+        used |= slot;
+      }
+    }
+}
 
 }  // namespace venom

@@ -4,7 +4,7 @@
 #include <cmath>
 #include <memory>
 
-#if defined(__AVX2__)
+#if defined(__SSE2__)
 #include <immintrin.h>
 #endif
 
@@ -18,7 +18,6 @@
 
 #include "common/error.hpp"
 #include "common/half.hpp"
-#include "spatha/microkernel.hpp"
 #include "spatha/tuning_cache.hpp"
 
 namespace venom::quant {
@@ -105,10 +104,13 @@ QuantizedB quantize_columns(const HalfMatrix& b) {
                  _mm512_and_epi32(_mm512_castps_si512(v), sign512),
                  _mm512_castps_si512(half512))));
       // int32 -> int8 via vpmovsdb; the signed saturation cannot fire
-      // inside the guaranteed range, same as the packs below.
+      // inside the guaranteed range, same as the packs below. The max
+      // keeps a non-finite column's codes (cvtt yields INT_MIN) at
+      // >= -127 too, inside the kernels' |b| <= 127 exactness bound.
       _mm_storeu_si128(
           reinterpret_cast<__m128i*>(dst + c),
-          _mm512_cvtsepi32_epi8(_mm512_cvttps_epi32(biased)));
+          _mm512_cvtsepi32_epi8(_mm512_max_epi32(
+              _mm512_cvttps_epi32(biased), _mm512_set1_epi32(-127))));
     }
 #elif defined(__AVX2__)
     const __m256 half = _mm256_set1_ps(0.5f);
@@ -123,11 +125,14 @@ QuantizedB quantize_columns(const HalfMatrix& b) {
       v0 = _mm256_add_ps(v0, _mm256_or_ps(_mm256_and_ps(v0, signmask), half));
       v1 = _mm256_add_ps(v1, _mm256_or_ps(_mm256_and_ps(v1, signmask), half));
       // int32 -> int16 -> int8 narrowing; packs_epi32 interleaves the
-      // 128-bit lanes, the permute restores source order.
-      const __m256i w = _mm256_permute4x64_epi64(
-          _mm256_packs_epi32(_mm256_cvttps_epi32(v0),
-                             _mm256_cvttps_epi32(v1)),
-          0xd8);
+      // 128-bit lanes, the permute restores source order. As on the
+      // AVX-512 path, the max keeps non-finite columns' codes >= -127.
+      const __m256i w = _mm256_max_epi16(
+          _mm256_permute4x64_epi64(
+              _mm256_packs_epi32(_mm256_cvttps_epi32(v0),
+                                 _mm256_cvttps_epi32(v1)),
+              0xd8),
+          _mm256_set1_epi16(-127));
       _mm_storeu_si128(
           reinterpret_cast<__m128i*>(dst + c),
           _mm_packs_epi16(_mm256_castsi256_si128(w),
@@ -140,186 +145,16 @@ QuantizedB quantize_columns(const HalfMatrix& b) {
 }
 
 /// Stage 1.2 of the int8 pipeline: gathers the B rows selected by
-/// column-loc into a packed panel, panel[((g - g0) * sel + s) * width +
-/// n], at half the traffic of a float panel. The int8
-/// codes are widened to int16 here, once per gathered value, so stage 2
-/// can feed vpmaddwd-class multiply-adds straight from the panel.
-inline void gather_b_panel_i8(const QuantizedVnmMatrix& a,
+/// column-loc into the quad panel, the B-side shape of the weight's slot
+/// codes: byte ((g - g0) * 4 * width) + 4 * n + s holds the code of
+/// selector slot s of group g at column n, and slots past `sel` hold 0.
+/// One 32-bit word of the panel therefore pairs with one slot-code word
+/// of A, for every sel.
+inline void gather_quad_panel(const QuantizedVnmMatrix& a,
                               const Matrix<std::int8_t>& bq, std::size_t br,
                               std::size_t g0, std::size_t g1, std::size_t c0,
                               std::size_t width, bool fixed,
-                              std::vector<std::int16_t>& panel) {
-  const VnmConfig fmt = a.config();
-  const std::size_t sel = fmt.selected_cols();
-  const std::size_t groups = a.groups_per_row();
-  panel.resize((g1 - g0) * sel * width);
-  const std::uint8_t* cloc =
-      a.column_locs().data() + (br * groups + g0) * sel;
-  for (std::size_t g = g0; g < g1; ++g) {
-    for (std::size_t s = 0; s < sel; ++s) {
-      const std::size_t offset = fixed ? s : cloc[(g - g0) * sel + s];
-      const std::int8_t* src = &bq(g * fmt.m + offset, c0);
-      std::int16_t* dst = &panel[((g - g0) * sel + s) * width];
-      std::size_t n = 0;
-#if defined(__AVX2__)
-      for (; n + 16 <= width; n += 16)
-        _mm256_storeu_si256(
-            reinterpret_cast<__m256i*>(dst + n),
-            _mm256_cvtepi8_epi16(_mm_loadu_si128(
-                reinterpret_cast<const __m128i*>(src + n))));
-#endif
-      for (; n < width; ++n) dst[n] = src[n];
-    }
-  }
-}
-
-#if defined(__AVX2__)
-/// One vpmaddwd-class step: acc += pairwise int16 dot of `w` and `av`.
-/// AVX-512 VNNI fuses the multiply-add chain into vpdpwssd when the
-/// compile target has it; plain AVX2 spends the extra vpaddd.
-inline __m256i madd_acc_i16(__m256i acc, __m256i w, __m256i av) {
-#if defined(__AVX512VNNI__) && defined(__AVX512VL__)
-  return _mm256_dpwssd_epi32(acc, w, av);
-#else
-  return _mm256_add_epi32(acc, _mm256_madd_epi16(w, av));
-#endif
-}
-
-/// Packs two hoisted int8 A-values into the [lo16 | hi16] dword that
-/// vpmaddwd pairs against the interleaved panel rows.
-inline __m256i pack_a_pair(std::int32_t a1, std::int32_t a2) {
-  return _mm256_set1_epi32(static_cast<std::int32_t>(
-      (static_cast<std::uint32_t>(a1) & 0xffffu) |
-      (static_cast<std::uint32_t>(a2) << 16)));
-}
-#endif
-
-/// Stage 2 of the int8 pipeline: register-blocked int32 accumulation.
-/// The vector path consumes TWO nonzeros per step: their panel rows are
-/// interleaved with vpunpck[lh]wd and reduced with vpmaddwd (int16 pair
-/// dot products, two MACs per lane per instruction — products are at
-/// most 127^2 so the pairwise int32 sum is exact), which is where the
-/// speedup over the fp16 FMA kernel comes from. int32 accumulation is
-/// associative-exact, so the strip/pair order is free and the result is
-/// bit-identical to the scalar oracle on every target.
-inline void accumulate_panel_i8(const QuantizedVnmMatrix& a, std::size_t br,
-                                std::size_t g0, std::size_t g1,
-                                std::size_t width,
-                                spatha::detail::SpmmScratch& s,
-                                std::int32_t* acc) {
-  const VnmConfig fmt = a.config();
-  const std::size_t sel = fmt.selected_cols();
-  const std::size_t groups = a.groups_per_row();
-  const std::size_t span = (g1 - g0) * fmt.n;
-  s.a_ints.resize(span);
-  s.a_offs.resize(span);
-  const std::int16_t* pan = s.panel_i16.data();
-
-  for (std::size_t dr = 0; dr < fmt.v; ++dr) {
-    const std::size_t r = br * fmt.v + dr;
-    const std::int8_t* vals = a.values().data() + (r * groups + g0) * fmt.n;
-    const std::uint8_t* midx =
-        a.m_indices().data() + (r * groups + g0) * fmt.n;
-    std::size_t cnt = 0;
-    for (std::size_t k = 0; k < span; ++k) {
-      if (vals[k] == 0) continue;
-      s.a_ints[cnt] = vals[k];
-      s.a_offs[cnt] = static_cast<std::uint32_t>(
-          ((k / fmt.n) * sel + midx[k]) * width);
-      ++cnt;
-    }
-
-    std::int32_t* arow = acc + dr * width;
-    std::size_t n0 = 0;
-#if defined(__AVX2__)
-    for (; n0 + 16 <= width; n0 += 16) {
-      // Unpack interleaves within 128-bit lanes, so the running sums
-      // hold columns [0-3, 8-11] and [4-7, 12-15]; one cross-lane
-      // permute per strip restores natural order at fold-in time.
-      __m256i acc_a = _mm256_setzero_si256();
-      __m256i acc_b = _mm256_setzero_si256();
-      std::size_t t = 0;
-      for (; t + 2 <= cnt; t += 2) {
-        const __m256i w1 = _mm256_loadu_si256(
-            reinterpret_cast<const __m256i*>(pan + s.a_offs[t] + n0));
-        const __m256i w2 = _mm256_loadu_si256(
-            reinterpret_cast<const __m256i*>(pan + s.a_offs[t + 1] + n0));
-        const __m256i av = pack_a_pair(s.a_ints[t], s.a_ints[t + 1]);
-        acc_a = madd_acc_i16(acc_a, _mm256_unpacklo_epi16(w1, w2), av);
-        acc_b = madd_acc_i16(acc_b, _mm256_unpackhi_epi16(w1, w2), av);
-      }
-      if (t < cnt) {
-        // Odd count: pair the last nonzero with an all-zero partner.
-        const __m256i w1 = _mm256_loadu_si256(
-            reinterpret_cast<const __m256i*>(pan + s.a_offs[t] + n0));
-        const __m256i z = _mm256_setzero_si256();
-        const __m256i av = pack_a_pair(s.a_ints[t], 0);
-        acc_a = madd_acc_i16(acc_a, _mm256_unpacklo_epi16(w1, z), av);
-        acc_b = madd_acc_i16(acc_b, _mm256_unpackhi_epi16(w1, z), av);
-      }
-      const __m256i lo = _mm256_permute2x128_si256(acc_a, acc_b, 0x20);
-      const __m256i hi = _mm256_permute2x128_si256(acc_a, acc_b, 0x31);
-      __m256i* out = reinterpret_cast<__m256i*>(arow + n0);
-      _mm256_storeu_si256(
-          out, _mm256_add_epi32(_mm256_loadu_si256(out), lo));
-      _mm256_storeu_si256(
-          out + 1, _mm256_add_epi32(_mm256_loadu_si256(out + 1), hi));
-    }
-#else
-    for (; n0 + spatha::detail::kStrip <= width;
-         n0 += spatha::detail::kStrip) {
-      std::int32_t regs[spatha::detail::kStrip];
-      for (std::size_t u = 0; u < spatha::detail::kStrip; ++u)
-        regs[u] = arow[n0 + u];
-      for (std::size_t t = 0; t < cnt; ++t) {
-        const std::int32_t av = s.a_ints[t];
-        const std::int16_t* bp = pan + s.a_offs[t] + n0;
-        for (std::size_t u = 0; u < spatha::detail::kStrip; ++u)
-          regs[u] += av * std::int32_t(bp[u]);
-      }
-      for (std::size_t u = 0; u < spatha::detail::kStrip; ++u)
-        arow[n0 + u] = regs[u];
-    }
-#endif
-    if (n0 < width) {
-      const std::size_t rem = width - n0;
-      for (std::size_t t = 0; t < cnt; ++t) {
-        const std::int32_t av = s.a_ints[t];
-        const std::int16_t* bp = pan + s.a_offs[t] + n0;
-        std::int32_t* ar = arow + n0;
-        for (std::size_t u = 0; u < rem; ++u)
-          ar[u] += av * std::int32_t(bp[u]);
-      }
-    }
-  }
-}
-
-#if defined(__AVX512VNNI__)
-/// VNNI variant of stages 1.2/2. The key restructuring: instead of
-/// hoisting each row's N nonzeros, every row is PADDED to all `sel`
-/// selector slots per group (zero codes where the row stores nothing —
-/// exact in integer math, so parity with the scalar oracle is
-/// untouched). Padded slots are row-independent, so the panel can be
-/// packed once per gather into the quad-of-slots byte interleave that
-/// vpdpbusd consumes — [slot, slot+1, slot+2, slot+3] per column dword —
-/// and that packing is amortized across the V rows sharing the panel.
-/// vpdpbusd multiplies u8 by s8; the panel side is biased (+128, i.e.
-/// code ^ 0x80) to make it unsigned, and the bias is removed at fold-in
-/// with the per-row correction 128 * sum(codes) — a per-column constant,
-/// computed exactly in int32. Net: one 64-byte load + one vpdpbusd per
-/// quad per 16 columns, with no per-nonzero unpacking at all.
-///
-/// One quad per M-group: byte ((g - g0) * 4 * width) + 4 * n + s holds
-/// biased selector slot s of group g, column n; slots past `sel` store
-/// 0x80 (= biased zero). Padding per group — rather than packing `sel`
-/// slots densely — keeps panel quad g aligned with the packed code dword
-/// g that pack_a_codes_i8_vnni builds, for every sel.
-inline void gather_b_panel_i8_vnni(const QuantizedVnmMatrix& a,
-                                   const Matrix<std::int8_t>& bq,
-                                   std::size_t br, std::size_t g0,
-                                   std::size_t g1, std::size_t c0,
-                                   std::size_t width, bool fixed,
-                                   std::vector<std::uint8_t>& panel) {
+                              std::vector<std::int8_t>& panel) {
   const VnmConfig fmt = a.config();
   const std::size_t sel = fmt.selected_cols();
   const std::size_t groups = a.groups_per_row();
@@ -327,30 +162,28 @@ inline void gather_b_panel_i8_vnni(const QuantizedVnmMatrix& a,
   panel.resize(quads * 4 * width);
   const std::uint8_t* cloc =
       a.column_locs().data() + (br * groups + g0) * sel;
-  const __m128i bias = _mm_set1_epi8(static_cast<char>(0x80));
   for (std::size_t q = 0; q < quads; ++q) {
     const std::int8_t* src[4] = {nullptr, nullptr, nullptr, nullptr};
-    for (std::size_t s = 0; s < 4 && s < sel; ++s) {
+    for (std::size_t s = 0; s < sel; ++s) {
       const std::size_t offset = fixed ? s : cloc[q * sel + s];
       src[s] = &bq((g0 + q) * fmt.m + offset, c0);
     }
-    std::uint8_t* dst = panel.data() + q * 4 * width;
+    std::int8_t* dst = panel.data() + q * 4 * width;
     std::size_t n = 0;
+#if defined(__SSE2__)
+    const auto slot_row = [&](std::size_t s) {
+      return src[s] != nullptr
+                 ? _mm_loadu_si128(
+                       reinterpret_cast<const __m128i*>(src[s] + n))
+                 : _mm_setzero_si128();
+    };
     for (; n + 16 <= width; n += 16) {
-      // Four 16-byte slot rows -> sixteen column dwords via the classic
-      // byte/word unpack ladder; the bias xor rides along for free.
-      const __m128i x0 =
-          src[0] ? _mm_xor_si128(_mm_loadu_si128(reinterpret_cast<const __m128i*>(src[0] + n)), bias)
-                 : bias;
-      const __m128i x1 =
-          src[1] ? _mm_xor_si128(_mm_loadu_si128(reinterpret_cast<const __m128i*>(src[1] + n)), bias)
-                 : bias;
-      const __m128i x2 =
-          src[2] ? _mm_xor_si128(_mm_loadu_si128(reinterpret_cast<const __m128i*>(src[2] + n)), bias)
-                 : bias;
-      const __m128i x3 =
-          src[3] ? _mm_xor_si128(_mm_loadu_si128(reinterpret_cast<const __m128i*>(src[3] + n)), bias)
-                 : bias;
+      // Four 16-byte slot rows -> sixteen column words via the byte/word
+      // unpack ladder.
+      const __m128i x0 = slot_row(0);
+      const __m128i x1 = slot_row(1);
+      const __m128i x2 = slot_row(2);
+      const __m128i x3 = slot_row(3);
       const __m128i t0 = _mm_unpacklo_epi8(x0, x1);
       const __m128i t1 = _mm_unpackhi_epi8(x0, x1);
       const __m128i t2 = _mm_unpacklo_epi8(x2, x3);
@@ -361,154 +194,156 @@ inline void gather_b_panel_i8_vnni(const QuantizedVnmMatrix& a,
       _mm_storeu_si128(out + 2, _mm_unpacklo_epi16(t1, t3));
       _mm_storeu_si128(out + 3, _mm_unpackhi_epi16(t1, t3));
     }
+#endif
     for (; n < width; ++n)
-      for (std::size_t i = 0; i < 4; ++i)
-        dst[4 * n + i] = static_cast<std::uint8_t>(
-            (src[i] ? static_cast<std::uint8_t>(src[i][n]) : 0u) ^ 0x80u);
+      for (std::size_t s = 0; s < 4; ++s)
+        dst[4 * n + s] = src[s] != nullptr ? src[s][n] : std::int8_t{0};
   }
 }
 
-/// Packs every (row, group) of the block row into its vpdpbusd code
-/// dword — code of selector slot s at byte s, unused slots zero — plus
-/// per-row prefix sums of the codes over groups for the bias
-/// correction. Runs once per output tile: the packing depends only on
-/// the block row, so hoisting it out of the K-panel loop removes the
-/// dominant per-(row, panel) fixed cost for formats with many small
-/// panels.
-inline void pack_a_codes_i8_vnni(const QuantizedVnmMatrix& a, std::size_t br,
-                                 spatha::detail::SpmmScratch& s) {
-  const VnmConfig fmt = a.config();
-  const std::size_t groups = a.groups_per_row();
-  s.a_ints.assign(fmt.v * groups, 0);
-  s.a_sums.resize(fmt.v * (groups + 1));
-  for (std::size_t dr = 0; dr < fmt.v; ++dr) {
-    const std::size_t r = br * fmt.v + dr;
-    const std::int8_t* vals = a.values().data() + r * groups * fmt.n;
-    const std::uint8_t* midx = a.m_indices().data() + r * groups * fmt.n;
-    std::int32_t* dw = s.a_ints.data() + dr * groups;
-    std::int32_t* ps = s.a_sums.data() + dr * (groups + 1);
-    ps[0] = 0;
-    for (std::size_t g = 0; g < groups; ++g) {
-      std::uint32_t d = 0;
-      std::int32_t sum = 0;
-      for (std::size_t j = 0; j < fmt.n; ++j) {
-        const std::int8_t v = vals[g * fmt.n + j];
-        d |= std::uint32_t(std::uint8_t(v)) << (8 * midx[g * fmt.n + j]);
-        sum += v;
-      }
-      dw[g] = static_cast<std::int32_t>(d);
-      ps[g + 1] = ps[g] + sum;
-    }
-  }
+#if defined(__AVX512VNNI__)
+// 16 int32 lanes. vpdpbusd multiplies u8 by s8, so A enters biased by
+// 128 (code ^ 0x80), which adds 128 * (the column's 4 panel codes) per
+// group. SpmmScratch::col_corr holds minus that sum over the K panel,
+// and every strip's accumulator starts from it.
+using AccVec = __m512i;
+constexpr std::size_t kLanes = 16;
+inline AccVec a_operand(std::int32_t word) {
+  return _mm512_set1_epi32(static_cast<std::int32_t>(
+      static_cast<std::uint32_t>(word) ^ 0x80808080u));
 }
+inline AccVec dot4(AccVec acc, AccVec a, const std::int8_t* bp) {
+  return _mm512_dpbusd_epi32(acc, a, _mm512_loadu_si512(bp));
+}
+inline AccVec strip_start(const spatha::detail::SpmmScratch& s,
+                          std::size_t n) {
+  return _mm512_loadu_si512(s.col_corr.data() + n);
+}
+inline void add_to(std::int32_t* out, AccVec v) {
+  _mm512_storeu_si512(out, _mm512_add_epi32(_mm512_loadu_si512(out), v));
+}
+#elif defined(__AVX2__)
+// 8 int32 lanes, signed x signed as vpmaddubsw(|a|, sign(b, a)). Exact:
+// |a| <= 128 and |b| <= 127, so each int16 pair sum is at most 32,512
+// and never saturates.
+using AccVec = __m256i;
+constexpr std::size_t kLanes = 8;
+inline AccVec a_operand(std::int32_t word) { return _mm256_set1_epi32(word); }
+inline AccVec dot4(AccVec acc, AccVec a, const std::int8_t* bp) {
+  const __m256i b = _mm256_sign_epi8(
+      _mm256_loadu_si256(reinterpret_cast<const __m256i*>(bp)), a);
+  return _mm256_add_epi32(
+      acc, _mm256_madd_epi16(_mm256_maddubs_epi16(_mm256_abs_epi8(a), b),
+                             _mm256_set1_epi16(1)));
+}
+inline AccVec strip_start(const spatha::detail::SpmmScratch&, std::size_t) {
+  return _mm256_setzero_si256();
+}
+inline void add_to(std::int32_t* out, AccVec v) {
+  __m256i* p = reinterpret_cast<__m256i*>(out);
+  _mm256_storeu_si256(p, _mm256_add_epi32(_mm256_loadu_si256(p), v));
+}
+#endif
 
-/// Stage 2 against the quad-interleaved panel: per group per 16-column
-/// strip, one vpdpbusd against the row's packed slot-code dword (four
-/// u8*s8 MACs per int32 lane per instruction). Accumulator lanes land in
-/// natural column order, so fold-in is a plain add minus the bias
-/// correction — no permutes anywhere in the hot loop.
-inline void accumulate_panel_i8_vnni(const QuantizedVnmMatrix& a,
-                                     std::size_t g0, std::size_t g1,
-                                     std::size_t width,
-                                     spatha::detail::SpmmScratch& s,
-                                     std::int32_t* acc) {
+#if defined(__AVX512VNNI__) || defined(__AVX2__)
+/// S strips of kLanes columns of one row from column n: every group's
+/// slot-code word against its 4 panel codes per column, S independent
+/// accumulators sharing each broadcast word.
+template <std::size_t S>
+void dot_strips(const std::int32_t* words, std::size_t quads,
+                const std::int8_t* pan, std::size_t stride,
+                const spatha::detail::SpmmScratch& s, std::size_t n,
+                std::int32_t* arow) {
+  AccVec acc[S];
+#pragma GCC unroll 4
+  for (std::size_t u = 0; u < S; ++u)
+    acc[u] = strip_start(s, n + u * kLanes);
+  for (std::size_t q = 0; q < quads; ++q) {
+    const AccVec a = a_operand(words[q]);
+    const std::int8_t* bp = pan + q * stride + 4 * n;
+#pragma GCC unroll 4
+    for (std::size_t u = 0; u < S; ++u)
+      acc[u] = dot4(acc[u], a, bp + 4 * kLanes * u);
+  }
+#pragma GCC unroll 4
+  for (std::size_t u = 0; u < S; ++u) add_to(arow + n + u * kLanes, acc[u]);
+}
+#endif
+
+/// Stage 2 of the int8 pipeline: per row, each group's slot-code word
+/// against the quad panel, accumulated in int32. Integer sums are exact
+/// and order-free, so every body is bit-identical to the scalar oracle.
+/// The vector bodies take all 4 slots of a group in one four-way dot
+/// product; columns past the last vector strip (every column on the
+/// portable build) run the row's stored nonzeros instead.
+inline void accumulate_quad_panel(const QuantizedVnmMatrix& a, std::size_t br,
+                                  std::size_t g0, std::size_t g1,
+                                  std::size_t width,
+                                  spatha::detail::SpmmScratch& s,
+                                  std::int32_t* acc) {
   const VnmConfig fmt = a.config();
   const std::size_t groups = a.groups_per_row();
   const std::size_t quads = g1 - g0;
-  const std::uint8_t* pan = s.panel_u8.data();
+  const std::int8_t* pan = s.panel_i8.data();
+  const std::size_t stride = 4 * width;  // panel bytes per group
+
+#if defined(__AVX512VNNI__)
+  // The bias is a property of the panel's columns alone, so the V rows
+  // of the block share it.
+  s.col_corr.resize(width - width % kLanes);
+  for (std::size_t n = 0; n < s.col_corr.size(); n += kLanes) {
+    AccVec sum = _mm512_setzero_si512();
+    for (std::size_t q = 0; q < quads; ++q)
+      sum = dot4(sum, _mm512_set1_epi8(1), pan + q * stride + 4 * n);
+    _mm512_storeu_si512(s.col_corr.data() + n,
+                        _mm512_sub_epi32(_mm512_setzero_si512(),
+                                         _mm512_slli_epi32(sum, 7)));
+  }
+#endif
 
   for (std::size_t dr = 0; dr < fmt.v; ++dr) {
-    const std::int32_t* dw = s.a_ints.data() + dr * groups + g0;
-    const std::int32_t* ps = s.a_sums.data() + dr * (groups + 1);
-    const std::int32_t corr = 128 * (ps[g1] - ps[g0]);
-
+    const std::size_t r = br * fmt.v + dr;
     std::int32_t* arow = acc + dr * width;
     std::size_t n0 = 0;
-    const __m512i corr16 = _mm512_set1_epi32(corr);
-    for (; n0 + 64 <= width; n0 += 64) {
-      __m512i a0 = _mm512_setzero_si512();
-      __m512i a1 = _mm512_setzero_si512();
-      __m512i a2 = _mm512_setzero_si512();
-      __m512i a3 = _mm512_setzero_si512();
-      for (std::size_t q = 0; q < quads; ++q) {
-        const __m512i av = _mm512_set1_epi32(dw[q]);
-        const std::uint8_t* bp = pan + q * 4 * width + 4 * n0;
-        a0 = _mm512_dpbusd_epi32(
-            a0, _mm512_loadu_si512(reinterpret_cast<const void*>(bp)), av);
-        a1 = _mm512_dpbusd_epi32(
-            a1, _mm512_loadu_si512(reinterpret_cast<const void*>(bp + 64)),
-            av);
-        a2 = _mm512_dpbusd_epi32(
-            a2, _mm512_loadu_si512(reinterpret_cast<const void*>(bp + 128)),
-            av);
-        a3 = _mm512_dpbusd_epi32(
-            a3, _mm512_loadu_si512(reinterpret_cast<const void*>(bp + 192)),
-            av);
-      }
-      for (std::size_t u = 0; u < 4; ++u) {
-        const __m512i part = u == 0 ? a0 : u == 1 ? a1 : u == 2 ? a2 : a3;
-        void* out = arow + n0 + 16 * u;
-        _mm512_storeu_si512(
-            out, _mm512_add_epi32(_mm512_loadu_si512(out),
-                                  _mm512_sub_epi32(part, corr16)));
-      }
-    }
-    for (; n0 + 16 <= width; n0 += 16) {
-      __m512i a0 = _mm512_setzero_si512();
-      for (std::size_t q = 0; q < quads; ++q)
-        a0 = _mm512_dpbusd_epi32(
-            a0,
-            _mm512_loadu_si512(
-                reinterpret_cast<const void*>(pan + q * 4 * width + 4 * n0)),
-            _mm512_set1_epi32(dw[q]));
-      void* out = arow + n0;
-      _mm512_storeu_si512(
-          out, _mm512_add_epi32(_mm512_loadu_si512(out),
-                                _mm512_sub_epi32(a0, corr16)));
-    }
-    if (n0 < width) {
-      // Ragged tail: signed math directly on the biased bytes.
-      for (std::size_t p = 0; p < quads * 4; ++p) {
-        const std::int32_t av = static_cast<std::int8_t>(
-            static_cast<std::uint32_t>(dw[p / 4]) >> (8 * (p % 4)));
-        if (av == 0) continue;
-        const std::uint8_t* bp = pan + (p / 4) * 4 * width + (p % 4);
-        for (std::size_t n = n0; n < width; ++n)
-          arow[n] += av * (std::int32_t(bp[4 * n]) - 128);
-      }
+#if defined(__AVX512VNNI__) || defined(__AVX2__)
+    const std::int32_t* words = a.slot_codes().data() + r * groups + g0;
+    for (; n0 + 4 * kLanes <= width; n0 += 4 * kLanes)
+      dot_strips<4>(words, quads, pan, stride, s, n0, arow);
+    for (; n0 + kLanes <= width; n0 += kLanes)
+      dot_strips<1>(words, quads, pan, stride, s, n0, arow);
+#endif
+    // The tail runs the stored nonzeros column by column, so each sum
+    // stays in a register (a tile narrower than one strip is all tail).
+    const std::int8_t* vals = a.values().data() + (r * groups + g0) * fmt.n;
+    const std::uint8_t* midx =
+        a.m_indices().data() + (r * groups + g0) * fmt.n;
+    for (std::size_t n = n0; n < width; ++n) {
+      std::int32_t sum = 0;
+      const std::int8_t* col = pan + 4 * n;
+      for (std::size_t q = 0, k = 0; q < quads; ++q, col += stride)
+        for (std::size_t j = 0; j < fmt.n; ++j, ++k)
+          sum += vals[k] * std::int32_t(col[midx[k]]);
+      arow[n] += sum;
     }
   }
 }
-#endif  // __AVX512VNNI__
 
-void check_parts(const VnmConfig& cfg, std::size_t rows, std::size_t cols,
-                 std::size_t values_size, std::size_t m_indices_size,
-                 std::size_t column_loc_size) {
-  VENOM_CHECK_MSG(cfg.v >= 1 && rows % cfg.v == 0,
-                  "quantized V:N:M parts: rows not divisible by V");
-  VENOM_CHECK_MSG(cfg.m >= 2 && cols % cfg.m == 0,
-                  "quantized V:N:M parts: cols not divisible by M");
-  VENOM_CHECK_MSG(cfg.n >= 1 && cfg.n <= cfg.selected_cols(),
-                  "quantized V:N:M parts: N out of range");
-  const std::size_t groups = cols / cfg.m;
-  VENOM_CHECK_MSG(values_size == rows * groups * cfg.n,
-                  "quantized V:N:M parts: values size mismatch");
-  VENOM_CHECK_MSG(m_indices_size == values_size,
-                  "quantized V:N:M parts: m_indices size mismatch");
-  VENOM_CHECK_MSG(
-      column_loc_size == (rows / cfg.v) * groups * cfg.selected_cols(),
-      "quantized V:N:M parts: column_loc size mismatch");
-}
-
-void check_indices(const VnmConfig& cfg,
-                   const std::vector<std::uint8_t>& m_indices,
-                   const std::vector<std::uint8_t>& column_loc) {
-  for (std::uint8_t mi : m_indices)
-    VENOM_CHECK_MSG(mi < cfg.selected_cols(),
-                    "quantized V:N:M parts: m_index out of range");
-  for (std::uint8_t cl : column_loc)
-    VENOM_CHECK_MSG(cl < cfg.m,
-                    "quantized V:N:M parts: column_loc out of range");
+/// One word per (row, group): the code of selector slot s in byte s.
+/// Nonzero codes occupy distinct slots (from_parts checks, quantize
+/// inherits it from the VnmMatrix); zero codes add nothing.
+std::vector<std::int32_t> build_slot_codes(
+    const VnmConfig& cfg, const std::vector<std::int8_t>& values,
+    const std::vector<std::uint8_t>& m_indices) {
+  std::vector<std::int32_t> words(values.size() / cfg.n);
+  for (std::size_t w = 0; w < words.size(); ++w) {
+    std::uint32_t word = 0;
+    for (std::size_t j = 0; j < cfg.n; ++j) {
+      const std::size_t i = w * cfg.n + j;
+      word |= std::uint32_t(std::uint8_t(values[i])) << (8 * m_indices[i]);
+    }
+    words[w] = static_cast<std::int32_t>(word);
+  }
+  return words;
 }
 
 }  // namespace
@@ -536,6 +371,7 @@ QuantizedVnmMatrix QuantizedVnmMatrix::quantize(const VnmMatrix& fp16) {
       q.values_[r * per_row + i] =
           round_to_i8(fp16.values()[r * per_row + i].to_float() * inv);
   }
+  q.slot_codes_ = build_slot_codes(q.cfg_, q.values_, q.m_indices_);
   return q;
 }
 
@@ -554,9 +390,8 @@ QuantizedVnmMatrix QuantizedVnmMatrix::from_parts(
     VnmConfig cfg, std::size_t rows, std::size_t cols,
     std::vector<std::int8_t> values, std::vector<std::uint8_t> m_indices,
     std::vector<std::uint8_t> column_loc, std::vector<float> scales) {
-  check_parts(cfg, rows, cols, values.size(), m_indices.size(),
-              column_loc.size());
-  check_indices(cfg, m_indices, column_loc);
+  check_vnm_parts(cfg, rows, cols, values.size(), m_indices, column_loc,
+                  [&](std::size_t i) { return values[i] == 0; });
   VENOM_CHECK_MSG(scales.size() == rows,
                   "quantized V:N:M parts: one scale per row required");
   for (float s : scales)
@@ -570,6 +405,7 @@ QuantizedVnmMatrix QuantizedVnmMatrix::from_parts(
   q.m_indices_ = std::move(m_indices);
   q.column_loc_ = std::move(column_loc);
   q.scales_ = std::move(scales);
+  q.slot_codes_ = build_slot_codes(q.cfg_, q.values_, q.m_indices_);
   return q;
 }
 
@@ -613,9 +449,10 @@ Fp8VnmMatrix Fp8VnmMatrix::from_parts(VnmConfig cfg, std::size_t rows,
                                       std::vector<std::uint8_t> values,
                                       std::vector<std::uint8_t> m_indices,
                                       std::vector<std::uint8_t> column_loc) {
-  check_parts(cfg, rows, cols, values.size(), m_indices.size(),
-              column_loc.size());
-  check_indices(cfg, m_indices, column_loc);
+  check_vnm_parts(cfg, rows, cols, values.size(), m_indices, column_loc,
+                  [&](std::size_t i) {
+                    return fp8_to_float(values[i], format) == 0.0f;
+                  });
   Fp8VnmMatrix q;
   q.cfg_ = cfg;
   q.format_ = format;
@@ -667,20 +504,11 @@ FloatMatrix spmm_vnm_i8(const QuantizedVnmMatrix& a, const HalfMatrix& b,
           const std::size_t width = c1 - c0;
 
           s.acc_i32.assign(fmt.v * width, 0);
-#if defined(__AVX512VNNI__)
-          pack_a_codes_i8_vnni(a, br, s);
-#endif
           for (std::size_t g0 = 0; g0 < groups; g0 += groups_per_panel) {
             const std::size_t g1 = std::min(groups, g0 + groups_per_panel);
-#if defined(__AVX512VNNI__)
-            gather_b_panel_i8_vnni(a, bq.values, br, g0, g1, c0, width,
-                                   fixed, s.panel_u8);
-            accumulate_panel_i8_vnni(a, g0, g1, width, s, s.acc_i32.data());
-#else
-            gather_b_panel_i8(a, bq.values, br, g0, g1, c0, width, fixed,
-                              s.panel_i16);
-            accumulate_panel_i8(a, br, g0, g1, width, s, s.acc_i32.data());
-#endif
+            gather_quad_panel(a, bq.values, br, g0, g1, c0, width, fixed,
+                              s.panel_i8);
+            accumulate_quad_panel(a, br, g0, g1, width, s, s.acc_i32.data());
           }
 
           // Stage 3: dequantizing write-back of the finished tile. The

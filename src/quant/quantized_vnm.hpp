@@ -14,9 +14,14 @@
 //
 // Both share the m-indices / column-loc structures unchanged. The int8
 // datapath has its own kernel on the exact Fig. 5 decomposition of
-// spatha::spmm_vnm: column-loc gather of a packed *int8* B panel (4x
-// less panel traffic than the float image), register-blocked int32
-// accumulation, and a scale_row * scale_col dequantizing write-back.
+// spatha::spmm_vnm. The int8 weight carries its gathered 2:4 rows (Fig. 4)
+// in the layout the kernel consumes: one 32-bit word per (row, group), the
+// code of selector slot s in byte s (4 B per (row, group), built once per
+// weight). The kernel gathers the column-loc-selected B rows into a quad
+// panel of the same shape (4 s8 codes per column), takes one four-way
+// int8 dot product per (row, group, column) into int32, and writes back
+// through a scale_row * scale_col dequantizing epilogue. Columns past the
+// last vector strip, and the portable build, run the stored nonzeros.
 // fp8 is a storage format, not a kernel: every fp8 value is exact in
 // fp16, so the datapath decodes the weight once (pack_decoded) into the
 // fp16 pipeline's packed operand and runs vnm-fast's kernels over it,
@@ -38,7 +43,11 @@
 
 namespace venom::quant {
 
-/// int8 symmetric-quantized V:N:M matrix.
+/// int8 symmetric-quantized V:N:M matrix. Codes lie in [-127, 127]
+/// from quantize(); from_parts() accepts the full int8 range, and the
+/// kernel is exact for every code: a four-way dot product's int16 pair
+/// sums stay within 2 * 128 * 127 = 32,512 because the per-column B codes
+/// are at most 127 in magnitude (for finite B).
 class QuantizedVnmMatrix {
  public:
   QuantizedVnmMatrix() = default;
@@ -52,7 +61,8 @@ class QuantizedVnmMatrix {
   VnmMatrix dequantize() const;
 
   /// Reassembles a matrix from raw compressed structures (the
-  /// deserialization path). Validates sizes and index ranges; throws
+  /// deserialization path). Validates sizes, index ranges and that no
+  /// (row, group) stores two nonzeros in one selector slot; throws
   /// venom::Error on any inconsistency.
   static QuantizedVnmMatrix from_parts(VnmConfig cfg, std::size_t rows,
                                        std::size_t cols,
@@ -85,7 +95,14 @@ class QuantizedVnmMatrix {
   const std::vector<std::uint8_t>& column_locs() const { return column_loc_; }
   const std::vector<float>& row_scales() const { return scales_; }
 
-  /// int8 values + 2-bit metadata + column-loc + fp32 row scales.
+  /// The gathered 2:4 row of each (row, group), row-major: byte s of
+  /// word (r * groups_per_row() + g) holds the code of selector slot s
+  /// (0 where the row stores no nonzero). Derived from values() and
+  /// m_indices() when the matrix is built; 4 B per (row, group).
+  const std::vector<std::int32_t>& slot_codes() const { return slot_codes_; }
+
+  /// int8 values + 2-bit metadata + column-loc + fp32 row scales (the
+  /// stored format; slot_codes() is derived from it and not counted).
   std::size_t compressed_bytes() const;
 
  private:
@@ -96,6 +113,7 @@ class QuantizedVnmMatrix {
   std::vector<std::uint8_t> m_indices_;
   std::vector<std::uint8_t> column_loc_;
   std::vector<float> scales_;
+  std::vector<std::int32_t> slot_codes_;
 };
 
 /// fp8 (E5M2 or E4M3) V:N:M matrix: the fp16 values re-encoded per
@@ -113,7 +131,8 @@ class Fp8VnmMatrix {
   /// representable in fp16, so this direction is lossless).
   VnmMatrix dequantize() const;
 
-  /// Deserialization path; validates sizes and index ranges.
+  /// Deserialization path; validates sizes, index ranges and distinct
+  /// selector slots per (row, group), as QuantizedVnmMatrix::from_parts.
   static Fp8VnmMatrix from_parts(VnmConfig cfg, std::size_t rows,
                                  std::size_t cols, Fp8Format format,
                                  std::vector<std::uint8_t> values,
@@ -161,8 +180,8 @@ class Fp8VnmMatrix {
 };
 
 /// C(fp32) = dequant(A_i8 * quant(B)): the dense operand is quantized
-/// per column with symmetric int8; the kernel gathers packed int8 B
-/// panels, accumulates in int32 through the register-blocked strips, and
+/// per column with symmetric int8; the kernel gathers quad B panels,
+/// accumulates each row's slot-code words against them in int32, and
 /// the output element (r, c) dequantizes as
 /// float(acc) * row_scale(r) * col_scale(c) on the epilogue. Tiling,
 /// chunk_grain, and ColumnLocMode come from `cfg` (spmm_vnm semantics);

@@ -126,16 +126,18 @@ SpmmConfig select_config_heuristic(const VnmConfig& fmt, std::size_t rows,
     case ops::Dtype::kI8:
       break;
   }
-  // int8 quad kernel. Wide C tiles: the per-panel fixed costs (the
-  // byte-interleave pack, the B quantization) amortize over columns, and
-  // the int32 accumulator tile stays cache-resident up to V x 128.
+  // int8 quad kernel, on every target (VNNI, AVX2 and the scalar
+  // stored-nonzero loop all read the same quad panel). Wide C tiles: the
+  // per-panel fixed costs (the byte-interleave gather, the VNNI bias
+  // correction) amortize over columns, and the int32 accumulator tile
+  // stays cache-resident up to V x 128.
   cfg.block_c = std::min<std::size_t>(128, b_cols);
   cfg.warp_c = cfg.block_c;
-  // K panel: the quad panel is re-streamed once per 16-column strip by
-  // the vpdpbusd loop, so cap it at an L1-sized budget — each group
-  // packs to exactly 4 * BSc bytes regardless of sel, so 32 groups at
-  // BSc=128 is 16 KiB. A sweep over the Table-1 shape is flat from a
-  // few groups up to this cap and falls off beyond it.
+  // K panel: every row re-streams the quad panel once per column strip,
+  // so cap it at an L1-sized budget — each group packs to exactly
+  // 4 * BSc bytes regardless of sel, so 32 groups at BSc=128 is 16 KiB.
+  // A sweep over the Table-1 shape is flat from a few groups up to this
+  // cap and falls off beyond it.
   const std::size_t i8_groups_budget =
       std::max<std::size_t>(1, (16u << 10) / (4 * cfg.block_c));
   cfg.block_k = std::min(cols, std::max(fmt.m, i8_groups_budget * fmt.m));

@@ -50,8 +50,7 @@
 
 namespace venom::spatha::detail {
 
-/// Width of the register strip of the scalar-coded strip kernels
-/// (spmm_nm and the int8 datapath's non-AVX2 body): 16 lanes = one zmm
+/// Width of spmm_nm's scalar-coded register strip: 16 lanes = one zmm
 /// register. The fp16 and fp8 datapaths run the packed kernels below.
 constexpr std::size_t kStrip = 16;
 

@@ -62,18 +62,13 @@ namespace detail {
 struct SpmmScratch {
   std::vector<float> panel;  // float image of gathered (or transposed) B
   std::vector<float> acc;    // fp32 accumulator tile
-  // int8 datapath (quant/quantized_vnm.hpp): the gathered image of
-  // quantized B — widened to int16 for the vpmaddwd micro-kernel (half
-  // of `panel`) or quad-interleaved biased-u8 for the VNNI vpdpbusd
-  // micro-kernel (a quarter) — its int32 accumulator tile, and the
-  // hoisted A-side codes of one row (packed dwords, code prefix sums,
-  // and the vpmaddwd kernel's panel-row offsets).
-  std::vector<std::uint32_t> a_offs;
-  std::vector<std::int16_t> panel_i16;
-  std::vector<std::uint8_t> panel_u8;
+  // int8 datapath (quant/quantized_vnm.hpp): the quad panel of
+  // quantized B (4 s8 codes per column per M-group, a quarter of
+  // `panel`), its int32 accumulator tile, and the VNNI body's per-column
+  // bias correction for the current K panel.
+  std::vector<std::int8_t> panel_i8;
   std::vector<std::int32_t> acc_i32;
-  std::vector<std::int32_t> a_ints;
-  std::vector<std::int32_t> a_sums;
+  std::vector<std::int32_t> col_corr;
 };
 
 }  // namespace detail

@@ -173,7 +173,7 @@ TEST_F(IoTest, CorruptVnmMetadataThrows) {
 TEST_F(IoTest, FromPartsValidatesIndexRanges) {
   const VnmConfig cfg{2, 2, 8};
   std::vector<half_t> values(2 * 1 * 2, half_t(1.0f));
-  std::vector<std::uint8_t> m_indices(values.size(), 0);
+  std::vector<std::uint8_t> m_indices = {0, 1, 0, 1};
   std::vector<std::uint8_t> column_loc(1 * 1 * 4, 0);
   EXPECT_NO_THROW(VnmMatrix::from_parts(cfg, 2, 8, values, m_indices,
                                         column_loc));

@@ -8,7 +8,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdio>
+#include <fstream>
+#include <limits>
 #include <memory>
+#include <string>
 
 #include "baselines/gemm.hpp"
 #include "common/cpu_features.hpp"
@@ -178,6 +182,32 @@ TEST(SpmmI8, FastMatchesScalarOnRaggedShapesBothModes) {
   }
 }
 
+// The int8 heuristic's own tiling (BSc up to 128, 16 KiB K panels): the
+// ragged cases' formats at 16x their depth, so a row spans several K
+// panels, and at widths that straddle the C tile.
+TEST(SpmmI8, FastMatchesScalarUnderTheInt8Tiling) {
+  std::uint64_t seed = 140;
+  for (const RaggedCase& c : kRaggedCases) {
+    const std::size_t cols = 16 * c.cols;
+    const QuantizedVnmMatrix q =
+        QuantizedVnmMatrix::quantize(random_vnm(c.rows, cols, c.fmt, seed));
+    for (const std::size_t width : {8, 32, 64, 65, 128, 129, 256}) {
+      Rng rng(seed + width);
+      const HalfMatrix b = random_half_matrix(cols, width, rng);
+      for (const spatha::ColumnLocMode mode :
+           {spatha::ColumnLocMode::kEnabled,
+            spatha::ColumnLocMode::kFixed}) {
+        spatha::SpmmConfig cfg = spatha::select_config(
+            c.fmt, c.rows, cols, width, ops::Dtype::kI8);
+        cfg.column_loc = mode;
+        EXPECT_EQ(spmm_vnm_i8(q, b, cfg), spmm_vnm_i8_scalar(q, b, mode))
+            << "rows=" << c.rows << " C=" << width << " mode=" << int(mode);
+      }
+    }
+    seed += 3;
+  }
+}
+
 TEST(SpmmI8, BitIdenticalAcrossRuns) {
   const VnmMatrix fp16 = random_vnm(32, 64, {8, 2, 8}, 50);
   const QuantizedVnmMatrix q = QuantizedVnmMatrix::quantize(fp16);
@@ -245,7 +275,7 @@ TEST(Fp8Vnm, DequantizeIsLossless) {
 TEST(FromParts, ValidatesQuantizedStructures) {
   const VnmConfig cfg{2, 2, 8};
   std::vector<std::int8_t> values(2 * 1 * 2, 1);
-  std::vector<std::uint8_t> m_indices(values.size(), 0);
+  std::vector<std::uint8_t> m_indices = {0, 1, 0, 1};
   std::vector<std::uint8_t> column_loc(1 * 1 * 4, 0);
   std::vector<float> scales(2, 0.5f);
   EXPECT_NO_THROW(QuantizedVnmMatrix::from_parts(cfg, 2, 8, values,
@@ -280,6 +310,150 @@ TEST(FromParts, ValidatesQuantizedStructures) {
   EXPECT_THROW(Fp8VnmMatrix::from_parts(cfg, 2, 8, Fp8Format::kE4M3, {},
                                         m_indices, column_loc),
                Error);
+}
+
+// Every (row, group) of a 16x16 16:2:8 matrix stores its two nonzeros
+// in selector slot 0. The gathered 2:4 row has one position per slot, so
+// all three containers reject the parts, naming the first (row, group).
+TEST(FromParts, RejectsTwoNonzerosInOneSelectorSlot) {
+  const VnmConfig cfg{16, 2, 8};
+  const std::size_t n = 16, words = 16 * (16 / 8);
+  const std::vector<std::uint8_t> same_slot(words * 2, 0);
+  const std::vector<std::uint8_t> column_loc(1 * 2 * 4, 0);
+  const auto expect_rejected = [](const auto& build) {
+    try {
+      build();
+      ADD_FAILURE() << "duplicate selector slot accepted";
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find("row 0 group 0"),
+                std::string::npos)
+          << e.what();
+    }
+  };
+  expect_rejected([&] {
+    VnmMatrix::from_parts(cfg, n, n,
+                          std::vector<half_t>(words * 2, half_t(1.0f)),
+                          same_slot, column_loc);
+  });
+  const std::vector<std::int8_t> codes(words * 2, 3);
+  const std::vector<float> scales(n, 0.5f);
+  expect_rejected([&] {
+    QuantizedVnmMatrix::from_parts(cfg, n, n, codes, same_slot, column_loc,
+                                   scales);
+  });
+  expect_rejected([&] {
+    Fp8VnmMatrix::from_parts(cfg, n, n, Fp8Format::kE4M3,
+                             std::vector<std::uint8_t>(words * 2, 0x38),
+                             same_slot, column_loc);
+  });
+
+  // Zero values may repeat a slot (compress() pads that way), +0 and -0
+  // alike.
+  std::vector<std::int8_t> padded = codes;
+  std::vector<std::uint8_t> f8_padded(words * 2, 0x38);
+  for (std::size_t w = 0; w < words; ++w) {
+    padded[2 * w + 1] = 0;
+    f8_padded[2 * w + 1] = w % 2 == 0 ? 0x00 : 0x80;
+  }
+  EXPECT_NO_THROW(QuantizedVnmMatrix::from_parts(cfg, n, n, padded,
+                                                 same_slot, column_loc,
+                                                 scales));
+  EXPECT_NO_THROW(Fp8VnmMatrix::from_parts(cfg, n, n, Fp8Format::kE4M3,
+                                           f8_padded, same_slot,
+                                           column_loc));
+  std::vector<half_t> h_padded(words * 2, half_t(1.0f));
+  for (std::size_t w = 0; w < words; ++w)
+    h_padded[2 * w + 1] = half_t(w % 2 == 0 ? 0.0f : -0.0f);
+  EXPECT_NO_THROW(
+      VnmMatrix::from_parts(cfg, n, n, h_padded, same_slot, column_loc));
+
+  // The same parts on disk: a valid QVN1 file whose m-indices are then
+  // overwritten with slot 0 fails to load.
+  std::vector<std::uint8_t> distinct(words * 2);
+  for (std::size_t i = 0; i < distinct.size(); ++i) distinct[i] = i % 2;
+  const std::string path = ::testing::TempDir() + "venom_same_slot.qvnm";
+  io::save(QuantizedVnmMatrix::from_parts(cfg, n, n, codes, distinct,
+                                          column_loc, scales),
+           path);
+  {
+    // QVN1 header: magic, u32 version, u64 V, N, M, rows, cols; then the
+    // int8 values and the m-indices.
+    std::fstream f(path, std::ios::in | std::ios::out | std::ios::binary);
+    f.seekp(4 + 4 + 5 * 8 + std::streamoff(codes.size()));
+    f.write(reinterpret_cast<const char*>(same_slot.data()),
+            std::streamsize(same_slot.size()));
+  }
+  expect_rejected([&] { io::load_quant_vnm_matrix(path); });
+  std::remove(path.c_str());
+}
+
+// The exactness bound of the vector bodies: A codes at the int8 extremes
+// (-128 reaches the kernel only through from_parts) against B columns at
+// full scale, where every B code is +-127. A four-way dot product's int16
+// pair sums peak at 2 * 128 * 127 = 32,512 here, and the widths cover
+// every strip and tail of the 16- and 8-lane bodies.
+TEST(SpmmI8, ExactAtTheCodeExtremesOnEveryStripAndTail) {
+  const VnmConfig cfg{16, 2, 8};
+  const std::size_t rows = 32, cols = 64, groups = cols / cfg.m;
+  const std::int8_t extremes[] = {-128, -127, 127};
+  std::vector<std::int8_t> values(rows * groups * cfg.n);
+  std::vector<std::uint8_t> m_indices(values.size());
+  for (std::size_t i = 0; i < values.size(); ++i) {
+    values[i] = extremes[(i / 2 + i / 7) % 3];
+    const std::size_t k = i / 2;  // (row, group); slots distinct per pair
+    m_indices[i] = static_cast<std::uint8_t>(
+        i % 2 == 0 ? k % 4 : (k % 4 + 1 + k / 4 % 3) % 4);
+  }
+  std::vector<std::uint8_t> column_loc((rows / cfg.v) * groups * 4);
+  for (std::size_t i = 0; i < column_loc.size(); ++i)
+    column_loc[i] = static_cast<std::uint8_t>((i % 4) * 2 + i / 4 % 2);
+  const QuantizedVnmMatrix q = QuantizedVnmMatrix::from_parts(
+      cfg, rows, cols, values, m_indices, column_loc,
+      std::vector<float>(rows, 1.0f / 128));
+  Rng rng(95);
+  for (const std::size_t width :
+       {1, 7, 8, 9, 15, 16, 17, 31, 32, 33, 64, 65}) {
+    // One magnitude per column, random signs: every code is +-127.
+    HalfMatrix b(cols, width);
+    for (std::size_t c = 0; c < width; ++c) {
+      const float mag = 0.25f + 0.125f * float(c % 5);
+      for (std::size_t r = 0; r < cols; ++r)
+        b(r, c) = half_t(rng.uniform() < 0.5f ? -mag : mag);
+    }
+    for (const spatha::ColumnLocMode mode :
+         {spatha::ColumnLocMode::kEnabled, spatha::ColumnLocMode::kFixed}) {
+      spatha::SpmmConfig sc = spatha::select_config(
+          cfg, rows, cols, width, ops::Dtype::kI8);
+      sc.column_loc = mode;
+      EXPECT_EQ(spmm_vnm_i8(q, b, sc), spmm_vnm_i8_scalar(q, b, mode))
+          << "C=" << width << " mode=" << int(mode);
+    }
+  }
+}
+
+// inf in B makes its column's scale inf and its codes garbage (inf * 0
+// is NaN), but the vector B quantizer keeps every code at >= -127, so the
+// kernels' exactness bound still holds and the fast path still equals the
+// oracle on those codes (+-inf outputs keep their sign). The scalar
+// quantizer's NaN-to-int cast is undefined, so only vector builds run it.
+TEST(SpmmI8, InfInBKeepsFastEqualToScalar) {
+#if !defined(__AVX2__)
+  GTEST_SKIP() << "needs the vector B quantizer";
+#else
+  const QuantizedVnmMatrix q =
+      QuantizedVnmMatrix::quantize(random_vnm(16, 64, {16, 2, 8}, 97));
+  Rng rng(98);
+  HalfMatrix b = random_half_matrix(64, 32, rng);  // all 32 columns vector
+  b(5, 3) = half_t(std::numeric_limits<float>::infinity());
+  const FloatMatrix fast = spmm_vnm_i8(q, b);
+  const FloatMatrix scalar = spmm_vnm_i8_scalar(q, b);
+  for (std::size_t r = 0; r < fast.rows(); ++r)
+    for (std::size_t c = 0; c < fast.cols(); ++c)
+      EXPECT_TRUE(fast(r, c) == scalar(r, c) ||
+                  (std::isnan(fast(r, c)) && std::isnan(scalar(r, c))))
+          << "r=" << r << " c=" << c << ": " << fast(r, c) << " vs "
+          << scalar(r, c);
+#endif
 }
 
 // ----------------------------------------------------------- dispatch
