@@ -263,14 +263,15 @@ std::shared_ptr<const quant::QuantizedVnmMatrix> int8_operand(
       quant::QuantizedVnmMatrix::quantize(*args.vnm));
 }
 
-/// Packed int8 panels, int32 accumulation, per-row x per-column scale
-/// dequantization on the epilogue.
+/// Quad int8 panels, int32 accumulation (AMX tiles where the process
+/// has them), per-row x per-column scale dequantization on the epilogue.
 class VnmInt8Backend final : public Matmul {
  public:
   std::string_view name() const override { return "vnm-int8"; }
   std::string describe() const override {
-    return "int8 V:N:M SpMM, packed int8 panels + int32 accumulation "
-           "(quantized production)";
+    return "int8 V:N:M SpMM, quad int8 panels + int32 accumulation "
+           "(quantized production); stage 2: " +
+           quant::int8_stage2_body();
   }
   int priority() const override { return 40; }
   bool supports(const MatmulDesc& desc,
@@ -281,12 +282,25 @@ class VnmInt8Backend final : public Matmul {
   }
   FloatMatrix run(const MatmulArgs& args, ExecContext& ctx) const override {
     const auto a = int8_operand(args, ctx);
-    const spatha::SpmmConfig cfg =
-        args.config != nullptr
-            ? *args.config
-            : ctx.select_config(a->config(), a->rows(), a->cols(),
-                                args.b->cols(), Dtype::kI8);
-    return quant::spmm_vnm_i8(*a, *args.b, cfg, &ctx.pool(), &ctx.scratch());
+    return quant::spmm_vnm_i8(*a, *args.b, config(*a, args, ctx),
+                              &ctx.pool(), &ctx.scratch());
+  }
+  HalfMatrix run_fused(const MatmulArgs& args,
+                       const spatha::Epilogue& epilogue,
+                       ExecContext& ctx) const override {
+    const auto a = int8_operand(args, ctx);
+    return quant::spmm_vnm_i8_fused(*a, *args.b, epilogue,
+                                    config(*a, args, ctx), &ctx.pool(),
+                                    &ctx.scratch());
+  }
+
+ private:
+  static spatha::SpmmConfig config(const quant::QuantizedVnmMatrix& a,
+                                   const MatmulArgs& args,
+                                   const ExecContext& ctx) {
+    if (args.config != nullptr) return *args.config;
+    return ctx.select_config(a.config(), a.rows(), a.cols(), args.b->cols(),
+                             Dtype::kI8);
   }
 };
 

@@ -17,11 +17,30 @@
 // spatha::spmm_vnm. The int8 weight carries its gathered 2:4 rows (Fig. 4)
 // in the layout the kernel consumes: one 32-bit word per (row, group), the
 // code of selector slot s in byte s (4 B per (row, group), built once per
-// weight). The kernel gathers the column-loc-selected B rows into a quad
-// panel of the same shape (4 s8 codes per column), takes one four-way
-// int8 dot product per (row, group, column) into int32, and writes back
-// through a scale_row * scale_col dequantizing epilogue. Columns past the
-// last vector strip, and the portable build, run the stored nonzeros.
+// weight). The kernel quantizes B per column, gathers the
+// column-loc-selected B rows into a quad panel of the same shape (4 s8
+// codes per column), accumulates each (row, group, column)'s four-way
+// int8 dot product in int32, and writes back through a
+// scale_row * scale_col dequantizing epilogue (spmm_vnm_i8_fused also
+// applies bias, activation and the fp16 conversion there).
+//
+// Stage 2 runs on the CPU's matrix engine where it can. One AMX tdpbssd
+// computes C[16 x 16 int32] += A[16 x 64 B] . B[16 x 64 B], signed by
+// signed: the A tile is 16 rows of 16 slot-code words, loaded in place
+// (row stride 4 * groups bytes), and the B tile 16 groups of the quad
+// panel, 16 columns each, also in place (stride 4 * width bytes); a
+// 2 x 2 block of C tiles shares each A and B load. The tiles cover the
+// part of each K panel whose rows, columns and groups are multiples of
+// 16; the vector body (AVX-512 VNNI vpdpbusd, AVX2 vpmaddubsw) covers
+// the rest, and columns past its last strip, and the portable build,
+// run the stored nonzeros. The AMX body is compiled under __AMX_INT8__
+// and runs when CPUID.(7,0):EDX bits 24-25 and XCR0 bits 17-18 are set
+// and the one per-process arch_prctl(ARCH_REQ_XCOMP_PERM) request is
+// granted; each tile region loads the tile config on entry and releases
+// the tiles on exit. Every body, the oracle included, sums in int32 and
+// is exact while a row's bound groups * n * 128 * 127 fits, which
+// quantize() and from_parts() check. int8_stage2_body() says which body
+// runs and, if AMX is compiled in but unused, which gate failed.
 // fp8 is a storage format, not a kernel: every fp8 value is exact in
 // fp16, so the datapath decodes the weight once (pack_decoded) into the
 // fp16 pipeline's packed operand and runs vnm-fast's kernels over it,
@@ -32,12 +51,14 @@
 #pragma once
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "common/fp8.hpp"
 #include "common/thread_pool.hpp"
 #include "format/vnm.hpp"
 #include "spatha/config.hpp"
+#include "spatha/epilogue.hpp"
 #include "spatha/spmm.hpp"
 #include "tensor/matrix.hpp"
 
@@ -47,13 +68,15 @@ namespace venom::quant {
 /// from quantize(); from_parts() accepts the full int8 range, and the
 /// kernel is exact for every code: a four-way dot product's int16 pair
 /// sums stay within 2 * 128 * 127 = 32,512 because the per-column B codes
-/// are at most 127 in magnitude (for finite B).
+/// are at most 127 in magnitude (0 in a non-finite column).
 class QuantizedVnmMatrix {
  public:
   QuantizedVnmMatrix() = default;
 
   /// Quantizes an existing fp16 V:N:M matrix with per-row scales
-  /// (scale = max|row| / 127; all-zero rows get scale 0).
+  /// (scale = max|row| / 127; all-zero rows get scale 0). Throws
+  /// venom::Error when a row is too long for an exact int32 sum
+  /// (groups * n * 128 * 127 > INT32_MAX).
   static QuantizedVnmMatrix quantize(const VnmMatrix& fp16);
 
   /// Dequantizes back to the fp16 V:N:M form (lossy by <= scale/2 per
@@ -63,7 +86,8 @@ class QuantizedVnmMatrix {
   /// Reassembles a matrix from raw compressed structures (the
   /// deserialization path). Validates sizes, index ranges and that no
   /// (row, group) stores two nonzeros in one selector slot; throws
-  /// venom::Error on any inconsistency.
+  /// venom::Error on any inconsistency, or on a row too long for an
+  /// exact int32 sum (as quantize()).
   static QuantizedVnmMatrix from_parts(VnmConfig cfg, std::size_t rows,
                                        std::size_t cols,
                                        std::vector<std::int8_t> values,
@@ -183,15 +207,33 @@ class Fp8VnmMatrix {
 /// per column with symmetric int8; the kernel gathers quad B panels,
 /// accumulates each row's slot-code words against them in int32, and
 /// the output element (r, c) dequantizes as
-/// float(acc) * row_scale(r) * col_scale(c) on the epilogue. Tiling,
-/// chunk_grain, and ColumnLocMode come from `cfg` (spmm_vnm semantics);
-/// `scratch` recycles the packed panels across calls. Bit-identical to
-/// spmm_vnm_i8_scalar for every configuration (integer accumulation is
-/// exact, and both sides quantize B with the same shared helper).
+/// float(acc) * row_scale(r) * col_scale(c) on the epilogue. A column of
+/// B holding any non-finite value gets scale NaN and codes 0, so every
+/// output in that column is NaN. Tiling, chunk_grain, and ColumnLocMode
+/// come from `cfg` (spmm_vnm semantics); `scratch` recycles the packed
+/// panels across calls. Bit-identical to spmm_vnm_i8_scalar for every
+/// configuration and stage-2 body (integer accumulation is exact, and
+/// both sides quantize B to the same codes and scales).
 FloatMatrix spmm_vnm_i8(const QuantizedVnmMatrix& a, const HalfMatrix& b,
                         const spatha::SpmmConfig& cfg,
                         ThreadPool* pool = nullptr,
                         spatha::SpmmScratchPool* scratch = nullptr);
+
+/// C_half = act(dequant(A_i8 * quant(B)) + bias): spmm_vnm_i8 with the
+/// epilogue fused into each finished tile's write-back. Per element it is
+/// the generic fused path's computation (dequantize, then
+/// spatha::apply_epilogue, then the fp16 conversion), so it is
+/// bit-identical to that path over spmm_vnm_i8 or spmm_vnm_i8_scalar.
+HalfMatrix spmm_vnm_i8_fused(const QuantizedVnmMatrix& a, const HalfMatrix& b,
+                             const spatha::Epilogue& epilogue,
+                             const spatha::SpmmConfig& cfg,
+                             ThreadPool* pool = nullptr,
+                             spatha::SpmmScratchPool* scratch = nullptr);
+
+/// The stage-2 body spmm_vnm_i8 runs in this process (AMX, AVX-512
+/// VNNI, AVX2 or scalar), with the failed gate when AMX is compiled in
+/// but not used.
+std::string int8_stage2_body();
 
 /// Convenience overload with the tuned/heuristic configuration.
 /// `tuning` is the cache whose "+i8" entry (if any) picks the config —

@@ -64,8 +64,10 @@ struct SpmmScratch {
   std::vector<float> acc;    // fp32 accumulator tile
   // int8 datapath (quant/quantized_vnm.hpp): the quad panel of
   // quantized B (4 s8 codes per column per M-group, a quarter of
-  // `panel`), its int32 accumulator tile, and the VNNI body's per-column
-  // bias correction for the current K panel.
+  // `panel`) and its int32 accumulator tile; `acc` holds a dequantized
+  // row for the fused write-back. col_corr is the AVX-512 VNNI body's
+  // per-column bias correction (vpdpbusd is u8 x s8) for the K panel
+  // region it covers; the AMX body (tdpbssd, s8 x s8) needs none.
   std::vector<std::int8_t> panel_i8;
   std::vector<std::int32_t> acc_i32;
   std::vector<std::int32_t> col_corr;

@@ -553,6 +553,40 @@ TEST_P(QuantFuzz, KernelParityInt8BothModes) {
   }
 }
 
+// The same parity at shapes that reach the int8 SpMM's 16 x 16 AMX tiles
+// where the process runs them (V >= 16, at least 16 groups per K panel,
+// C >= 16), with random row, column and group tails; elsewhere it runs
+// the vector body at these shapes.
+TEST_P(QuantFuzz, KernelParityInt8OnTheTiles) {
+  Rng rng(19000 + std::size_t(GetParam()));
+  const std::size_t vs[] = {16, 24, 32, 48};
+  const std::size_t ms[] = {4, 5, 8, 10};
+  const VnmConfig fmt{vs[rng.uniform_index(std::size(vs))],
+                      1 + rng.uniform_index(2),
+                      ms[rng.uniform_index(std::size(ms))]};
+  const std::size_t rows = fmt.v * (1 + rng.uniform_index(2));
+  const std::size_t cols = fmt.m * (16 + rng.uniform_index(40));
+  const std::size_t b_cols = 16 + rng.uniform_index(80);
+  const QuantizedVnmMatrix q =
+      QuantizedVnmMatrix::quantize(VnmMatrix::from_dense_magnitude(
+          random_half_matrix(rows, cols, rng, 0.1f), fmt));
+  const HalfMatrix b = random_half_matrix(cols, b_cols, rng, 0.1f);
+  for (const spatha::ColumnLocMode mode :
+       {spatha::ColumnLocMode::kEnabled, spatha::ColumnLocMode::kFixed}) {
+    spatha::SpmmConfig cfg = spatha::select_config_heuristic(
+        fmt, rows, cols, b_cols, ops::Dtype::kI8);
+    cfg.column_loc = mode;
+    const FloatMatrix fast = spmm_vnm_i8(q, b, cfg);
+    const FloatMatrix oracle = spmm_vnm_i8_scalar(q, b, mode);
+    ASSERT_EQ(fast.size(), oracle.size());
+    for (std::size_t i = 0; i < fast.size(); ++i)
+      ASSERT_EQ(fast.flat()[i], oracle.flat()[i])
+          << "V=" << fmt.v << " N=" << fmt.n << " M=" << fmt.m
+          << " R=" << rows << " K=" << cols << " C=" << b_cols
+          << " mode=" << int(mode) << " i=" << i;
+  }
+}
+
 TEST_P(QuantFuzz, KernelParityFp8BothModesBothFormats) {
   const FuzzCase fc = FuzzCase::draw(18000 + std::size_t(GetParam()));
   const VnmMatrix sparse = VnmMatrix::from_dense_magnitude(fc.dense, fc.cfg);

@@ -12,6 +12,7 @@
 #include <fstream>
 #include <limits>
 #include <memory>
+#include <optional>
 #include <string>
 
 #include "baselines/gemm.hpp"
@@ -20,6 +21,7 @@
 #include "io/serialize.hpp"
 #include "ops/context.hpp"
 #include "ops/ops.hpp"
+#include "quant/int8_testing.hpp"
 #include "spatha/epilogue.hpp"
 #include "spatha/plan.hpp"
 #include "spatha/spmm.hpp"
@@ -161,7 +163,33 @@ constexpr RaggedCase kRaggedCases[] = {
     {32, 40, 17, {16, 2, 10}}, {64, 128, 17, {64, 2, 16}},
 };
 
-TEST(SpmmI8, FastMatchesScalarOnRaggedShapesBothModes) {
+// The int8 parity suites run once per stage-2 body: the AMX body where
+// this process runs it (skipped with the reason elsewhere), and the
+// vector body (AVX-512 VNNI, AVX2 or the portable loop) forced on.
+enum class Body { kAmx, kVector };
+
+class SpmmI8Parity : public ::testing::TestWithParam<Body> {
+ protected:
+  void SetUp() override {
+    if (GetParam() == Body::kVector) {
+      force_vector_.emplace();
+      return;
+    }
+    const std::string why = detail::amx_unavailable_reason();
+    if (!why.empty()) GTEST_SKIP() << why;
+  }
+
+ private:
+  std::optional<detail::ForceVectorBody> force_vector_;
+};
+
+INSTANTIATE_TEST_SUITE_P(
+    Body, SpmmI8Parity, ::testing::Values(Body::kAmx, Body::kVector),
+    [](const ::testing::TestParamInfo<Body>& info) {
+      return std::string(info.param == Body::kAmx ? "Amx" : "Vector");
+    });
+
+TEST_P(SpmmI8Parity, FastMatchesScalarOnRaggedShapesBothModes) {
   std::uint64_t seed = 40;
   for (const RaggedCase& c : kRaggedCases) {
     const VnmMatrix fp16 = random_vnm(c.rows, c.cols, c.fmt, seed);
@@ -185,7 +213,7 @@ TEST(SpmmI8, FastMatchesScalarOnRaggedShapesBothModes) {
 // The int8 heuristic's own tiling (BSc up to 128, 16 KiB K panels): the
 // ragged cases' formats at 16x their depth, so a row spans several K
 // panels, and at widths that straddle the C tile.
-TEST(SpmmI8, FastMatchesScalarUnderTheInt8Tiling) {
+TEST_P(SpmmI8Parity, FastMatchesScalarUnderTheInt8Tiling) {
   std::uint64_t seed = 140;
   for (const RaggedCase& c : kRaggedCases) {
     const std::size_t cols = 16 * c.cols;
@@ -315,6 +343,24 @@ TEST(FromParts, ValidatesQuantizedStructures) {
 // Every (row, group) of a 16x16 16:2:8 matrix stores its two nonzeros
 // in selector slot 0. The gathered 2:4 row has one position per slot, so
 // all three containers reject the parts, naming the first (row, group).
+// Every int8 body sums a row in int32: a row whose groups * n products
+// of |a| <= 128 and |b| <= 127 could overflow it is refused.
+TEST(FromParts, RejectsRowsTooLongForAnInt32Sum) {
+  const VnmConfig cfg{2, 2, 8};
+  const std::size_t max_groups = 2147483647 / (2 * 128 * 127);  // 66,052
+  const auto build = [&](std::size_t groups) {
+    const std::size_t words = 2 * groups;
+    std::vector<std::uint8_t> m_indices(words * 2);
+    for (std::size_t i = 0; i < m_indices.size(); ++i) m_indices[i] = i % 2;
+    return QuantizedVnmMatrix::from_parts(
+        cfg, 2, groups * cfg.m, std::vector<std::int8_t>(words * 2, -128),
+        std::move(m_indices), std::vector<std::uint8_t>(groups * 4, 0),
+        std::vector<float>(2, 0.5f));
+  };
+  EXPECT_NO_THROW(build(max_groups));
+  EXPECT_THROW(build(max_groups + 1), Error);
+}
+
 TEST(FromParts, RejectsTwoNonzerosInOneSelectorSlot) {
   const VnmConfig cfg{16, 2, 8};
   const std::size_t n = 16, words = 16 * (16 / 8);
@@ -391,10 +437,13 @@ TEST(FromParts, RejectsTwoNonzerosInOneSelectorSlot) {
 // (-128 reaches the kernel only through from_parts) against B columns at
 // full scale, where every B code is +-127. A four-way dot product's int16
 // pair sums peak at 2 * 128 * 127 = 32,512 here, and the widths cover
-// every strip and tail of the 16- and 8-lane bodies.
-TEST(SpmmI8, ExactAtTheCodeExtremesOnEveryStripAndTail) {
-  const VnmConfig cfg{16, 2, 8};
-  const std::size_t rows = 32, cols = 64, groups = cols / cfg.m;
+// every strip and tail of the 16- and 8-lane bodies. At 68 groups per
+// row the AMX body takes the 16-aligned part (2 x 2 tile blocks at
+// V = 32) and the vector body the K tail, the column tail and, at
+// V = 24, the row tail.
+void expect_exact_at_the_code_extremes(VnmConfig cfg, std::size_t rows,
+                                       std::size_t cols) {
+  const std::size_t groups = cols / cfg.m;
   const std::int8_t extremes[] = {-128, -127, 127};
   std::vector<std::int8_t> values(rows * groups * cfg.n);
   std::vector<std::uint8_t> m_indices(values.size());
@@ -431,15 +480,19 @@ TEST(SpmmI8, ExactAtTheCodeExtremesOnEveryStripAndTail) {
   }
 }
 
-// inf in B makes its column's scale inf and its codes garbage (inf * 0
-// is NaN), but the vector B quantizer keeps every code at >= -127, so the
-// kernels' exactness bound still holds and the fast path still equals the
-// oracle on those codes (+-inf outputs keep their sign). The scalar
-// quantizer's NaN-to-int cast is undefined, so only vector builds run it.
+TEST_P(SpmmI8Parity, ExactAtTheCodeExtremesOnEveryStripAndTail) {
+  expect_exact_at_the_code_extremes({16, 2, 8}, 32, 64);
+}
+
+TEST_P(SpmmI8Parity, ExactAtTheCodeExtremesOnTheTiles) {
+  expect_exact_at_the_code_extremes({32, 2, 8}, 64, 544);
+  expect_exact_at_the_code_extremes({24, 2, 8}, 48, 544);
+}
+
+// A non-finite value in B makes its column's scale NaN and its codes 0,
+// on every target: the fast path still equals the oracle (NaN where both
+// are NaN), and no non-finite float reaches a float-to-int cast.
 TEST(SpmmI8, InfInBKeepsFastEqualToScalar) {
-#if !defined(__AVX2__)
-  GTEST_SKIP() << "needs the vector B quantizer";
-#else
   const QuantizedVnmMatrix q =
       QuantizedVnmMatrix::quantize(random_vnm(16, 64, {16, 2, 8}, 97));
   Rng rng(98);
@@ -453,7 +506,40 @@ TEST(SpmmI8, InfInBKeepsFastEqualToScalar) {
                   (std::isnan(fast(r, c)) && std::isnan(scalar(r, c))))
           << "r=" << r << " c=" << c << ": " << fast(r, c) << " vs "
           << scalar(r, c);
-#endif
+}
+
+// NaN, +inf or -inf anywhere in a column makes that column all NaN, on
+// the fast path and the oracle alike, and leaves every other column as
+// in the all-finite run. The value sits at B(5, 3) (B(5, 0) at C = 1);
+// C = 1 runs the quantizer's scalar loops, C = 17 and 32 its vector
+// strips and tails.
+TEST(SpmmI8, NonFiniteBColumnIsAllNaN) {
+  const QuantizedVnmMatrix q =
+      QuantizedVnmMatrix::quantize(random_vnm(32, 64, {16, 2, 8}, 99));
+  const float bad[] = {std::numeric_limits<float>::quiet_NaN(),
+                       std::numeric_limits<float>::infinity(),
+                       -std::numeric_limits<float>::infinity()};
+  for (const std::size_t width : {1, 17, 32}) {
+    Rng rng(100 + width);
+    const HalfMatrix finite = random_half_matrix(64, width, rng);
+    const FloatMatrix want = spmm_vnm_i8_scalar(q, finite);
+    const std::size_t col = std::min<std::size_t>(3, width - 1);
+    for (const float v : bad) {
+      HalfMatrix b = finite;
+      b(5, col) = half_t(v);
+      for (const FloatMatrix& got :
+           {spmm_vnm_i8(q, b), spmm_vnm_i8_scalar(q, b)})
+        for (std::size_t r = 0; r < got.rows(); ++r)
+          for (std::size_t c = 0; c < got.cols(); ++c) {
+            if (c == col)
+              EXPECT_TRUE(std::isnan(got(r, c)))
+                  << "C=" << width << " v=" << v << " r=" << r;
+            else
+              EXPECT_EQ(got(r, c), want(r, c))
+                  << "C=" << width << " v=" << v << " r=" << r << " c=" << c;
+          }
+    }
+  }
 }
 
 // ----------------------------------------------------------- dispatch
@@ -486,6 +572,17 @@ TEST(QuantDispatch, QuantizedArgsSelectQuantizedBackends) {
     const ops::ScopedBackend forced("vnm-fp8-scalar");
     EXPECT_EQ(ops::matmul(fargs), f8_fast);
   }
+}
+
+// `venomtool backends` says which int8 stage-2 body this process runs.
+TEST(QuantDispatch, Int8BackendNamesItsStage2Body) {
+  const ops::Matmul* int8 = ops::BackendRegistry::instance().find("vnm-int8");
+  ASSERT_NE(int8, nullptr);
+  EXPECT_NE(int8->describe().find("stage 2: " + int8_stage2_body()),
+            std::string::npos);
+  EXPECT_EQ(int8_stage2_body().rfind("AMX", 0) == 0,
+            detail::amx_unavailable_reason().empty())
+      << int8_stage2_body();
 }
 
 TEST(QuantDispatch, TunedI8EntryRoundTripsAndDispatchesBitIdentically) {
@@ -680,6 +777,42 @@ TEST(LinearQuant, Fp8ForwardIsTheFusedEpilogueOverTheOracle) {
       }
       EXPECT_TRUE(layer.forward(x) == want)
           << ops::to_string(dtype) << " C=" << width;
+    }
+  }
+}
+
+TEST(LinearQuant, Int8ForwardIsTheFusedEpilogueOverTheOracle) {
+  // vnm-int8's run_fused dequantizes, applies the epilogue and converts
+  // to fp16 inside each tile's write-back; its output is the fp16
+  // conversion of the epilogue applied to the oracle's dequantized
+  // accumulator, bit for bit, with and without GELU, through the Linear
+  // and through ops::matmul_fused.
+  Rng rng(113);
+  transformer::Linear layer = transformer::Linear::random(64, 96, rng);
+  layer.sparsify({16, 2, 8});
+  layer.set_weight_dtype(ops::Dtype::kI8);
+  ASSERT_NE(layer.int8_weight(), nullptr);
+  const QuantizedVnmMatrix& w = *layer.int8_weight();
+  ops::ExecContext ctx;
+  for (const std::size_t width : {1, 12, 16, 70, 256}) {
+    const HalfMatrix x = random_half_matrix(96, width, rng, 0.5f);
+    for (const spatha::Activation act :
+         {spatha::Activation::kNone, spatha::Activation::kGelu}) {
+      spatha::Epilogue epilogue;
+      epilogue.bias = layer.bias();
+      epilogue.activation = act;
+      FloatMatrix acc = spmm_vnm_i8_scalar(w, x);
+      HalfMatrix want(acc.rows(), width);
+      for (std::size_t r = 0; r < acc.rows(); ++r) {
+        spatha::apply_epilogue(epilogue, r, &acc(r, 0), width);
+        float_to_half_n(&acc(r, 0), &want(r, 0), width);
+      }
+      EXPECT_TRUE(ops::matmul_fused(ops::MatmulArgs::make(w, x), epilogue,
+                                    ctx) == want)
+          << "C=" << width << " act=" << int(act);
+      if (act == spatha::Activation::kNone) {
+        EXPECT_TRUE(layer.forward(x) == want) << "C=" << width;
+      }
     }
   }
 }
