@@ -2,8 +2,11 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <cmath>
 #include <limits>
+
+#include "common/half.hpp"
 
 namespace venom {
 
@@ -59,6 +62,42 @@ const std::array<float, 256>& decode_table(Fp8Format fmt) {
   return fmt == Fp8Format::kE5M2 ? e5m2 : e4m3;
 }
 
+/// float_to_fp8 in integer arithmetic on the float's bits, with no
+/// table search: the bulk encoders' body. Round to nearest, ties to the
+/// even code, as float_to_fp8; test_fp8 pins the two equal.
+std::uint8_t encode_bits(float f, Fp8Format fmt) {
+  const Layout& l = layout(fmt);
+  std::uint32_t u = std::bit_cast<std::uint32_t>(f);
+  const std::uint8_t sign = std::uint8_t((u >> 24) & 0x80u);
+  u &= 0x7fffffffu;
+  if (u > 0x7f800000u) return std::uint8_t(l.nan_code | sign);
+  if (fmt == Fp8Format::kE5M2) {
+    if (u >= std::bit_cast<std::uint32_t>(61440.0f))
+      return std::uint8_t(0x7cu | sign);
+  } else if (u > std::bit_cast<std::uint32_t>(448.0f)) {
+    return std::uint8_t(l.max_finite | sign);
+  }
+  const int shift = 23 - l.mant_bits;  // float mantissa bits dropped
+  if (u < std::uint32_t(127 + 1 - l.bias) << 23) {
+    // Below the smallest normal: adding 2^(shift + 1 - bias) leaves the
+    // sum's ulp equal to the smallest subnormal, so the FPU's own
+    // round-to-nearest-even lands the code in the low mantissa bits (a
+    // carry into the exponent field is the smallest normal's code).
+    const float magic =
+        std::bit_cast<float>(std::uint32_t(127 + shift + 1 - l.bias) << 23);
+    const float sum = std::bit_cast<float>(u) + magic;
+    return std::uint8_t((std::bit_cast<std::uint32_t>(sum) -
+                         std::bit_cast<std::uint32_t>(magic)) |
+                        sign);
+  }
+  // Normal: round off `shift` mantissa bits, ties to even (a carry rolls
+  // into the exponent), then rebias the exponent.
+  u += (1u << (shift - 1)) - 1 + ((u >> shift) & 1u);
+  return std::uint8_t(((u >> shift) - (std::uint32_t(127 - l.bias)
+                                       << l.mant_bits)) |
+                      sign);
+}
+
 }  // namespace
 
 const char* to_string(Fp8Format fmt) {
@@ -112,7 +151,18 @@ void fp8_to_float_n(const std::uint8_t* src, float* dst, std::size_t n,
 
 void float_to_fp8_n(const float* src, std::uint8_t* dst, std::size_t n,
                     Fp8Format fmt) {
-  for (std::size_t i = 0; i < n; ++i) dst[i] = float_to_fp8(src[i], fmt);
+  for (std::size_t i = 0; i < n; ++i) dst[i] = encode_bits(src[i], fmt);
+}
+
+void half_to_fp8_n(const half_t* src, std::uint8_t* dst, std::size_t n,
+                   Fp8Format fmt) {
+  constexpr std::size_t kBlock = 256;
+  float buf[kBlock];
+  for (std::size_t i = 0; i < n; i += kBlock) {
+    const std::size_t len = std::min(kBlock, n - i);
+    half_to_float_n(src + i, buf, len);  // exact
+    float_to_fp8_n(buf, dst + i, len, fmt);
+  }
 }
 
 }  // namespace venom

@@ -22,6 +22,8 @@
 
 namespace venom {
 
+class half_t;
+
 /// The two 8-bit floating point layouts.
 enum class Fp8Format : std::uint8_t { kE5M2, kE4M3 };
 
@@ -44,10 +46,16 @@ std::uint8_t float_to_fp8(float f, Fp8Format fmt);
 void fp8_to_float_n(const std::uint8_t* src, float* dst, std::size_t n,
                     Fp8Format fmt);
 
-/// Bulk encode: dst[i] = float_to_fp8(src[i], fmt). Weight-quantization
-/// path only (decoding is the hot direction). `src`/`dst` must not
-/// overlap.
+/// Bulk encode: dst[i] = float_to_fp8(src[i], fmt), computed on the
+/// float's bits instead of float_to_fp8's table search. Weight-
+/// quantization path only (decoding is the hot direction). `src`/`dst`
+/// must not overlap.
 void float_to_fp8_n(const float* src, std::uint8_t* dst, std::size_t n,
                     Fp8Format fmt);
+
+/// Bulk encode from fp16: dst[i] = float_to_fp8(src[i].to_float(), fmt),
+/// through half_to_float_n (exact) and float_to_fp8_n.
+void half_to_fp8_n(const half_t* src, std::uint8_t* dst, std::size_t n,
+                   Fp8Format fmt);
 
 }  // namespace venom

@@ -5,7 +5,24 @@
 #include <exception>
 #include <memory>
 
+#include "common/thread_pool_testing.hpp"
+
 namespace venom {
+
+namespace {
+
+/// Live detail::ForcePooled guards; nonzero disables the inline rule.
+std::atomic<int> force_pooled{0};
+
+}  // namespace
+
+detail::ForcePooled::ForcePooled() {
+  force_pooled.fetch_add(1, std::memory_order_relaxed);
+}
+
+detail::ForcePooled::~ForcePooled() {
+  force_pooled.fetch_sub(1, std::memory_order_relaxed);
+}
 
 /// Shared state of one parallel loop: an atomic cursor over the chunk
 /// grid plus completion tracking. Runner tasks and the calling thread all
@@ -82,8 +99,13 @@ void ThreadPool::run_job(Job& job) {
 
 void ThreadPool::parallel_for_chunks(
     std::size_t n, const std::function<void(std::size_t, std::size_t)>& fn,
-    std::size_t grain) {
+    std::size_t grain, std::size_t work) {
   if (n == 0) return;
+  if (work < kInlineWork &&
+      force_pooled.load(std::memory_order_relaxed) == 0) {
+    fn(0, n);
+    return;
+  }
   const std::size_t workers = workers_.size();
   if (grain == 0) {
     // A few chunks per worker balances load without shredding locality.
@@ -102,13 +124,14 @@ void ThreadPool::parallel_for_chunks(
 
   // One runner per worker at most; each runner loops claiming chunks off
   // the atomic cursor, so queue traffic is O(workers), not O(chunks).
+  // One wake-up per runner: the other idle workers sleep on.
   const std::size_t runners = std::min(workers, job->total_chunks);
   {
     MutexLock lock(mutex_);
     for (std::size_t i = 0; i < runners; ++i)
       tasks_.emplace([job] { run_job(*job); });
   }
-  cv_.notify_all();
+  for (std::size_t i = 0; i < runners; ++i) cv_.notify_one();
 
   // The caller drains chunks too (it would otherwise idle), then waits
   // for stragglers claimed by workers.

@@ -7,6 +7,7 @@
 #include <utility>
 
 #include "common/error.hpp"
+#include "common/thread_pool.hpp"
 #include "common/timing.hpp"
 #include "quant/quantized_vnm.hpp"
 #include "spatha/microkernel.hpp"
@@ -113,7 +114,10 @@ MeasuredResult autotune_measured(const VnmMatrix& a, const HalfMatrix& b,
   std::set<std::pair<std::size_t, std::size_t>> seen = {
       {heuristic_cfg.block_k, heuristic_cfg.block_c}};
   // The packed kernels' narrow path (fp16 and fp8) reads no tile
-  // extents, so at its widths only the grain axis is swept.
+  // extents, so at its widths only the grain axis is swept. Below the
+  // pool's inline rule (nnz x C < kInlineWork) every grain runs the same
+  // serial fn(0, n), so only the heuristic's grain is timed there.
+  const bool grains_apply = a.nnz() * shape.c >= ThreadPool::kInlineWork;
   const bool tiles_apply =
       dtype == ops::Dtype::kI8 ||
       spatha::detail::packed_path(shape.c, heuristic_cfg) ==
@@ -132,8 +136,9 @@ MeasuredResult autotune_measured(const VnmMatrix& a, const HalfMatrix& b,
   }
 
   const std::vector<std::size_t> grains =
-      space.chunk_grains.empty() ? std::vector<std::size_t>{0}
-                                 : space.chunk_grains;
+      space.chunk_grains.empty() || !grains_apply
+          ? std::vector<std::size_t>{heuristic_cfg.chunk_grain}
+          : space.chunk_grains;
   const double flops = spatha::spmm_flops(a, shape.c);
 
   MeasuredResult result;

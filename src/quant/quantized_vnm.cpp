@@ -575,7 +575,8 @@ inline void dequantize_row(const std::int32_t* arow, float rs,
 
 /// The int8 SpMM's tile loop: B quantized once, then the same
 /// (block row, C tile) decomposition as spatha::spmm_vnm with int8
-/// panels and an int32 accumulator tile. write_back(r, c0, width, arow,
+/// panels and an int32 accumulator tile, inline below the pool's
+/// kInlineWork multiply-adds (nnz x C). write_back(r, c0, width, arow,
 /// rs, cs, scratch) is stage 3 for one finished row of a tile.
 template <class WriteBack>
 void run_i8_tiles(const QuantizedVnmMatrix& a, const HalfMatrix& b,
@@ -619,7 +620,7 @@ void run_i8_tiles(const QuantizedVnmMatrix& a, const HalfMatrix& b,
           }
         }
       },
-      cfg.chunk_grain);
+      cfg.chunk_grain, a.nnz() * b.cols());
 }
 
 /// Every int8 SpMM body, and the oracle, sums a row's groups * n
@@ -733,8 +734,8 @@ Fp8VnmMatrix Fp8VnmMatrix::quantize(const VnmMatrix& fp16, Fp8Format format) {
   q.m_indices_ = fp16.m_indices();
   q.column_loc_ = fp16.column_locs();
   q.values_.resize(fp16.values().size());
-  for (std::size_t i = 0; i < q.values_.size(); ++i)
-    q.values_[i] = float_to_fp8(fp16.values()[i].to_float(), format);
+  half_to_fp8_n(fp16.values().data(), q.values_.data(), q.values_.size(),
+                format);
   return q;
 }
 

@@ -96,7 +96,8 @@ struct EpilogueSink {
 };
 
 /// Wide path: one pool iteration per (block row, C tile), the paper's
-/// thread-block decomposition (Fig. 5); scratch per chunk.
+/// thread-block decomposition (Fig. 5); scratch per chunk. Both paths
+/// pass their multiply-adds, nnz x C, to the pool's inline rule.
 template <class Sink>
 void run_wide(const PackedVnm& p, const HalfMatrix& b, const SpmmConfig& cfg,
               ThreadPool* pool, SpmmScratchPool* scratch, const Sink& sink) {
@@ -130,7 +131,7 @@ void run_wide(const PackedVnm& p, const HalfMatrix& b, const SpmmConfig& cfg,
             sink(br * fmt.v + dr, c0, &s.acc[dr * ws], c1 - c0);
         }
       },
-      cfg.chunk_grain);
+      cfg.chunk_grain, p.rows() * p.slots() * b.cols());
 }
 
 /// Narrow path: B converted and transposed once, then pool iterations
@@ -169,7 +170,8 @@ void run_narrow(const PackedVnm& p, const HalfMatrix& b, const SpmmConfig& cfg,
             sink(r, 0, &s.acc[(r - r0) * width], width);
         }
       },
-      detail::narrow_grain(cfg, p.chunks(), pool->size()));
+      detail::narrow_grain(cfg, p.chunks(), pool->size()),
+      p.rows() * p.slots() * width);
 }
 
 template <class Sink>

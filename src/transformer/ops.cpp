@@ -14,29 +14,22 @@ namespace {
 
 constexpr std::size_t kChunk = 2048;    // gelu / add: flat elements per task
 constexpr std::size_t kColBlock = 32;  // layer_norm: columns per task
-/// Elements below which gelu / add / layer_norm run inline: a decode
-/// step's (hidden x sessions) activations stay on the caller.
-constexpr std::size_t kParallelElems = std::size_t(1) << 14;
-
-/// fn over tasks [0, count) of an op touching `elems` elements: on ctx's
-/// pool for a large op, else inline.
-void run_tasks(ops::ExecContext* ctx, std::size_t elems, std::size_t count,
-               const std::function<void(std::size_t, std::size_t)>& fn) {
-  if (elems < kParallelElems)
-    fn(0, count);
-  else
-    ops::resolve(ctx).pool().parallel_for_chunks(count, fn);
-}
+/// Multiply-adds one element counts for in the pool's inline rule, so an
+/// op over fewer than 2^14 elements (16 x 2^14 = kInlineWork) runs on
+/// the caller.
+constexpr std::size_t kElemWork = 16;
 
 /// fn(i, len) over the flat chunks [i, i + len) of n elements, each at
 /// most kChunk long.
 template <typename Fn>
 void flat_chunks(ops::ExecContext* ctx, std::size_t n, Fn&& fn) {
-  run_tasks(ctx, n, (n + kChunk - 1) / kChunk,
-            [&](std::size_t b, std::size_t e) {
-              for (std::size_t c = b; c < e; ++c)
-                fn(c * kChunk, std::min(kChunk, n - c * kChunk));
-            });
+  ops::resolve(ctx).pool().parallel_for_chunks(
+      (n + kChunk - 1) / kChunk,
+      [&](std::size_t b, std::size_t e) {
+        for (std::size_t c = b; c < e; ++c)
+          fn(c * kChunk, std::min(kChunk, n - c * kChunk));
+      },
+      0, n * kElemWork);
 }
 
 /// layer_norm of columns [t0, t0 + kColBlock) (clipped to x.cols()).
@@ -85,11 +78,13 @@ HalfMatrix layer_norm(const HalfMatrix& x, std::span<const float> gamma,
                       ops::ExecContext* ctx) {
   VENOM_CHECK(gamma.size() == x.rows() && beta.size() == x.rows());
   HalfMatrix out(x.rows(), x.cols());
-  run_tasks(ctx, x.size(), (x.cols() + kColBlock - 1) / kColBlock,
-            [&](std::size_t b, std::size_t e) {
-              for (std::size_t blk = b; blk < e; ++blk)
-                layer_norm_block(x, gamma, beta, eps, blk * kColBlock, out);
-            });
+  ops::resolve(ctx).pool().parallel_for_chunks(
+      (x.cols() + kColBlock - 1) / kColBlock,
+      [&](std::size_t b, std::size_t e) {
+        for (std::size_t blk = b; blk < e; ++blk)
+          layer_norm_block(x, gamma, beta, eps, blk * kColBlock, out);
+      },
+      0, x.size() * kElemWork);
   return out;
 }
 
@@ -238,9 +233,6 @@ namespace {
 constexpr std::size_t kStrip = 16;     // register strip: 16 floats
 constexpr std::size_t kRows = 4;       // query rows sharing a loaded strip
 constexpr std::size_t kTaskRows = 32;  // query rows per task
-/// Score multiply-adds below which a call runs inline: roughly what
-/// waking the pool for the four passes costs.
-constexpr std::size_t kParallelWork = std::size_t(1) << 18;
 
 /// Adds the wall time of fn() to *slot (no clock reads when null).
 template <typename Fn>
@@ -357,7 +349,7 @@ AttentionCore::AttentionCore(std::size_t heads, std::size_t head_dim,
   seqs_ = {table, seqs.size()};
   panels_ = arena.alloc<float>(heads_ * head_panels_);
   scores_ = arena.alloc<float>(heads_ * head_scores_);
-  parallel_ = heads_ * work >= kParallelWork;
+  work_ = heads_ * work;
 }
 
 float* AttentionCore::q_panel(std::size_t h, const Layout& seq) const {
@@ -387,15 +379,6 @@ AttentionCore::Task AttentionCore::task(std::size_t t) const {
   return Task{seq, t / blocks_, r0, std::min(seq.n, r0 + kTaskRows)};
 }
 
-void AttentionCore::run(
-    ThreadPool& pool, std::size_t count,
-    const std::function<void(std::size_t, std::size_t)>& fn) const {
-  if (parallel_)
-    pool.parallel_for_chunks(count, fn);
-  else
-    fn(0, count);
-}
-
 void AttentionCore::load(const HalfMatrix& q, const HalfMatrix& k,
                          const HalfMatrix& v, ThreadPool& pool,
                          ops::TimingBreakdown* timing) {
@@ -412,9 +395,12 @@ void AttentionCore::load(
     ThreadPool& pool, ops::TimingBreakdown* timing) {
   const std::size_t seqs = seqs_.size();
   timed(timing != nullptr ? &timing->attn_matmul_s : nullptr, [&] {
-    run(pool, heads_ * seqs, [&](std::size_t b, std::size_t e) {
-      for (std::size_t x = b; x < e; ++x) fill(x / seqs, x % seqs);
-    });
+    pool.parallel_for_chunks(
+        heads_ * seqs,
+        [&](std::size_t b, std::size_t e) {
+          for (std::size_t x = b; x < e; ++x) fill(x / seqs, x % seqs);
+        },
+        0, work_);
   });
 }
 
@@ -447,14 +433,20 @@ void AttentionCore::probabilities(ThreadPool& pool,
                                   ops::TimingBreakdown* timing) {
   const std::size_t tasks = heads_ * blocks_;
   timed(timing != nullptr ? &timing->attn_matmul_s : nullptr, [&] {
-    run(pool, tasks, [this](std::size_t b, std::size_t e) {
-      for (std::size_t t = b; t < e; ++t) score_task(task(t));
-    });
+    pool.parallel_for_chunks(
+        tasks,
+        [this](std::size_t b, std::size_t e) {
+          for (std::size_t t = b; t < e; ++t) score_task(task(t));
+        },
+        0, work_);
   });
   timed(timing != nullptr ? &timing->softmax_s : nullptr, [&] {
-    run(pool, tasks, [this](std::size_t b, std::size_t e) {
-      for (std::size_t t = b; t < e; ++t) softmax_task(task(t));
-    });
+    pool.parallel_for_chunks(
+        tasks,
+        [this](std::size_t b, std::size_t e) {
+          for (std::size_t t = b; t < e; ++t) softmax_task(task(t));
+        },
+        0, work_);
   });
 }
 
@@ -466,9 +458,12 @@ void AttentionCore::context(HalfMatrix& out, ThreadPool& pool,
                             ops::TimingBreakdown* timing) const {
   VENOM_CHECK(out.rows() == heads_ * dh_);
   timed(timing != nullptr ? &timing->attn_matmul_s : nullptr, [&] {
-    run(pool, heads_ * blocks_, [&](std::size_t b, std::size_t e) {
-      for (std::size_t t = b; t < e; ++t) context_task(task(t), out);
-    });
+    pool.parallel_for_chunks(
+        heads_ * blocks_,
+        [&](std::size_t b, std::size_t e) {
+          for (std::size_t t = b; t < e; ++t) context_task(task(t), out);
+        },
+        0, work_);
   });
 }
 

@@ -36,11 +36,12 @@ void softmax_rows(FloatMatrix& scores);
 // accumulator per column, converting each row's 32-column segment.
 //
 // Threading. Chunks and column blocks run on ops::resolve(ctx).pool()
-// via parallel_for_chunks. An op over fewer than 2^14 elements runs
-// inline on the caller, so a decode step of a few sessions pays no
-// dispatch: on a 4-vCPU AVX-512 Xeon the pool first wins at 2^14
-// elements (gelu 32 us inline vs 18 us pooled; add breaks even). The
-// chunk size, block width and cutoff are fixed constants, not options.
+// via parallel_for_chunks, which counts an element as 16 multiply-adds
+// for its inline rule: an op over fewer than 2^14 elements runs on the
+// caller, so a decode step of a few sessions pays no dispatch (on a
+// 4-vCPU AVX-512 Xeon the pool first won at 2^14 elements: gelu 32 us
+// inline vs 18 us pooled; add broke even). The chunk size, block width
+// and element weight are fixed constants, not options.
 // `ctx` works as in Linear::forward: the encoder passes the context its
 // linear layers run on; nullptr means ExecContext::global().
 //
@@ -104,9 +105,9 @@ HalfMatrix attention_context(const FloatMatrix& p, const HalfMatrix& vh);
 ///
 /// Tasks. Load runs one task per (head, sequence); steps 2 and 3 run one
 /// task per (head, sequence, block of 32 query rows), on the pool via
-/// parallel_for_chunks. A call whose score work (n*m*dh summed over heads
-/// and sequences) is below a fixed constant runs inline on the caller, so
-/// a decode step pays no dispatch. The three steps are timed separately:
+/// parallel_for_chunks. Every step passes the call's score work (n*m*dh
+/// summed over heads and sequences) to the pool's inline rule, so a
+/// decode step pays no dispatch. The three steps are timed separately:
 /// load, scores and context add to attn_matmul_s, softmax to softmax_s.
 ///
 /// Bits. Every output element keeps the scalar loops' expression and
@@ -190,9 +191,6 @@ class AttentionCore {
   std::pair<std::size_t, std::size_t> live(const Layout& seq,
                                            std::size_t r) const;
   Task task(std::size_t t) const;
-  /// fn over [0, count): on the pool for a large call, else inline.
-  void run(ThreadPool& pool, std::size_t count,
-           const std::function<void(std::size_t, std::size_t)>& fn) const;
   void score_task(const Task& t);
   void softmax_task(const Task& t);
   void context_task(const Task& t, HalfMatrix& out) const;
@@ -206,7 +204,7 @@ class AttentionCore {
   std::size_t head_scores_ = 0;   // floats of P per head
   float* panels_ = nullptr;       // heads_ * head_panels_
   float* scores_ = nullptr;       // heads_ * head_scores_
-  bool parallel_ = false;
+  std::size_t work_ = 0;          // score multiply-adds, every head
 };
 
 // ------------------------------------------------------------- backward

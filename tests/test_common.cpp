@@ -3,9 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <mutex>
 #include <set>
 #include <string>
 #include <thread>
@@ -15,6 +17,7 @@
 #include "common/error.hpp"
 #include "common/rng.hpp"
 #include "common/thread_pool.hpp"
+#include "common/thread_pool_testing.hpp"
 
 namespace venom {
 namespace {
@@ -205,6 +208,116 @@ TEST(ThreadPoolChunks, FirstOfConcurrentExceptionsWins) {
     FAIL() << "should have thrown";
   } catch (const Error& e) {
     EXPECT_NE(std::string(e.what()).find("chunk"), std::string::npos);
+  }
+}
+
+// The inline rule: a call whose work is below ThreadPool::kInlineWork
+// runs fn(0, n) once on the caller; any other call is dispatched.
+
+/// Calls dispatch(body), where body(b, e) counts indices [b, e) in
+/// `hits`, and returns the threads that ran body. Each body call waits
+/// (up to 10 s) until a second thread has run one, so a dispatched call
+/// shows two threads even when the caller could drain every chunk alone.
+template <typename Dispatch>
+std::set<std::thread::id> chunk_threads(std::vector<std::atomic<int>>& hits,
+                                        Dispatch&& dispatch) {
+  std::mutex mu;
+  std::set<std::thread::id> ids;
+  const auto two_seen = [&] {
+    std::lock_guard<std::mutex> lock(mu);
+    return ids.size() >= 2;
+  };
+  dispatch([&](std::size_t b, std::size_t e) {
+    {
+      std::lock_guard<std::mutex> lock(mu);
+      ids.insert(std::this_thread::get_id());
+    }
+    for (std::size_t i = b; i < e; ++i) hits[i].fetch_add(1);
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (!two_seen() && std::chrono::steady_clock::now() < deadline)
+      std::this_thread::yield();
+  });
+  return ids;
+}
+
+void expect_each_hit_once(const std::vector<std::atomic<int>>& hits) {
+  for (std::size_t i = 0; i < hits.size(); ++i)
+    EXPECT_EQ(hits[i].load(), 1) << "index " << i;
+}
+
+TEST(ThreadPoolInline, BelowTheConstantRunsOnceOnTheCaller) {
+  ThreadPool pool(4);
+  const std::thread::id caller = std::this_thread::get_id();
+  for (const std::size_t work :
+       {std::size_t(0), std::size_t(1), ThreadPool::kInlineWork - 1}) {
+    int calls = 0;
+    pool.parallel_for_chunks(
+        100,
+        [&](std::size_t b, std::size_t e) {
+          ++calls;  // inline: no other thread can be here
+          EXPECT_EQ(b, 0u);
+          EXPECT_EQ(e, 100u);
+          EXPECT_EQ(std::this_thread::get_id(), caller);
+        },
+        1, work);
+    EXPECT_EQ(calls, 1) << "work " << work;
+  }
+}
+
+TEST(ThreadPoolInline, AtOrAboveTheConstantSpreadsOverThreads) {
+  ThreadPool pool(4);
+  for (const std::size_t work :
+       {ThreadPool::kInlineWork, ThreadPool::kInlineWork * 64}) {
+    SCOPED_TRACE(::testing::Message() << "work " << work);
+    std::vector<std::atomic<int>> hits(64);
+    const auto ids = chunk_threads(hits, [&](const auto& body) {
+      pool.parallel_for_chunks(hits.size(), body, 1, work);
+    });
+    EXPECT_GT(ids.size(), 1u);
+    expect_each_hit_once(hits);
+  }
+}
+
+TEST(ThreadPoolInline, CallWithoutWorkStillDispatches) {
+  ThreadPool pool(4);
+  std::vector<std::atomic<int>> hits(8);
+  const auto ids = chunk_threads(hits, [&](const auto& body) {
+    pool.parallel_for_chunks(hits.size(), body, 1);
+  });
+  EXPECT_GT(ids.size(), 1u);
+  expect_each_hit_once(hits);
+}
+
+TEST(ThreadPoolInline, ForcePooledDispatchesSmallWork) {
+  ThreadPool pool(4);
+  const detail::ForcePooled pooled;
+  std::vector<std::atomic<int>> hits(16);
+  const auto ids = chunk_threads(hits, [&](const auto& body) {
+    pool.parallel_for_chunks(hits.size(), body, 1, 1);
+  });
+  EXPECT_GT(ids.size(), 1u);
+  expect_each_hit_once(hits);
+}
+
+TEST(ThreadPoolInline, ExceptionPropagatesInBothModes) {
+  ThreadPool pool(4);
+  for (const std::size_t work :
+       {std::size_t(1), ThreadPool::kInlineWork}) {
+    EXPECT_THROW(pool.parallel_for_chunks(
+                     64,
+                     [](std::size_t b, std::size_t e) {
+                       if (b <= 37 && 37 < e) throw Error("chunk");
+                     },
+                     1, work),
+                 Error)
+        << "work " << work;
+    // Still serviceable after the failed call.
+    std::atomic<int> sum{0};
+    pool.parallel_for_chunks(
+        64, [&](std::size_t b, std::size_t e) { sum.fetch_add(int(e - b)); },
+        1, work);
+    EXPECT_EQ(sum.load(), 64) << "work " << work;
   }
 }
 

@@ -6,10 +6,13 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <limits>
 #include <vector>
+
+#include "common/half.hpp"
 
 namespace venom {
 namespace {
@@ -210,6 +213,48 @@ TEST(Fp8, BulkConvertersMatchElementwise) {
       EXPECT_EQ(encoded[std::size_t(i)],
                 float_to_fp8(decoded[std::size_t(i)], fmt))
           << i;
+  }
+}
+
+TEST(Fp8, HalfEncodeMatchesScalarOnEveryFp16Pattern) {
+  std::vector<half_t> all(65536);
+  for (std::size_t i = 0; i < all.size(); ++i)
+    all[i] = half_t::from_bits(std::uint16_t(i));
+  for (const Fp8Format fmt : {Fp8Format::kE5M2, Fp8Format::kE4M3}) {
+    std::vector<std::uint8_t> got(all.size());
+    half_to_fp8_n(all.data(), got.data(), all.size(), fmt);
+    std::size_t bad = 0;
+    for (std::size_t i = 0; i < all.size(); ++i)
+      bad += got[i] != float_to_fp8(all[i].to_float(), fmt);
+    EXPECT_EQ(bad, 0u) << to_string(fmt);
+  }
+}
+
+TEST(Fp8, BulkEncodeMatchesScalarAroundEveryMidpointAndOnAFloatSweep) {
+  // Every midpoint between adjacent codes, one float ulp either side of
+  // it, and a stride through all 2^32 float patterns.
+  for (const Fp8Format fmt : {Fp8Format::kE5M2, Fp8Format::kE4M3}) {
+    std::vector<float> src;
+    const float inf = std::numeric_limits<float>::infinity();
+    for (int code = 0; code + 1 < 0x7f; ++code) {
+      const float lo = fp8_to_float(std::uint8_t(code), fmt);
+      const float hi = fp8_to_float(std::uint8_t(code + 1), fmt);
+      if (!std::isfinite(lo) || !std::isfinite(hi)) continue;
+      const float mid = float((double(lo) + double(hi)) / 2.0);
+      for (const float f : {mid, std::nextafter(mid, inf),
+                            std::nextafter(mid, -inf)}) {
+        src.push_back(f);
+        src.push_back(-f);
+      }
+    }
+    for (std::uint64_t u = 0; u < (std::uint64_t(1) << 32); u += 4099)
+      src.push_back(std::bit_cast<float>(std::uint32_t(u)));
+    std::vector<std::uint8_t> got(src.size());
+    float_to_fp8_n(src.data(), got.data(), src.size(), fmt);
+    std::size_t bad = 0;
+    for (std::size_t i = 0; i < src.size(); ++i)
+      bad += got[i] != float_to_fp8(src[i], fmt);
+    EXPECT_EQ(bad, 0u) << to_string(fmt);
   }
 }
 

@@ -16,6 +16,7 @@
 #include "common/fmath.hpp"
 #include "common/fnv.hpp"
 #include "common/rng.hpp"
+#include "common/thread_pool_testing.hpp"
 #include "format/vnm.hpp"
 #include "spatha/spmm.hpp"
 #include "transformer/ops.hpp"
@@ -70,6 +71,7 @@ TEST(Numerics, SubnormalInputsContribute) {
 }
 
 TEST(Determinism, SpmmIdenticalAcrossPoolSizes) {
+  const ::venom::detail::ForcePooled pooled;  // keep the chunked path under test
   // Tiles own disjoint output ranges and accumulate in a fixed order, so
   // results must be bitwise identical no matter how many workers run.
   Rng rng(1);
@@ -87,6 +89,7 @@ TEST(Determinism, SpmmIdenticalAcrossPoolSizes) {
 }
 
 TEST(Determinism, GemmIdenticalAcrossPoolSizes) {
+  const ::venom::detail::ForcePooled pooled;  // keep the chunked path under test
   Rng rng(2);
   const HalfMatrix a = random_half_matrix(48, 96, rng);
   const HalfMatrix b = random_half_matrix(96, 32, rng);

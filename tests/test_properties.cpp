@@ -11,6 +11,7 @@
 #include "baselines/spmm_csr.hpp"
 #include "baselines/spmm_cvse.hpp"
 #include "common/rng.hpp"
+#include "common/thread_pool_testing.hpp"
 #include "format/csr.hpp"
 #include "format/cvse.hpp"
 #include "pruning/policies.hpp"
@@ -47,7 +48,9 @@ struct FuzzCase {
   }
 };
 
-class VnmFuzz : public ::testing::TestWithParam<int> {};
+class VnmFuzz : public ::testing::TestWithParam<int> {
+  ::venom::detail::ForcePooled pooled_;  // keep the chunked path under test
+};
 
 TEST_P(VnmFuzz, CompressionLaws) {
   const FuzzCase fc = FuzzCase::draw(1000 + std::size_t(GetParam()));
@@ -449,7 +452,9 @@ using quant::spmm_vnm_fp8_scalar;
 using quant::spmm_vnm_i8;
 using quant::spmm_vnm_i8_scalar;
 
-class QuantFuzz : public ::testing::TestWithParam<int> {};
+class QuantFuzz : public ::testing::TestWithParam<int> {
+  ::venom::detail::ForcePooled pooled_;  // keep the chunked path under test
+};
 
 TEST_P(QuantFuzz, Int8RoundTripBoundedByHalfScale) {
   const FuzzCase fc = FuzzCase::draw(13000 + std::size_t(GetParam()));

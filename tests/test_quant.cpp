@@ -18,6 +18,7 @@
 #include "baselines/gemm.hpp"
 #include "common/cpu_features.hpp"
 #include "common/rng.hpp"
+#include "common/thread_pool_testing.hpp"
 #include "io/serialize.hpp"
 #include "ops/context.hpp"
 #include "ops/ops.hpp"
@@ -181,6 +182,7 @@ class SpmmI8Parity : public ::testing::TestWithParam<Body> {
 
  private:
   std::optional<detail::ForceVectorBody> force_vector_;
+  ::venom::detail::ForcePooled pooled_;  // keep the chunked path under test
 };
 
 INSTANTIATE_TEST_SUITE_P(

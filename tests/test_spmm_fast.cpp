@@ -20,6 +20,7 @@
 #include "baselines/spmm_24.hpp"
 #include "common/rng.hpp"
 #include "common/thread_pool.hpp"
+#include "common/thread_pool_testing.hpp"
 #include "spatha/epilogue.hpp"
 #include "spatha/microkernel.hpp"
 #include "spatha/spmm.hpp"
@@ -59,6 +60,7 @@ SpmmConfig make_config(const Case& c) {
 }
 
 TEST(SpmmFast, BitIdenticalToReferenceAcrossRaggedShapes) {
+  const ::venom::detail::ForcePooled pooled;  // keep the chunked path under test
   std::uint64_t seed = 100;
   for (const Case& c : kCases) {
     Rng rng(seed + 1);
@@ -229,6 +231,7 @@ TEST(SpmmFast, OnesIdentityRandomPrePass) {
 }
 
 TEST(SpmmFast, WidthSweepMatchesOraclesOnBothPaths) {
+  const ::venom::detail::ForcePooled pooled;  // keep the chunked path under test
   // C on both sides of the narrow/wide crossover, V of 16, 64 and 128;
   // one config as dispatch picks it and one with ragged K panels.
   static_assert(detail::kNarrowMaxWidth >= 7 && detail::kNarrowMaxWidth < 16);
@@ -251,6 +254,7 @@ TEST(SpmmFast, WidthSweepMatchesOraclesOnBothPaths) {
 }
 
 TEST(SpmmFast, RaggedFormatsAtNarrowWidthsOnBothPaths) {
+  const ::venom::detail::ForcePooled pooled;  // keep the chunked path under test
   // The ragged kCases at widths under the crossover, plus one M-group
   // wider than any register (M = 32), so the narrow path's masked-gather
   // lookup runs on every lane width, and 16-row chunks that span several
@@ -428,6 +432,7 @@ TEST(HalfBulk, FloatToHalfNanStaysNan) {
 }
 
 TEST(ThreadPoolFast, ChunkedCoversEveryIndexOnce) {
+  const ::venom::detail::ForcePooled pooled;  // keep the chunked path under test
   ThreadPool pool(4);
   std::vector<std::atomic<int>> hits(1037);
   pool.parallel_for_chunks(hits.size(), [&](std::size_t b, std::size_t e) {
@@ -439,6 +444,7 @@ TEST(ThreadPoolFast, ChunkedCoversEveryIndexOnce) {
 }
 
 TEST(ThreadPoolFast, WorkerExceptionPropagatesToCaller) {
+  const ::venom::detail::ForcePooled pooled;  // keep the chunked path under test
   ThreadPool pool(4);
   EXPECT_THROW(pool.parallel_for(512,
                                  [](std::size_t i) {
