@@ -1,6 +1,7 @@
 // Lane types: the one set of vector registers under the library's
 // bit-defined loops (common/fmath.cpp, the packed SpMM in
-// spatha/packed.cpp). Internal: not part of the public API.
+// spatha/packed.cpp, the attention core in transformer/ops.cpp).
+// Internal: not part of the public API.
 //
 // Lane1 is one float; Lane8 and Lane16 are the AVX2 + FMA and AVX-512F
 // registers. Every lane operation is one correctly rounded IEEE
@@ -9,11 +10,16 @@
 // each of them. The lane types perform no multiply-add of their own
 // except `fma`, and a file that writes its arithmetic over them is
 // compiled with -ffp-contract=off, so a multiply followed by an add
-// stays two roundings unless written as fma.
+// stays two roundings unless written as fma. (The attention core's
+// lane code is only fma and a final multiply by the score scale, which
+// no add follows, so transformer/ops.cpp needs no such flag.)
 //
-// Besides arithmetic, the types carry what the SpMM kernels need:
+// Besides arithmetic, the types carry what the SpMM kernels and the
+// attention core need:
 //   I / load_i      a register of int32 indices, widened from bytes;
 //   mask_bits       a lane mask from the low kWidth bits of an integer;
+//   load_mask       masked load of consecutive floats: lanes outside the
+//                   mask read no memory and hold +0;
 //   gather          masked indexed load: lanes outside the mask read no
 //                   memory and hold +0;
 //   permute         (Lane8, Lane16) lane i takes table[idx[i]], an
@@ -47,6 +53,7 @@ struct Lane1 {
   static void store(float* p, F v) { *p = v; }
   static I load_i(const std::uint8_t* p) { return *p; }
   static M mask_bits(unsigned bits) { return (bits & 1u) != 0; }
+  static F load_mask(const float* p, M m) { return m ? *p : 0.0f; }
   static F gather(const float* base, I idx, M m) {
     return m ? base[idx] : 0.0f;
   }
@@ -99,6 +106,9 @@ struct Lane8 {
     const __m256i b = _mm256_set1_epi32(static_cast<int>(bits & 0xffu));
     return _mm256_castsi256_ps(
         _mm256_cmpeq_epi32(_mm256_and_si256(b, lane_bit), lane_bit));
+  }
+  static F load_mask(const float* p, M m) {
+    return _mm256_maskload_ps(p, _mm256_castps_si256(m));
   }
   static F gather(const float* base, I idx, M m) {
     return _mm256_mask_i32gather_ps(_mm256_setzero_ps(), base, idx, m, 4);
@@ -160,6 +170,9 @@ struct Lane16 {
         kAll, _mm_loadu_si128(reinterpret_cast<const __m128i*>(p)));
   }
   static M mask_bits(unsigned bits) { return static_cast<M>(bits & 0xffffu); }
+  static F load_mask(const float* p, M m) {
+    return _mm512_maskz_loadu_ps(m, p);
+  }
   static F gather(const float* base, I idx, M m) {
     return _mm512_mask_i32gather_ps(_mm512_setzero_ps(), m, idx, base, 4);
   }

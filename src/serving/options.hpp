@@ -36,7 +36,7 @@ struct Options {
   /// Per-tenant rate limits and the global in-flight bound. Ignored by a
   /// bare InferenceEngine (admission is the router's job).
   AdmissionPolicy admission{};
-  /// KV ring capacity per generation session (columns of fp16 K and V
+  /// KV ring capacity per generation session (slots of float K and V
   /// per layer — kv_cache.hpp has the memory math). When the encoder has
   /// an attention window this must equal it; otherwise each session's
   /// prompt + max_new_tokens must fit within it (checked at submit).

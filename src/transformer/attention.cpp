@@ -86,6 +86,21 @@ NmMatrix prune_probabilities(const float* p, std::size_t rows,
   return NmMatrix::compress(pruned, pattern);
 }
 
+/// Runs fn(), adding its wall time to timing->attn_matmul_s when
+/// timing is non-null.
+template <typename Fn>
+void timed(TimingBreakdown* timing, Fn&& fn) {
+  if (timing == nullptr) {
+    fn();
+    return;
+  }
+  const auto t0 = std::chrono::steady_clock::now();
+  fn();
+  timing->attn_matmul_s +=
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+          .count();
+}
+
 }  // namespace
 
 HalfMatrix MultiHeadAttention::forward(const HalfMatrix& x,
@@ -137,28 +152,26 @@ HalfMatrix MultiHeadAttention::forward_batched(
   // Dynamic N:M attention: context^T = P_nm * V^T per (head, sequence),
   // dispatched through the ops layer, which selects the register-blocked
   // N:M fast path (bit-identical to the spmm_24 baseline).
-  const auto t0 = std::chrono::steady_clock::now();
-  for (std::size_t h = 0; h < heads_; ++h) {
-    std::size_t s0 = 0;
-    for (std::size_t s = 0; s < seq_ends.size(); ++s) {
-      const std::size_t ts = seq_ends[s] - s0;
-      const NmMatrix p_nm =
-          prune_probabilities(core.probs(h, s), ts, ts, *score_pattern_);
-      HalfMatrix vt(ts, dh);
-      for (std::size_t j = 0; j < ts; ++j)
-        for (std::size_t d = 0; d < dh; ++d) vt(j, d) = v(h * dh + d, s0 + j);
-      const FloatMatrix ctx_t =
-          ops::matmul(ops::MatmulArgs::make(p_nm, vt), ctx);
-      for (std::size_t d = 0; d < dh; ++d)
-        for (std::size_t i = 0; i < ts; ++i)
-          context(h * dh + d, s0 + i) = half_t(ctx_t(i, d));
-      s0 = seq_ends[s];
+  timed(timing, [&] {
+    for (std::size_t h = 0; h < heads_; ++h) {
+      std::size_t s0 = 0;
+      for (std::size_t s = 0; s < seq_ends.size(); ++s) {
+        const std::size_t ts = seq_ends[s] - s0;
+        const NmMatrix p_nm =
+            prune_probabilities(core.probs(h, s), ts, ts, *score_pattern_);
+        HalfMatrix vt(ts, dh);
+        for (std::size_t j = 0; j < ts; ++j)
+          for (std::size_t d = 0; d < dh; ++d)
+            vt(j, d) = v(h * dh + d, s0 + j);
+        const FloatMatrix ctx_t =
+            ops::matmul(ops::MatmulArgs::make(p_nm, vt), ctx);
+        for (std::size_t d = 0; d < dh; ++d)
+          for (std::size_t i = 0; i < ts; ++i)
+            context(h * dh + d, s0 + i) = half_t(ctx_t(i, d));
+        s0 = seq_ends[s];
+      }
     }
-  }
-  if (timing != nullptr)
-    timing->attn_matmul_s += std::chrono::duration<double>(
-                                 std::chrono::steady_clock::now() - t0)
-                                 .count();
+  });
   return wo_.forward(context, timing, call_ctx);
 }
 
@@ -183,19 +196,16 @@ HalfMatrix MultiHeadAttention::forward_cached(
     VENOM_CHECK_MSG(seq_ends[i] < seq_ends[i + 1],
                     "sequence ends must be strictly increasing");
   VENOM_CHECK_MSG(seq_ends.front() > 0, "empty leading sequence");
-  const std::size_t dh = hidden_ / heads_;
-
-  // Projections over the whole packed batch — the same single SpMM per
-  // weight as forward_batched, and the columns land bit-identically
-  // because Linear's outputs are column-independent.
-  const HalfMatrix q = wq_.forward(x, timing, call_ctx);
-  const HalfMatrix k = wk_.forward(x, timing, call_ctx);
-  const HalfMatrix v = wv_.forward(x, timing, call_ctx);
-
   // Sequence s's new tokens at positions [p0, p0 + n) attend, with the
-  // windowed causal mask of the full forward, the keys
-  // [max(0, p0 + 1 - w), p0 + n): the resident window before p0, read
-  // from the ring, then the new tokens' own keys.
+  // windowed causal mask of the full forward, the keys [lo, p0 + n),
+  // lo = max(0, p0 + 1 - w), read in place from the ring where they are
+  // resident. A one-token (decode) item appends first and reads its whole
+  // window [lo, p0] from the ring: the slot it overwrites held p0 - w,
+  // outside the window. A longer (prefill) chunk reads the resident
+  // [lo, p0) and its own keys from its panel, and appends only after the
+  // core has run: its first queries still see keys its later tokens
+  // evict. Every cache is checked before any is appended to, so a
+  // rejected batch leaves all of them as they were.
   ops::ExecContext& ctx = ops::resolve(call_ctx, ctx_);
   auto scratch = ctx.attn_scratch().acquire();
   scratch->reset();
@@ -204,11 +214,14 @@ HalfMatrix MultiHeadAttention::forward_cached(
   for (std::size_t s = 0; s < seq_ends.size(); ++s) {
     VENOM_CHECK_MSG(caches[s] != nullptr, "null KvCache for sequence " << s);
     const KvCache& cache = *caches[s];
-    VENOM_CHECK_MSG(cache.hidden() == hidden_ && layer < cache.layers(),
+    VENOM_CHECK_MSG(cache.hidden() == hidden_ && cache.heads() == heads_ &&
+                        layer < cache.layers(),
                     "KvCache shape (" << cache.layers() << " layers, hidden "
-                                      << cache.hidden()
-                                      << ") does not fit layer " << layer
-                                      << " of hidden " << hidden_);
+                                      << cache.hidden() << ", "
+                                      << cache.heads()
+                                      << " heads) does not fit layer "
+                                      << layer << " of hidden " << hidden_
+                                      << ", " << heads_ << " heads");
     VENOM_CHECK_MSG(attn_window_ == 0 || cache.capacity() == attn_window_,
                     "attention window " << attn_window_
                                         << " != KvCache capacity "
@@ -225,39 +238,40 @@ HalfMatrix MultiHeadAttention::forward_cached(
                            "sequences longer than the ring");
     const std::size_t lo =
         attn_window_ != 0 && p0 + 1 > attn_window_ ? p0 + 1 - attn_window_ : 0;
-    seqs[s] = AttentionCore::Seq{s0, n, p0 - lo + n};
+    seqs[s] = AttentionCore::Seq{s0, n, p0 - lo + n, {}};
     s0 = seq_ends[s];
   }
-  AttentionCore core(heads_, dh, /*causal=*/true, attn_window_,
-                     {seqs, seq_ends.size()}, *scratch);
-  core.load(
-      [&](std::size_t h, std::size_t s) {
-        const AttentionCore::Seq& seq = seqs[s];
-        const std::size_t old = seq.keys - seq.queries;
-        core.load_queries(h, s, q);
-        if (old > 0) {
-          const KvCache& cache = *caches[s];
-          cache.for_each_span(
-              layer, cache.layer_length(layer) - old, old,
-              [&](const HalfMatrix& kr, const HalfMatrix& vr, std::size_t slot,
-                  std::size_t count, std::size_t offset) {
-                core.load_keys(h, s, kr, vr, slot, count, offset);
-              });
-        }
-        core.load_keys(h, s, k, v, seq.col, seq.queries, old);
-      },
-      ctx.pool(), timing);
-  // The panels hold the window now, so the ring may take the new tokens
-  // (and evict what the window no longer needs).
-  s0 = 0;
+
+  // Projections over the whole packed batch — the same single SpMM per
+  // weight as forward_batched, and the columns land bit-identically
+  // because Linear's outputs are column-independent.
+  const HalfMatrix q = wq_.forward(x, timing, call_ctx);
+  const HalfMatrix k = wk_.forward(x, timing, call_ctx);
+  const HalfMatrix v = wv_.forward(x, timing, call_ctx);
+
+  const auto append = [&](bool decode) {
+    timed(timing, [&] {
+      for (std::size_t s = 0; s < seq_ends.size(); ++s)
+        if ((seqs[s].queries == 1) == decode)
+          caches[s]->append(layer, k, v, seqs[s].col, seqs[s].queries);
+    });
+  };
+  append(/*decode=*/true);
   for (std::size_t s = 0; s < seq_ends.size(); ++s) {
-    for (std::size_t t = s0; t < seq_ends[s]; ++t)
-      caches[s]->append(layer, k, v, t);
-    s0 = seq_ends[s];
+    AttentionCore::Seq& seq = seqs[s];
+    const std::size_t resident =
+        seq.queries == 1 ? seq.keys : seq.keys - seq.queries;
+    const std::size_t end = caches[s]->layer_length(layer);
+    if (resident > 0)
+      seq.resident = caches[s]->window(layer, end - resident, resident);
   }
+  AttentionCore core(heads_, hidden_ / heads_, /*causal=*/true, attn_window_,
+                     {seqs, seq_ends.size()}, *scratch);
+  core.load(q, k, v, ctx.pool(), timing);
   core.probabilities(ctx.pool(), timing);
   HalfMatrix context(hidden_, x.cols());
   core.context(context, ctx.pool(), timing);
+  append(/*decode=*/false);
   return wo_.forward(context, timing, call_ctx);
 }
 

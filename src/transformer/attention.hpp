@@ -19,14 +19,15 @@
 //
 // That stage is one kernel, AttentionCore (transformer/ops.hpp), for the
 // batched forward, the KV-cached forward and the backward's recompute.
-// It converts each head's Q, K and V rows to float panels once (V
-// transposed), computes scores and context in 16-lane register strips,
-// and runs one pool task per (head, sequence, block of 32 query rows);
-// small calls such as a decode step run inline. Each output element keeps
-// the scalar loops' expression and accumulation order, so the bits equal
-// attention_scores + mask + softmax_rows + attention_context at any
-// thread count. The cached forward gathers its ring window straight into
-// the same panels, ahead of the new tokens' own keys.
+// It reads each sequence's keys as float K / V^T spans: the batched
+// forward converts each head's Q, K and V rows into per-sequence panels
+// once (V transposed); the cached forward reads the KV ring's window in
+// place (KvCache holds it in the same layout) and converts only the new
+// tokens. Scores and context run in register strips, with one pool task
+// per (head, sequence, block of 32 query rows); small calls such as a
+// decode step run inline. Each output element keeps the scalar oracles'
+// fma chain, so the bits equal attention_scores + mask + softmax_rows +
+// attention_context at any thread count.
 #pragma once
 
 #include <optional>
@@ -101,7 +102,12 @@ class MultiHeadAttention {
   /// Incremental forward against per-sequence KV rings: projects the
   /// packed new tokens (one token per sequence when decoding, a prompt
   /// chunk when prefilling), appends each token's K/V to its cache at
-  /// `layer`, and attends every query against the cached window only.
+  /// `layer`, and attends every query against the cached window only,
+  /// read in place from the ring. A one-token item appends before the
+  /// attention core runs, a longer chunk after it; every cache is
+  /// validated before the first append, so a call that throws on a
+  /// cache's shape leaves every cache as it was. The appends bill to
+  /// timing->attn_matmul_s.
   /// Because the ring holds exactly the sliding window the causal mask
   /// admits, the output is bit-identical to forward_batched over the
   /// full accumulated sequence (masked terms contribute exact zeros and

@@ -152,10 +152,10 @@ class Encoder {
                              TimingBreakdown* timing = nullptr,
                              ops::ExecContext* ctx = nullptr) const;
 
-  /// A cache sized for this stack: layer_count() layers of
-  /// (hidden x capacity) K/V rings.
+  /// A cache sized for this stack: layer_count() layers of float K and
+  /// V^T rings of `capacity` slots, laid out per head.
   KvCache make_cache(std::size_t capacity) const {
-    return KvCache(layer_count(), cfg_.hidden, capacity);
+    return KvCache(layer_count(), cfg_.hidden, capacity, cfg_.heads);
   }
 
   /// Sliding-window size for every layer's causal mask; pair with

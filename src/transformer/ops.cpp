@@ -6,6 +6,7 @@
 
 #include "common/error.hpp"
 #include "common/fmath.hpp"
+#include "common/lanes.hpp"
 #include "ops/context.hpp"
 
 namespace venom::transformer {
@@ -118,6 +119,17 @@ HalfMatrix add(const HalfMatrix& x, const HalfMatrix& y,
   return out;
 }
 
+void column_to_float(const HalfMatrix& m, std::size_t c, std::size_t r0,
+                     std::size_t n, float* dst) {
+  constexpr std::size_t kBlock = 64;
+  half_t col[kBlock];
+  for (std::size_t i = 0; i < n; i += kBlock) {
+    const std::size_t len = std::min(kBlock, n - i);
+    for (std::size_t u = 0; u < len; ++u) col[u] = m(r0 + i + u, c);
+    half_to_float_n(col, dst + i, len);
+  }
+}
+
 void add_bias(FloatMatrix& x, std::span<const float> bias) {
   VENOM_CHECK(bias.size() == x.rows());
   for (std::size_t f = 0; f < x.rows(); ++f)
@@ -132,7 +144,7 @@ FloatMatrix attention_scores(const HalfMatrix& qh, const HalfMatrix& kh,
     for (std::size_t j = 0; j < kh.cols(); ++j) {
       float acc = 0.0f;
       for (std::size_t d = 0; d < qh.rows(); ++d)
-        acc += qh(d, i).to_float() * kh(d, j).to_float();
+        acc = std::fma(qh(d, i).to_float(), kh(d, j).to_float(), acc);
       scores(i, j) = acc * scale;
     }
   return scores;
@@ -220,7 +232,7 @@ HalfMatrix attention_context(const FloatMatrix& p, const HalfMatrix& vh) {
     for (std::size_t i = 0; i < p.rows(); ++i) {
       float acc = 0.0f;
       for (std::size_t j = 0; j < p.cols(); ++j)
-        acc += p(i, j) * vh(d, j).to_float();
+        acc = std::fma(p(i, j), vh(d, j).to_float(), acc);
       ctx(d, i) = half_t(acc);
     }
   return ctx;
@@ -230,7 +242,7 @@ HalfMatrix attention_context(const FloatMatrix& p, const HalfMatrix& vh) {
 
 namespace {
 
-constexpr std::size_t kStrip = 16;     // register strip: 16 floats
+using Lane = lanes::Native;
 constexpr std::size_t kRows = 4;       // query rows sharing a loaded strip
 constexpr std::size_t kTaskRows = 32;  // query rows per task
 
@@ -247,69 +259,167 @@ void timed(double* slot, Fn&& fn) {
                .count();
 }
 
-/// The core's one register micro-kernel, in spatha/microkernel.hpp's
-/// idiom: acc[r][u] = sum of a[x * a_step + r * a_row] * b[x * b_step + u]
-/// over x ascending in [0, len), for R rows and w <= kStrip lanes, then
-/// store(r, u, acc[r][u]). Each lane is one output element, accumulated
-/// in the scalar loop's order. The accumulators are local (nothing can
-/// alias them), so a full strip stays in vector registers: R rows of two
-/// 8-float registers share each loaded strip of b.
-template <std::size_t R, typename Store>
-void madd_strip(const float* a, std::size_t a_step, std::size_t a_row,
-                const float* b, std::size_t b_step, std::size_t len,
-                std::size_t w, Store&& store) {
-  float acc[R][kStrip] = {};
-  if (w == kStrip) {
-    for (std::size_t x = 0; x < len; ++x) {
-      const float* bp = b + x * b_step;
+/// The accumulators of R rows of one strip: lane u of row r is one
+/// output element. R rows of kRegs registers make eight vector
+/// registers, enough independent fma chains to cover the fma latency
+/// whether four query rows share a strip or one decode query runs alone
+/// (and few enough for AVX2's sixteen registers); a strip is at least 16
+/// lanes wide. Value-initialized, every lane is +0.
+template <std::size_t R>
+struct Strip {
+  static constexpr std::size_t kWidth = std::max<std::size_t>(
+      8 / R * Lane::kWidth, 16);
+  static constexpr std::size_t kRegs = kWidth / Lane::kWidth;
+  Lane::F acc[R][kRegs];
+};
+
+/// madd_strip over the first Regs registers of each row; the last loads
+/// only its lanes under `tail`. The loop runs on a local copy of the
+/// accumulators: the lane types may alias floats, so writing `s` in the
+/// loop would store it back to memory after every step.
+template <std::size_t R, std::size_t Regs>
+[[gnu::always_inline]] inline void madd_regs(Strip<R>& s, const float* a,
+                                             std::size_t a_step,
+                                             std::size_t a_row,
+                                             const float* b,
+                                             std::size_t b_step,
+                                             std::size_t len, Lane::M tail) {
+  constexpr std::size_t kW = Lane::kWidth;
+  Lane::F acc[R][Regs];
 #pragma GCC unroll 4
-      for (std::size_t r = 0; r < R; ++r) {
-        const float av = a[x * a_step + r * a_row];
-        for (std::size_t u = 0; u < kStrip; ++u) acc[r][u] += av * bp[u];
-      }
-    }
-  } else {
-    // Ragged strip: same order, runtime-bounded width.
-    for (std::size_t x = 0; x < len; ++x) {
-      const float* bp = b + x * b_step;
-      for (std::size_t r = 0; r < R; ++r) {
-        const float av = a[x * a_step + r * a_row];
-        for (std::size_t u = 0; u < w; ++u) acc[r][u] += av * bp[u];
-      }
+  for (std::size_t r = 0; r < R; ++r)
+#pragma GCC unroll 64
+    for (std::size_t c = 0; c < Regs; ++c) acc[r][c] = s.acc[r][c];
+  for (std::size_t x = 0; x < len; ++x) {
+    const float* bp = b + x * b_step;
+    Lane::F bv[Regs];
+#pragma GCC unroll 64
+    for (std::size_t c = 0; c + 1 < Regs; ++c) bv[c] = Lane::load(bp + c * kW);
+    bv[Regs - 1] = Lane::load_mask(bp + (Regs - 1) * kW, tail);
+#pragma GCC unroll 4
+    for (std::size_t r = 0; r < R; ++r) {
+      const Lane::F av = Lane::set(a[x * a_step + r * a_row]);
+#pragma GCC unroll 64
+      for (std::size_t c = 0; c < Regs; ++c)
+        acc[r][c] = Lane::fma(av, bv[c], acc[r][c]);
     }
   }
+#pragma GCC unroll 4
   for (std::size_t r = 0; r < R; ++r)
-    for (std::size_t u = 0; u < w; ++u) store(r, u, acc[r][u]);
+#pragma GCC unroll 64
+    for (std::size_t c = 0; c < Regs; ++c) s.acc[r][c] = acc[r][c];
 }
 
-/// Scores of query rows [i, i + R) against keys [j0, j1), in strips over
-/// keys: p[(i + r) * m + j] = (sum over d of q[d * n + i + r] *
-/// k[d * m + j]) * scale, attention_scores' expression.
+/// The core's one register micro-kernel, in spatha/microkernel.hpp's
+/// idiom: for x ascending in [0, len), lane u of row r takes
+/// fma(a[x * a_step + r * a_row], b[x * b_step + u], acc), for the
+/// strip's first w lanes. Starting from a zeroed Strip this is the
+/// oracle's fma chain in its order; handed the Strip of the keys before,
+/// it continues that chain across spans. A ragged strip runs only the
+/// registers that hold lanes below w, and its last register loads the
+/// lanes past w as +0 through a masked load, which reads no memory
+/// there. R rows share each loaded strip of b. Always inlined, so the
+/// accumulators stay in registers.
 template <std::size_t R>
-void score_rows(const float* q, const float* k, std::size_t dh,
-                std::size_t n, std::size_t m, std::size_t i, std::size_t j0,
-                std::size_t j1, float scale, float* p) {
-  for (std::size_t j = j0; j < j1; j += kStrip)
-    madd_strip<R>(q + i, n, 1, k + j, m, dh, std::min(kStrip, j1 - j),
-                  [&](std::size_t r, std::size_t u, float acc) {
-                    p[(i + r) * m + j + u] = acc * scale;
-                  });
+[[gnu::always_inline]] inline void madd_strip(Strip<R>& s, const float* a,
+                                              std::size_t a_step,
+                                              std::size_t a_row,
+                                              const float* b,
+                                              std::size_t b_step,
+                                              std::size_t len, std::size_t w) {
+  constexpr std::size_t kW = Lane::kWidth;
+  const std::size_t regs = (w + kW - 1) / kW;
+  const Lane::M tail = Lane::mask_bits((1u << (w - (regs - 1) * kW)) - 1u);
+  [&]<std::size_t... I>(std::index_sequence<I...>) {
+    ((regs == I + 1
+          ? madd_regs<R, I + 1>(s, a, a_step, a_row, b, b_step, len, tail)
+          : void()),
+     ...);
+  }(std::make_index_sequence<Strip<R>::kRegs>{});
 }
 
-/// Context of query rows [i, i + R) over keys [j0, j1), in strips over d:
-/// out(row0 + d, col + i + r) = fp16(sum over j of p[(i + r) * m + j] *
-/// vt[j * dh + d]), attention_context's expression.
+/// dst[u] = lane u of `row` * scale for the first w lanes.
+template <std::size_t Regs>
+void store_row(const Lane::F (&row)[Regs], std::size_t w, float scale,
+               float* dst) {
+  const Lane::F sc = Lane::set(scale);
+  for (std::size_t c = 0; c < Regs && c * Lane::kWidth < w; ++c) {
+    const std::size_t u0 = c * Lane::kWidth;
+    const Lane::F v = Lane::mul(row[c], sc);
+    if (u0 + Lane::kWidth <= w) {
+      Lane::store(dst + u0, v);
+    } else {
+      float vals[Lane::kWidth];
+      Lane::store(vals, v);
+      std::copy(vals, vals + (w - u0), dst + u0);
+    }
+  }
+}
+
+/// fn(span, x0, lo, hi) for each of `spans` that meets keys [j0, j1):
+/// keys [lo, hi) of the sequence, which start at key x0 of the span.
+template <typename Fn>
+void for_each_span(std::span<const AttentionCore::KeySpan> spans,
+                   std::size_t j0, std::size_t j1, Fn&& fn) {
+  std::size_t key0 = 0;
+  for (const AttentionCore::KeySpan& s : spans) {
+    const std::size_t lo = std::max(j0, key0);
+    const std::size_t hi = std::min(j1, key0 + s.count);
+    if (lo < hi) fn(s, lo - key0, lo, hi);
+    key0 += s.count;
+  }
+}
+
+/// Scores of query rows [i, i + R) of head h against keys [j0, j1), in
+/// strips over keys within each span: p[(i + r) * m + j] = (sum over d
+/// of q[d * n + i + r] * k_j[d]) * scale, attention_scores' expression.
 template <std::size_t R>
-void context_rows(const float* p, const float* vt, std::size_t dh,
+void score_rows(std::span<const AttentionCore::KeySpan> spans, std::size_t h,
+                std::size_t dh, const float* q, std::size_t n, std::size_t m,
+                std::size_t i, std::size_t j0, std::size_t j1, float scale,
+                float* p) {
+  for_each_span(spans, j0, j1,
+                [&](const AttentionCore::KeySpan& s, std::size_t x0,
+                    std::size_t lo, std::size_t hi) {
+                  const float* k = s.k + h * dh * s.stride + x0;
+                  for (std::size_t j = lo; j < hi; j += Strip<R>::kWidth) {
+                    const std::size_t w = std::min(Strip<R>::kWidth, hi - j);
+                    Strip<R> acc{};
+                    madd_strip<R>(acc, q + i, n, 1, k + (j - lo), s.stride,
+                                  dh, w);
+                    for (std::size_t r = 0; r < R; ++r)
+                      store_row(acc.acc[r], w, scale, p + (i + r) * m + j);
+                  }
+                });
+}
+
+/// Context of query rows [i, i + R) of head h over keys [j0, j1), in
+/// strips over d: out(h * dh + d, col + i + r) = fp16(sum over j of
+/// p[(i + r) * m + j] * v_j[d]), attention_context's expression, one
+/// chain carried across the spans.
+template <std::size_t R>
+void context_rows(std::span<const AttentionCore::KeySpan> spans,
+                  std::size_t h, std::size_t dh, const float* p,
                   std::size_t m, std::size_t i, std::size_t j0,
-                  std::size_t j1, HalfMatrix& out, std::size_t row0,
-                  std::size_t col) {
-  for (std::size_t d = 0; d < dh; d += kStrip)
-    madd_strip<R>(p + i * m + j0, 1, m, vt + j0 * dh + d, dh, j1 - j0,
-                  std::min(kStrip, dh - d),
-                  [&](std::size_t r, std::size_t u, float acc) {
-                    out(row0 + d + u, col + i + r) = half_t(acc);
+                  std::size_t j1, HalfMatrix& out, std::size_t col) {
+  for (std::size_t d = 0; d < dh; d += Strip<R>::kWidth) {
+    const std::size_t w = std::min(Strip<R>::kWidth, dh - d);
+    Strip<R> acc{};
+    for_each_span(spans, j0, j1,
+                  [&](const AttentionCore::KeySpan& s, std::size_t x0,
+                      std::size_t lo, std::size_t hi) {
+                    madd_strip<R>(acc, p + i * m + lo, 1, m,
+                                  s.vt + (h * s.stride + x0) * dh + d, dh,
+                                  hi - lo, w);
                   });
+    float vals[Strip<R>::kWidth];
+    for (std::size_t r = 0; r < R; ++r) {
+      for (std::size_t c = 0; c < Strip<R>::kRegs; ++c)
+        Lane::store(vals + c * Lane::kWidth, acc.acc[r][c]);
+      for (std::size_t u = 0; u < w; ++u)
+        out(h * dh + d + u, col + i + r) = half_t(vals[u]);
+    }
+  }
 }
 
 }  // namespace
@@ -320,7 +430,7 @@ std::span<const AttentionCore::Seq> AttentionCore::packed(
   Seq* seqs = arena.alloc<Seq>(seq_ends.size());
   std::size_t s0 = 0;
   for (std::size_t s = 0; s < seq_ends.size(); ++s) {
-    seqs[s] = Seq{s0, seq_ends[s] - s0, seq_ends[s] - s0};
+    seqs[s] = Seq{s0, seq_ends[s] - s0, seq_ends[s] - s0, {}};
     s0 = seq_ends[s];
   }
   return {seqs, seq_ends.size()};
@@ -332,28 +442,38 @@ AttentionCore::AttentionCore(std::size_t heads, std::size_t head_dim,
     : heads_(heads), dh_(head_dim), causal_(causal), window_(window) {
   VENOM_CHECK(heads >= 1 && head_dim >= 1 && !seqs.empty());
   Layout* table = arena.alloc<Layout>(seqs.size());
-  std::size_t work = 0;
+  std::size_t panels = 0, work = 0;
   for (std::size_t s = 0; s < seqs.size(); ++s) {
     const Seq& in = seqs[s];
-    VENOM_CHECK_MSG(in.queries >= 1 && in.keys >= in.queries,
+    const std::size_t resident = in.resident[0].count + in.resident[1].count;
+    VENOM_CHECK_MSG(in.queries >= 1 && in.keys >= in.queries &&
+                        resident <= in.keys &&
+                        in.keys - resident <= in.queries,
                     "attention sequence " << s << " has " << in.queries
                                           << " queries over " << in.keys
-                                          << " keys");
-    table[s] = Layout{in.col, in.queries, in.keys, head_panels_,
-                      head_scores_, blocks_};
-    head_panels_ += dh_ * (in.queries + 2 * in.keys) + in.keys;
+                                          << " keys, " << resident
+                                          << " of them resident");
+    const std::size_t own = in.keys - resident;
+    table[s] = Layout{in.col,       in.queries, in.keys,
+                      own,          panels,     head_scores_,
+                      blocks_,      {in.resident[0], in.resident[1], {}}};
+    panels += heads_ * (dh_ * (in.queries + 2 * own) + own);
     head_scores_ += in.queries * in.keys;
     blocks_ += (in.queries + kTaskRows - 1) / kTaskRows;
     work += in.queries * in.keys * dh_;
   }
   seqs_ = {table, seqs.size()};
-  panels_ = arena.alloc<float>(heads_ * head_panels_);
+  panels_ = arena.alloc<float>(panels);
   scores_ = arena.alloc<float>(heads_ * head_scores_);
   work_ = heads_ * work;
+  for (Layout& seq : seqs_) {
+    const float* k = panels_ + seq.panels + heads_ * dh_ * seq.n;
+    seq.spans[2] = KeySpan{k, k + heads_ * dh_ * seq.own, seq.own, seq.own};
+  }
 }
 
 float* AttentionCore::q_panel(std::size_t h, const Layout& seq) const {
-  return panels_ + h * head_panels_ + seq.panels;
+  return panels_ + seq.panels + h * dh_ * seq.n;
 }
 
 float* AttentionCore::p_panel(std::size_t h, const Layout& seq) const {
@@ -382,50 +502,41 @@ AttentionCore::Task AttentionCore::task(std::size_t t) const {
 void AttentionCore::load(const HalfMatrix& q, const HalfMatrix& k,
                          const HalfMatrix& v, ThreadPool& pool,
                          ops::TimingBreakdown* timing) {
-  load(
-      [&](std::size_t h, std::size_t s) {
-        load_queries(h, s, q);
-        load_keys(h, s, k, v, seqs_[s].col, seqs_[s].n, 0);
-      },
-      pool, timing);
-}
-
-void AttentionCore::load(
-    const std::function<void(std::size_t, std::size_t)>& fill,
-    ThreadPool& pool, ops::TimingBreakdown* timing) {
+  VENOM_CHECK(q.rows() == heads_ * dh_ && k.rows() == q.rows() &&
+              v.rows() == q.rows());
   const std::size_t seqs = seqs_.size();
   timed(timing != nullptr ? &timing->attn_matmul_s : nullptr, [&] {
     pool.parallel_for_chunks(
         heads_ * seqs,
         [&](std::size_t b, std::size_t e) {
-          for (std::size_t x = b; x < e; ++x) fill(x / seqs, x % seqs);
+          for (std::size_t x = b; x < e; ++x)
+            load_task(x / seqs, seqs_[x % seqs], q, k, v);
         },
         0, work_);
   });
 }
 
-void AttentionCore::load_queries(std::size_t h, std::size_t s,
-                                 const HalfMatrix& q) {
-  const Layout& seq = seqs_[s];
+void AttentionCore::load_task(std::size_t h, const Layout& seq,
+                              const HalfMatrix& q, const HalfMatrix& k,
+                              const HalfMatrix& v) {
   float* qp = q_panel(h, seq);
-  for (std::size_t d = 0; d < dh_; ++d)
-    half_to_float_n(&q(h * dh_ + d, seq.col), qp + d * seq.n, seq.n);
-}
-
-void AttentionCore::load_keys(std::size_t h, std::size_t s,
-                              const HalfMatrix& k, const HalfMatrix& v,
-                              std::size_t src, std::size_t count,
-                              std::size_t key0) {
-  const Layout& seq = seqs_[s];
-  VENOM_CHECK(count >= 1 && key0 + count <= seq.m);
-  float* kp = q_panel(h, seq) + dh_ * seq.n;
-  float* vt = kp + dh_ * seq.m;
-  float* stage = vt + seq.m * dh_;
+  if (seq.n == 1) {
+    column_to_float(q, seq.col, h * dh_, dh_, qp);  // a decode query
+  } else {
+    for (std::size_t d = 0; d < dh_; ++d)
+      half_to_float_n(&q(h * dh_ + d, seq.col), qp + d * seq.n, seq.n);
+  }
+  const std::size_t own = seq.own;
+  if (own == 0) return;
+  float* kp = panels_ + seq.panels + heads_ * dh_ * seq.n;
+  float* vt = kp + heads_ * dh_ * own + h * own * dh_;
+  float* stage = kp + 2 * heads_ * dh_ * own + h * own;
+  kp += h * dh_ * own;
+  const std::size_t src = seq.col + seq.n - own;
   for (std::size_t d = 0; d < dh_; ++d) {
-    half_to_float_n(&k(h * dh_ + d, src), kp + d * seq.m + key0, count);
-    half_to_float_n(&v(h * dh_ + d, src), stage, count);
-    for (std::size_t j = 0; j < count; ++j)
-      vt[(key0 + j) * dh_ + d] = stage[j];
+    half_to_float_n(&k(h * dh_ + d, src), kp + d * own, own);
+    half_to_float_n(&v(h * dh_ + d, src), stage, own);
+    for (std::size_t j = 0; j < own; ++j) vt[j * dh_ + d] = stage[j];
   }
 }
 
@@ -470,15 +581,15 @@ void AttentionCore::context(HalfMatrix& out, ThreadPool& pool,
 void AttentionCore::score_task(const Task& t) {
   const Layout& seq = t.seq;
   const float* q = q_panel(t.h, seq);
-  const float* k = q + dh_ * seq.n;
   float* p = p_panel(t.h, seq);
   const float scale = 1.0f / std::sqrt(float(dh_));
   std::size_t i = t.r0;
   for (; i + kRows <= t.r1; i += kRows)
-    score_rows<kRows>(q, k, dh_, seq.n, seq.m, i, live(seq, i).first,
-                      live(seq, i + kRows - 1).second, scale, p);
+    score_rows<kRows>(seq.spans, t.h, dh_, q, seq.n, seq.m, i,
+                      live(seq, i).first, live(seq, i + kRows - 1).second,
+                      scale, p);
   for (; i < t.r1; ++i)
-    score_rows<1>(q, k, dh_, seq.n, seq.m, i, live(seq, i).first,
+    score_rows<1>(seq.spans, t.h, dh_, q, seq.n, seq.m, i, live(seq, i).first,
                   live(seq, i).second, scale, p);
 }
 
@@ -495,18 +606,16 @@ void AttentionCore::softmax_task(const Task& t) {
 
 void AttentionCore::context_task(const Task& t, HalfMatrix& out) const {
   const Layout& seq = t.seq;
-  const float* vt = q_panel(t.h, seq) + dh_ * (seq.n + seq.m);
   const float* p = p_panel(t.h, seq);
-  const std::size_t row0 = t.h * dh_;
   // The rows of a register block share the union of their live spans; a
   // key one row does not see holds probability 0 in that row.
   std::size_t i = t.r0;
   for (; i + kRows <= t.r1; i += kRows)
-    context_rows<kRows>(p, vt, dh_, seq.m, i, live(seq, i).first,
-                        live(seq, i + kRows - 1).second, out, row0, seq.col);
+    context_rows<kRows>(seq.spans, t.h, dh_, p, seq.m, i, live(seq, i).first,
+                        live(seq, i + kRows - 1).second, out, seq.col);
   for (; i < t.r1; ++i)
-    context_rows<1>(p, vt, dh_, seq.m, i, live(seq, i).first,
-                    live(seq, i).second, out, row0, seq.col);
+    context_rows<1>(seq.spans, t.h, dh_, p, seq.m, i, live(seq, i).first,
+                    live(seq, i).second, out, seq.col);
 }
 
 }  // namespace venom::transformer

@@ -5,8 +5,8 @@
 // paper's SpMM (sparse weight R x K times dense activation K x C).
 #pragma once
 
+#include <array>
 #include <cstddef>
-#include <functional>
 #include <span>
 #include <utility>
 
@@ -72,16 +72,23 @@ HalfMatrix gelu(const HalfMatrix& x, ops::ExecContext* ctx = nullptr);
 HalfMatrix add(const HalfMatrix& x, const HalfMatrix& y,
                ops::ExecContext* ctx = nullptr);
 
+/// dst[i] = m(r0 + i, c).to_float() for i in [0, n): one column's rows,
+/// gathered in blocks and converted with half_to_float_n.
+void column_to_float(const HalfMatrix& m, std::size_t c, std::size_t r0,
+                     std::size_t n, float* dst);
+
 /// Adds a per-feature bias to (features x tokens).
 void add_bias(FloatMatrix& x, std::span<const float> bias);
 
-/// scores(Tq x Tk) = Qh^T Kh * scale, with Qh, Kh of shape (dh x T).
-/// Scalar reference for AttentionCore (tests compare against it).
+/// scores(Tq x Tk) = Qh^T Kh * scale, with Qh, Kh of shape (dh x T):
+/// each score chains std::fma over d ascending, then scales. Scalar
+/// reference for AttentionCore (tests compare against it).
 FloatMatrix attention_scores(const HalfMatrix& qh, const HalfMatrix& kh,
                              float scale);
 
-/// context(dh x Tq) = Vh * P^T, with P(Tq x Tk) probabilities, Vh(dh x Tk).
-/// Scalar reference for AttentionCore.
+/// context(dh x Tq) = Vh * P^T, with P(Tq x Tk) probabilities, Vh(dh x Tk):
+/// each element chains std::fma over keys ascending, then rounds once to
+/// fp16. Scalar reference for AttentionCore.
 HalfMatrix attention_context(const FloatMatrix& p, const HalfMatrix& vh);
 
 /// The multi-head attention core over packed sequences: scores, mask,
@@ -89,19 +96,32 @@ HalfMatrix attention_context(const FloatMatrix& p, const HalfMatrix& vh);
 /// one kernel behind MultiHeadAttention's batched forward, its KV-cached
 /// forward and its backward's recompute.
 ///
-/// Panels. Per (head h, sequence s), with dh = head_dim, n queries and
-/// m keys, the call's ScratchArena holds float panels:
-///   Q    dh x n   head rows of the query projection
-///   K    dh x m   head rows of the key projection
-///   V^T  m x dh   the value projection transposed, so a context strip
-///                 over d is contiguous
-///   P    n x m    scores, then probabilities (masked entries exactly 0)
-/// Step 1 (load) converts each fp16 projection row once, with
-/// half_to_float_n. Step 2 (probabilities) computes scores in 16-lane
-/// register strips over keys, four query rows at a time, then runs
+/// Operands. With dh = head_dim, keys and values are float operands in
+/// one layout per head h: K rows [h][d][key] (row d holds feature d of
+/// every key) and V^T rows [h][key][d] (one key's values). A KeySpan is
+/// `count` consecutive keys in that layout with K row stride `stride`:
+/// head h's K row d starts at k + (h * dh + d) * stride and its V^T row
+/// of key j at vt + (h * stride + j) * dh. A sequence's m keys are at
+/// most three spans, in ascending key order: its `resident` spans, read
+/// in place (a KV ring's window, KvCache::window), then its own panel,
+/// which holds the remaining keys, its own last tokens.
+///
+/// Panels. Per sequence with n queries and `own` = m - resident keys of
+/// its own, the call's ScratchArena holds float panels for every head:
+///   Q    [h][d][query]    head rows of the query projection
+///   K    [h][d][key]      its own keys (a KeySpan of stride `own`)
+///   V^T  [h][key][d]      its own values, transposed
+///   P    [h][query][key]  scores, then probabilities (masked entries 0)
+/// plus one staging row per head. Step 1 (load) converts the queries'
+/// and the own keys' fp16 rows once, with half_to_float_n; a decode step
+/// (one query, every key resident) converts only its query. Step 2
+/// (probabilities) computes scores in register strips over keys, eight
+/// vector registers of accumulators each: four query rows of two
+/// registers, or a lone row (a decode query) of eight. Then it runs
 /// fmath::softmax_n, softmax_rows' row function, over each row's
-/// unmasked span. Step 3 (context) accumulates 16-lane strips over d and
-/// writes context(h*dh + d, col + i) directly.
+/// unmasked span. Step 3 (context) accumulates strips over d the same
+/// way, carrying a strip's accumulators from span to span in ascending
+/// key order, and writes context(h*dh + d, col + i) directly.
 ///
 /// Tasks. Load runs one task per (head, sequence); steps 2 and 3 run one
 /// task per (head, sequence, block of 32 query rows), on the pool via
@@ -110,30 +130,43 @@ HalfMatrix attention_context(const FloatMatrix& p, const HalfMatrix& vh);
 /// decode step pays no dispatch. The three steps are timed separately:
 /// load, scores and context add to attn_matmul_s, softmax to softmax_s.
 ///
-/// Bits. Every output element keeps the scalar loops' expression and
-/// accumulation order: a score is (sum over d ascending of q*k) * scale,
-/// a probability is softmax_rows' sequence over the row, and a context
-/// element is the sum over keys ascending of p*v, rounded once to fp16.
-/// Vector lanes are independent elements written as the same `acc += a*b`
-/// expression, so the compiler applies the same FP contraction as in the
-/// scalar loops. Threads only partition rows. The result therefore equals
-/// attention_scores + causal/window mask + softmax_rows +
-/// attention_context bit for bit, at any thread count. Masked keys are
-/// skipped: the reference adds their exact-zero probabilities, which
-/// leaves any finite sum unchanged.
+/// Bits. Every output element keeps the scalar oracles' expression and
+/// accumulation order: a score is (q*k chained through fma over d
+/// ascending) * scale, a probability is softmax_rows' sequence over the
+/// row, and a context element is p*v chained through fma over keys
+/// ascending, rounded once to fp16. Every multiply-add is an explicit
+/// fma over common/lanes.hpp, as in attention_scores and
+/// attention_context, so the bits do not depend on the compiler's
+/// contraction; lanes are independent elements, spans only cut a strip
+/// short and never reorder a sum, and threads only partition rows. The
+/// result therefore equals attention_scores + causal/window mask +
+/// softmax_rows + attention_context bit for bit, at any thread count and
+/// for any split of the keys into spans. Masked keys are skipped: the
+/// reference adds their exact-zero probabilities, which leaves any
+/// finite sum unchanged.
 ///
 /// Mask. With `causal`, query r of a sequence sits at key m - n + r (its
 /// own position; earlier keys come from a KV cache) and sees keys up to
 /// it. A nonzero `window` also hides keys more than window - 1 behind.
 class AttentionCore {
  public:
+  /// `count` keys read in place, in the layout described above.
+  struct KeySpan {
+    const float* k = nullptr;
+    const float* vt = nullptr;
+    std::size_t stride = 0;
+    std::size_t count = 0;
+  };
+
   /// One packed sequence: `queries` tokens at output columns
-  /// [col, col + queries), attending `keys` keys, the last `queries` of
-  /// which are its own tokens.
+  /// [col, col + queries), attending `keys` keys: first the `resident`
+  /// spans' keys, oldest first, then the last keys - resident of its own
+  /// tokens, which load() converts into its panel.
   struct Seq {
     std::size_t col = 0;
     std::size_t queries = 0;
     std::size_t keys = 0;
+    std::array<KeySpan, 2> resident{};
   };
 
   /// Resets `arena` and lays out one Seq per packed sequence of
@@ -143,27 +176,16 @@ class AttentionCore {
 
   /// Lays out the panels in `arena`, after whatever the caller allocated
   /// there since its reset(). The arena keeps its high-water block, so a
-  /// repeated call shape allocates nothing.
+  /// repeated call shape allocates nothing. The resident spans must stay
+  /// valid and unchanged until the last step has run.
   AttentionCore(std::size_t heads, std::size_t head_dim, bool causal,
                 std::size_t window, std::span<const Seq> seqs,
                 ScratchArena& arena);
 
-  /// Step 1 from packed (hidden x T) projections; every sequence's keys
-  /// are its own queries.
+  /// Step 1 from packed (hidden x T) projections: every sequence's
+  /// queries, and the keys of its own it does not read in place.
   void load(const HalfMatrix& q, const HalfMatrix& k, const HalfMatrix& v,
             ThreadPool& pool, ops::TimingBreakdown* timing);
-  /// Step 1, general form: runs fill(h, s) once per (head, sequence);
-  /// fill calls load_queries and load_keys.
-  void load(const std::function<void(std::size_t, std::size_t)>& fill,
-            ThreadPool& pool, ops::TimingBreakdown* timing);
-  /// Converts head h's rows of q, sequence s's columns, into its Q panel.
-  void load_queries(std::size_t h, std::size_t s, const HalfMatrix& q);
-  /// Converts head h's rows of k and v, columns [src, src + count), into
-  /// keys [key0, key0 + count) of sequence s's K and V^T panels.
-  void load_keys(std::size_t h, std::size_t s, const HalfMatrix& k,
-                 const HalfMatrix& v, std::size_t src, std::size_t count,
-                 std::size_t key0);
-
   /// Step 2: masked scores, then softmax.
   void probabilities(ThreadPool& pool, ops::TimingBreakdown* timing);
   /// Head h, sequence s's (queries x keys) row-major probabilities.
@@ -175,22 +197,25 @@ class AttentionCore {
  private:
   struct Layout {
     std::size_t col, n, m;  // Seq
-    std::size_t panels;     // float offset of its Q, K, V^T, staging row
-    std::size_t scores;     // float offset of its P
+    std::size_t own;        // keys in its own panel
+    std::size_t panels;     // float offset of its Q, K, V^T, staging
+    std::size_t scores;     // float offset of its P in each head
     std::size_t block0;     // its first row block among all sequences'
+    std::array<KeySpan, 3> spans;  // resident spans, then its own panel
   };
   struct Task {
     const Layout& seq;
     std::size_t h, r0, r1;  // query rows [r0, r1)
   };
 
-  /// Start of head h's panels for `seq`: Q, then K, V^T, staging row.
   float* q_panel(std::size_t h, const Layout& seq) const;
   float* p_panel(std::size_t h, const Layout& seq) const;
   /// Keys [lo, hi) that query row r of `seq` sees.
   std::pair<std::size_t, std::size_t> live(const Layout& seq,
                                            std::size_t r) const;
   Task task(std::size_t t) const;
+  void load_task(std::size_t h, const Layout& seq, const HalfMatrix& q,
+                 const HalfMatrix& k, const HalfMatrix& v);
   void score_task(const Task& t);
   void softmax_task(const Task& t);
   void context_task(const Task& t, HalfMatrix& out) const;
@@ -200,9 +225,8 @@ class AttentionCore {
   std::size_t window_;
   std::span<Layout> seqs_;
   std::size_t blocks_ = 0;        // row blocks per head
-  std::size_t head_panels_ = 0;   // floats of Q, K, V^T, staging per head
   std::size_t head_scores_ = 0;   // floats of P per head
-  float* panels_ = nullptr;       // heads_ * head_panels_
+  float* panels_ = nullptr;       // every sequence's panels
   float* scores_ = nullptr;       // heads_ * head_scores_
   std::size_t work_ = 0;          // score multiply-adds, every head
 };

@@ -11,9 +11,12 @@
 #include <chrono>
 #include <cstring>
 #include <future>
+#include <optional>
 #include <vector>
 
 #include "common/rng.hpp"
+#include "common/thread_pool_testing.hpp"
+#include "ops/context.hpp"
 #include "serving/admission.hpp"
 #include "serving/engine.hpp"
 #include "serving/router.hpp"
@@ -154,8 +157,8 @@ TEST(KvCache, ResetAndLayerSynchronization) {
   EXPECT_TRUE(cache.synchronized());
   EXPECT_EQ(cache.append(0, k, v, 1), 0u);  // fresh sequence
 
-  // bytes() = 2 (K and V) * layers * hidden * capacity * sizeof(fp16).
-  EXPECT_EQ(cache.bytes(), 2u * 2u * 4u * 4u * sizeof(half_t));
+  // bytes() = 2 (K and V) * layers * hidden * capacity * sizeof(float).
+  EXPECT_EQ(cache.bytes(), 2u * 2u * 4u * 4u * sizeof(float));
   EXPECT_THROW(KvCache(0, 4, 4), Error);
   EXPECT_THROW(KvCache(2, 0, 4), Error);
   EXPECT_THROW(KvCache(2, 4, 0), Error);
@@ -299,6 +302,158 @@ TEST(CachedDecode, MixedPrefillDecodeBatchBitIdentity) {
     for (std::size_t t = 0; t < kLenB; ++t)
       ASSERT_EQ(y(r, 1 + t).bits(), ref_b(r, t).bits());
   }
+}
+
+HalfMatrix cols(const HalfMatrix& m, std::size_t c0, std::size_t n) {
+  HalfMatrix out(m.rows(), n);
+  for (std::size_t r = 0; r < m.rows(); ++r)
+    std::memcpy(&out(r, 0), &m(r, c0), n * sizeof(half_t));
+  return out;
+}
+
+void expect_cols_eq(const HalfMatrix& got, const HalfMatrix& full,
+                    std::size_t got0, std::size_t full0, std::size_t n,
+                    const char* what) {
+  for (std::size_t r = 0; r < full.rows(); ++r)
+    for (std::size_t t = 0; t < n; ++t)
+      ASSERT_EQ(got(r, got0 + t).bits(), full(r, full0 + t).bits())
+          << what << ": row " << r << ", column " << full0 + t;
+}
+
+// A prefill chunk reads the ring's window in place and appends only after
+// the core has run; a decode step appends first. Chunks of 2, 3, 5 and 8
+// tokens (8 = the window, so a chunk's first query still needs every
+// resident key its own tokens evict), interleaved with decode steps, far
+// past the ring's wraparound: every column must equal the windowed full
+// forward's (a causal column depends only on the tokens up to it).
+TEST(CachedDecode, ChunkedPrefillAcrossTheWrapMatchesWindowedFullForward) {
+  constexpr std::size_t kWindow = 8;
+  const Encoder enc = causal_encoder(kWindow);
+  const std::size_t schedule[] = {2, 3, 1, 5, 1, 8, 1, 1, 3, 8, 2, 1, 5, 8};
+  std::size_t total = 0;
+  for (const std::size_t n : schedule) total += n;
+  Rng rng(37);
+  const HalfMatrix seq = random_half_matrix(32, total, rng, 0.5f);
+  const HalfMatrix full = enc.forward(seq);
+
+  KvCache cache = enc.make_cache(kWindow);
+  std::size_t p = 0;
+  for (const std::size_t n : schedule) {
+    const HalfMatrix chunk = cols(seq, p, n);
+    const HalfMatrix y =
+        n == 1 ? enc.decode_step(chunk, cache) : enc.prefill(chunk, cache);
+    expect_cols_eq(y, full, 0, p, n, "chunk");
+    p += n;
+    EXPECT_EQ(cache.length(), p);
+    EXPECT_TRUE(cache.synchronized());
+  }
+}
+
+// One batch mixing a wrapped decode item (it appends before the core
+// runs) with a wrapped prefill chunk (it appends after).
+TEST(CachedDecode, WrappedDecodeAndPrefillInOneBatch) {
+  constexpr std::size_t kWindow = 8, kLenA = 14, kLenB = 16, kChunkB = 5;
+  const Encoder enc = causal_encoder(kWindow);
+  Rng rng(41);
+  const HalfMatrix a = random_half_matrix(32, kLenA, rng, 0.5f);
+  const HalfMatrix b = random_half_matrix(32, kLenB, rng, 0.5f);
+  const HalfMatrix full_a = enc.forward(a), full_b = enc.forward(b);
+
+  // Both sessions past the wrap: A up to its last token, B up to its
+  // last chunk.
+  KvCache ca = enc.make_cache(kWindow), cb = enc.make_cache(kWindow);
+  (void)enc.prefill(cols(a, 0, 5), ca);
+  (void)enc.prefill(cols(a, 5, kLenA - 6), ca);
+  (void)enc.prefill(cols(b, 0, kLenB - kChunkB), cb);
+
+  HalfMatrix packed(32, 1 + kChunkB);
+  for (std::size_t r = 0; r < 32; ++r) {
+    packed(r, 0) = a(r, kLenA - 1);
+    std::memcpy(&packed(r, 1), &b(r, kLenB - kChunkB),
+                kChunkB * sizeof(half_t));
+  }
+  const std::size_t ends[] = {1, 1 + kChunkB};
+  KvCache* caches[] = {&ca, &cb};
+  const HalfMatrix y = enc.forward_cached(packed, ends, caches);
+  expect_cols_eq(y, full_a, 0, kLenA - 1, 1, "wrapped decode item");
+  expect_cols_eq(y, full_b, 1, kLenB - kChunkB, kChunkB,
+                 "wrapped prefill chunk");
+  EXPECT_EQ(ca.length(), kLenA);
+  EXPECT_EQ(cb.length(), kLenB);
+}
+
+// Every cache of a batch is validated before any is appended to: a batch
+// whose second cache has the wrong shape throws and leaves every cache's
+// layer lengths as they were — the decode items' too, which would append
+// before the core runs.
+TEST(CachedDecode, FailedValidationLeavesCachesUntouched) {
+  constexpr std::size_t kWindow = 8;
+  const Encoder enc = causal_encoder(kWindow);
+  Rng rng(43);
+  KvCache a = enc.make_cache(kWindow), c = enc.make_cache(kWindow);
+  (void)enc.prefill(random_half_matrix(32, 10, rng, 0.5f), a);
+  (void)enc.prefill(random_half_matrix(32, 3, rng, 0.5f), c);
+  // Layer count and hidden fit the encoder; the head layout or the
+  // capacity does not.
+  KvCache bad_shapes[] = {KvCache(2, 32, kWindow, 2),
+                          KvCache(2, 32, 2 * kWindow, 4)};
+  const HalfMatrix x = random_half_matrix(32, 1 + 1 + 4, rng, 0.5f);
+  const std::size_t ends[] = {1, 2, 6};  // decode, decode, prefill chunk
+  for (KvCache& bad : bad_shapes) {
+    KvCache* caches[] = {&a, &bad, &c};
+    std::vector<std::size_t> before;
+    for (const KvCache* cache : caches)
+      for (std::size_t l = 0; l < cache->layers(); ++l)
+        before.push_back(cache->layer_length(l));
+    EXPECT_THROW(enc.forward_cached(x, ends, caches), Error);
+    std::size_t i = 0;
+    for (const KvCache* cache : caches)
+      for (std::size_t l = 0; l < cache->layers(); ++l)
+        EXPECT_EQ(cache->layer_length(l), before[i++]) << "layer " << l;
+  }
+}
+
+// The hidden-32 shapes above run the attention core inline on the
+// caller. Here ForcePooled puts every step of 9 sessions' batched prefill
+// and decode, far past the wrap, on a 4-thread pool's workers, so the
+// in-place ring reads run there (and under TSan); the outputs must equal
+// the inline run bit for bit.
+TEST(CachedDecode, PooledDecodeMatchesInlineBits) {
+  constexpr std::size_t kWindow = 8, kSeqs = 9, kSteps = 14;
+  const Encoder enc = causal_encoder(kWindow);
+  const auto generate = [&](bool pooled) {
+    std::optional<detail::ForcePooled> guard;
+    if (pooled) guard.emplace();
+    ops::ExecContextOptions opts;
+    opts.threads = 4;
+    ops::ExecContext ctx(opts);
+    Rng rng(47);
+    std::vector<KvCache> caches;
+    std::vector<KvCache*> ptrs;
+    std::vector<std::size_t> ends;
+    for (std::size_t s = 0; s < kSeqs; ++s) {
+      caches.push_back(enc.make_cache(kWindow));
+      ends.push_back((ends.empty() ? 0 : ends.back()) + 3 + s % 4);
+    }
+    for (KvCache& cache : caches) ptrs.push_back(&cache);
+    std::vector<HalfMatrix> outputs;
+    outputs.push_back(enc.forward_cached(
+        random_half_matrix(32, ends.back(), rng, 0.5f), ends, ptrs, nullptr,
+        &ctx));
+    for (std::size_t s = 0; s < kSeqs; ++s) ends[s] = s + 1;
+    HalfMatrix x = random_half_matrix(32, kSeqs, rng, 0.5f);
+    for (std::size_t t = 0; t < kSteps; ++t) {
+      x = enc.forward_cached(x, ends, ptrs, nullptr, &ctx);
+      outputs.push_back(x);
+    }
+    for (const KvCache& cache : caches) EXPECT_GT(cache.length(), kWindow);
+    return outputs;
+  };
+  const std::vector<HalfMatrix> inline_run = generate(false);
+  const std::vector<HalfMatrix> pooled_run = generate(true);
+  ASSERT_EQ(inline_run.size(), pooled_run.size());
+  for (std::size_t i = 0; i < inline_run.size(); ++i)
+    expect_bits_eq(pooled_run[i], inline_run[i], "pooled vs inline");
 }
 
 // The decode invariant must hold whichever Spatha column-location mode

@@ -16,6 +16,7 @@
 #include "spatha/plan.hpp"
 #include "transformer/config.hpp"
 #include "transformer/encoder.hpp"
+#include "transformer/kv_cache.hpp"
 #include "transformer/ops.hpp"
 
 namespace venom::transformer {
@@ -716,6 +717,22 @@ TEST(Attention, TimingBreakdownPopulated) {
   EXPECT_GT(t.gemm_s, 0.0);
   EXPECT_GT(t.softmax_s, 0.0);
   EXPECT_GT(t.attn_matmul_s, 0.0);
+
+  // The KV-cached forward fills the same classes; its ring appends (a
+  // prefill chunk's and a decode step's) bill to attn_matmul_s.
+  MultiHeadAttention causal(32, 4, rng, /*causal=*/true);
+  KvCache cache(1, 32, 16, 4);
+  KvCache* caches[] = {&cache};
+  for (const std::size_t n : {std::size_t{8}, std::size_t{1}}) {
+    const HalfMatrix xn = random_half_matrix(32, n, rng);
+    TimingBreakdown tc;
+    causal.forward_cached(xn, std::span<const std::size_t>(&n, 1), caches, 0,
+                          &tc);
+    EXPECT_GT(tc.gemm_s, 0.0);
+    EXPECT_GT(tc.softmax_s, 0.0);
+    EXPECT_GT(tc.attn_matmul_s, 0.0);
+  }
+  EXPECT_EQ(cache.length(), 9u);
 }
 
 TEST(Encoder, ForwardShapeAndFiniteness) {
