@@ -19,6 +19,8 @@
 #include "common/thread_pool_testing.hpp"
 #include "format/vnm.hpp"
 #include "spatha/spmm.hpp"
+#include "transformer/encoder.hpp"
+#include "transformer/kv_cache.hpp"
 #include "transformer/ops.hpp"
 
 namespace venom {
@@ -333,6 +335,57 @@ TEST(FMath, GoldenHashes) {
             0x86a564ac9092abceull);
   EXPECT_EQ(hash_bits(in_ragged_spans(sweep, fmath::tanh_n)),
             0x7b3cc548aad53a53ull);
+}
+
+
+// ------------------------------------------------------------ encoder
+
+/// Folds every element's bits into h; a golden fixture of NaNs would
+/// pin nothing, so every element must be finite.
+void mix_bits(Fnv1a& h, const HalfMatrix& m) {
+  for (const half_t v : m.flat()) {
+    ASSERT_FALSE(v.is_nan() || v.is_inf());
+    h.mix(v.bits());
+  }
+}
+
+/// The bert-tiny serving model (2 layers, hidden 256, 4 heads, FFN 512),
+/// seeded by label and magnitude-pruned to 64:2:8.
+transformer::Encoder serving_model(bool causal, std::size_t window) {
+  Rng rng = Rng::seeded("serving-model");
+  transformer::Encoder enc(
+      transformer::ModelConfig{.name = "bert-tiny", .layers = 2,
+                               .hidden = 256, .heads = 4, .ffn_hidden = 512,
+                               .seq_len = 128, .causal = causal,
+                               .attn_window = window},
+      rng);
+  enc.sparsify({64, 2, 8});
+  return enc;
+}
+
+TEST(EncoderBits, GoldenHash) {
+  // The whole layer's bits belong to the library: SpMM, attention core,
+  // softmax, gelu, add and layer_norm are each written with explicit fma
+  // (or none), so this constant holds on every compiler and lane width.
+  Fnv1a h;
+  {
+    const transformer::Encoder enc = serving_model(false, 0);
+    Rng rng = Rng::seeded("encoder-golden-input");
+    mix_bits(h, enc.forward(random_half_matrix(256, 37, rng)));
+    const std::size_t ends[] = {5, 22, 64, 71};
+    mix_bits(h, enc.forward_batched(random_half_matrix(256, 71, rng), ends));
+  }
+  {
+    // Causal, window 16: a 20-token prefill, then decode steps well past
+    // the ring's wrap.
+    const transformer::Encoder enc = serving_model(true, 16);
+    Rng rng = Rng::seeded("encoder-golden-decode");
+    transformer::KvCache cache = enc.make_cache(16);
+    mix_bits(h, enc.prefill(random_half_matrix(256, 20, rng), cache));
+    for (int step = 0; step < 12; ++step)
+      mix_bits(h, enc.decode_step(random_half_matrix(256, 1, rng), cache));
+  }
+  EXPECT_EQ(h.h, 0xe2979b1ea01abf6dull);
 }
 
 }  // namespace
