@@ -81,6 +81,16 @@ float half_t::bits_to_float(std::uint16_t h) {
 void half_to_float_n(const half_t* src, float* dst, std::size_t n) {
   std::size_t i = 0;
 #ifdef VENOM_USE_F16C
+#ifdef __AVX512F__
+  // 16 lanes at a time, so that a Lane16 load of the result is forwarded
+  // from one store. Zero-masking forms under an all-ones mask, as in
+  // common/lanes.hpp.
+  for (; i + 16 <= n; i += 16) {
+    const __m256i h =
+        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(src + i));
+    _mm512_storeu_ps(dst + i, _mm512_maskz_cvtph_ps(0xffff, h));
+  }
+#endif
   for (; i + 8 <= n; i += 8) {
     const __m128i h =
         _mm_loadu_si128(reinterpret_cast<const __m128i*>(src + i));
@@ -113,11 +123,34 @@ void float_to_half_n(const float* src, half_t* dst, std::size_t n) {
 #ifdef VENOM_USE_F16C
   // VCVTPS2PH with round-to-nearest-even matches float_to_bits on every
   // finite and infinite input (including halfway cases and subnormal
-  // outputs); NaN payloads are hardware-defined but stay quiet NaNs.
+  // outputs). A NaN keeps its top payload bits there, so each NaN lane
+  // is first replaced by the quiet NaN of its sign with no payload,
+  // which converts to float_to_bits' sign | 0x7e00.
+  constexpr int kSign = static_cast<int>(0x80000000u);
+  constexpr int kQuiet = 0x7fc00000;
+  constexpr int kRound = _MM_FROUND_TO_NEAREST_INT | _MM_FROUND_NO_EXC;
+#ifdef __AVX512F__
+  for (; i + 16 <= n; i += 16) {
+    const __m512 x = _mm512_loadu_ps(src + i);
+    const __m512 canonical = _mm512_castsi512_ps(_mm512_or_si512(
+        _mm512_and_si512(_mm512_castps_si512(x), _mm512_set1_epi32(kSign)),
+        _mm512_set1_epi32(kQuiet)));
+    const __m512 y = _mm512_mask_blend_ps(
+        _mm512_cmp_ps_mask(x, x, _CMP_UNORD_Q), x, canonical);
+    _mm256_storeu_si256(reinterpret_cast<__m256i*>(dst + i),
+                        _mm512_maskz_cvtps_ph(0xffff, y, kRound));
+  }
+#endif
   for (; i + 8 <= n; i += 8) {
-    const __m128i h = _mm256_cvtps_ph(
-        _mm256_loadu_ps(src + i), _MM_FROUND_TO_NEAREST_INT | _MM_FROUND_NO_EXC);
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(dst + i), h);
+    const __m256 x = _mm256_loadu_ps(src + i);
+    const __m256 canonical =
+        _mm256_or_ps(_mm256_and_ps(x, _mm256_castsi256_ps(
+                                          _mm256_set1_epi32(kSign))),
+                     _mm256_castsi256_ps(_mm256_set1_epi32(kQuiet)));
+    const __m256 y =
+        _mm256_blendv_ps(x, canonical, _mm256_cmp_ps(x, x, _CMP_UNORD_Q));
+    _mm_storeu_si128(reinterpret_cast<__m128i*>(dst + i),
+                     _mm256_cvtps_ph(y, kRound));
   }
 #endif
   for (; i < n; ++i) dst[i] = half_t(src[i]);

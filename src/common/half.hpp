@@ -106,9 +106,9 @@ std::ostream& operator<<(std::ostream& os, half_t h);
 void half_to_float_n(const half_t* src, float* dst, std::size_t n);
 
 /// Bulk float -> binary16 conversion with round-to-nearest-even:
-/// dst[i] = half_t(src[i]). Bit-identical to the scalar conversion for
-/// all finite and infinite inputs; NaNs map to a quiet NaN (payloads may
-/// differ between the F16C and scalar paths). `src`/`dst` must not overlap.
+/// dst[i] = half_t(src[i]), bit for bit on every input, NaN included (a
+/// NaN becomes the quiet NaN sign | 0x7e00, as in float_to_bits), on the
+/// F16C path and the scalar loop alike. `src`/`dst` must not overlap.
 void float_to_half_n(const float* src, half_t* dst, std::size_t n);
 
 /// Fused helper mirroring SPTC accumulation: acc (fp32) += a*b in fp32,

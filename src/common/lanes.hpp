@@ -1,6 +1,7 @@
 // Lane types: the one set of vector registers under the library's
 // bit-defined loops (common/fmath.cpp, the packed SpMM in
-// spatha/packed.cpp, the attention core in transformer/ops.cpp).
+// spatha/packed.cpp, and in transformer/ops.cpp the attention core and
+// add / layer_norm).
 // Internal: not part of the public API.
 //
 // Lane1 is one float; Lane8 and Lane16 are the AVX2 + FMA and AVX-512F
@@ -10,9 +11,9 @@
 // each of them. The lane types perform no multiply-add of their own
 // except `fma`, and a file that writes its arithmetic over them is
 // compiled with -ffp-contract=off, so a multiply followed by an add
-// stays two roundings unless written as fma. (The attention core's
-// lane code is only fma and a final multiply by the score scale, which
-// no add follows, so transformer/ops.cpp needs no such flag.)
+// stays two roundings unless written as fma. (transformer/ops.cpp is on
+// that list too: layer_norm's normalize step is a multiply feeding an
+// fma, and the file's scalar oracles and backward are plain C++.)
 //
 // Besides arithmetic, the types carry what the SpMM kernels and the
 // attention core need:

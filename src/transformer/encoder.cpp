@@ -70,8 +70,7 @@ HalfMatrix EncoderLayer::post_attention(const HalfMatrix& x,
   constexpr float kEps = 1e-5f;
 
   auto t0 = std::chrono::steady_clock::now();
-  HalfMatrix h =
-      layer_norm(add(x, attn, run), ln1_gamma_, ln1_beta_, kEps, run);
+  HalfMatrix h = add_layer_norm(x, attn, ln1_gamma_, ln1_beta_, kEps, run);
   if (timing != nullptr) timing->other_s += seconds_since(t0);
 
   const HalfMatrix ff1 = ffn_in_.forward(h, timing, ctx);
@@ -83,8 +82,7 @@ HalfMatrix EncoderLayer::post_attention(const HalfMatrix& x,
   const HalfMatrix ff2 = ffn_out_.forward(act, timing, ctx);
 
   t0 = std::chrono::steady_clock::now();
-  HalfMatrix out =
-      layer_norm(add(h, ff2, run), ln2_gamma_, ln2_beta_, kEps, run);
+  HalfMatrix out = add_layer_norm(h, ff2, ln2_gamma_, ln2_beta_, kEps, run);
   if (timing != nullptr) timing->other_s += seconds_since(t0);
   return out;
 }

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <cstring>
 
 #include "common/error.hpp"
 #include "common/fmath.hpp"
@@ -13,8 +14,10 @@ namespace venom::transformer {
 
 namespace {
 
+using Lane = lanes::Native;
 constexpr std::size_t kChunk = 2048;    // gelu / add: flat elements per task
-constexpr std::size_t kColBlock = 32;  // layer_norm: columns per task
+constexpr std::size_t kColBlock = 128;  // layer_norm: columns per task
+constexpr std::size_t kColRegs = kColBlock / Lane::kWidth;
 /// Multiply-adds one element counts for in the pool's inline rule, so an
 /// op over fewer than 2^14 elements (16 x 2^14 = kInlineWork) runs on
 /// the caller.
@@ -33,38 +36,94 @@ void flat_chunks(ops::ExecContext* ctx, std::size_t n, Fn&& fn) {
       0, n * kElemWork);
 }
 
-/// layer_norm of columns [t0, t0 + kColBlock) (clipped to x.cols()).
-/// One mean and one variance accumulator per column, rows swept in
-/// ascending f: each column sums in the scalar loop's order.
-void layer_norm_block(const HalfMatrix& x, std::span<const float> gamma,
+/// a[j] += b[j] for j in [j0, n), whole registers of L; returns where
+/// it stopped.
+template <typename L>
+std::size_t add_lanes(float* a, const float* b, std::size_t j0,
+                      std::size_t n) {
+  std::size_t j = j0;
+  for (; j + L::kWidth <= n; j += L::kWidth)
+    L::store(a + j, L::add(L::load(a + j), L::load(b + j)));
+  return j;
+}
+
+/// a[j] += b[j] for j in [0, n): one IEEE add per element.
+void add_n(float* a, const float* b, std::size_t n) {
+  add_lanes<lanes::Lane1>(a, b, add_lanes<Lane>(a, b, 0, n), n);
+}
+
+/// layer_norm of columns [t0, t0 + kColBlock) (clipped to x.cols()) of
+/// x, or with a residual y of fp16(x + y), into the same block of out.
+/// Column t0 + u is lane u of the block's kColRegs registers; the rows
+/// are swept in ascending f three times (mean, variance, normalize), so
+/// each column sums in the scalar loop's order. With a residual, the
+/// first sweep rounds the sum into out's block, and the other two read
+/// it there.
+void layer_norm_block(const HalfMatrix& x, const HalfMatrix* y,
+                      std::span<const float> gamma,
                       std::span<const float> beta, float eps, std::size_t t0,
                       HalfMatrix& out) {
+  constexpr std::size_t kW = Lane::kWidth;
   const std::size_t rows = x.rows();
   const std::size_t w = std::min(kColBlock, x.cols() - t0);
-  float v[kColBlock], mean[kColBlock] = {}, var[kColBlock] = {};
-  float inv[kColBlock];
+  const HalfMatrix& src = y != nullptr ? out : x;
+  // Lanes past w hold finite values that are never stored.
+  alignas(64) float v[kColBlock] = {}, res[kColBlock] = {};
+  Lane::F mean[kColRegs], var[kColRegs], inv[kColRegs];
+  for (std::size_t c = 0; c < kColRegs; ++c)
+    mean[c] = var[c] = Lane::set(0.0f);
   for (std::size_t f = 0; f < rows; ++f) {
-    half_to_float_n(&x(f, t0), v, w);
-    for (std::size_t u = 0; u < w; ++u) mean[u] += v[u];
+    if (y != nullptr) {
+      half_to_float_n(&x(f, t0), v, w);
+      half_to_float_n(&(*y)(f, t0), res, w);
+      add_lanes<Lane>(v, res, 0, kColBlock);
+      float_to_half_n(v, &out(f, t0), w);
+    }
+    half_to_float_n(&src(f, t0), v, w);
+    for (std::size_t c = 0; c < kColRegs; ++c)
+      mean[c] = Lane::add(mean[c], Lane::load(v + c * kW));
   }
-  for (std::size_t u = 0; u < w; ++u) mean[u] /= float(rows);
+  const Lane::F n = Lane::set(float(rows));
+  for (std::size_t c = 0; c < kColRegs; ++c) mean[c] = Lane::div(mean[c], n);
   for (std::size_t f = 0; f < rows; ++f) {
-    half_to_float_n(&x(f, t0), v, w);
-    for (std::size_t u = 0; u < w; ++u) {
-      const float d = v[u] - mean[u];
-      var[u] += d * d;
+    half_to_float_n(&src(f, t0), v, w);
+    for (std::size_t c = 0; c < kColRegs; ++c) {
+      const Lane::F d = Lane::sub(Lane::load(v + c * kW), mean[c]);
+      var[c] = Lane::fma(d, d, var[c]);
     }
   }
-  for (std::size_t u = 0; u < w; ++u) {
-    var[u] /= float(rows);
-    inv[u] = 1.0f / std::sqrt(var[u] + eps);
-  }
+  for (std::size_t c = 0; c < kColRegs; ++c)
+    Lane::store(v + c * kW, Lane::div(var[c], n));
+  for (std::size_t u = 0; u < kColBlock; ++u)
+    v[u] = 1.0f / std::sqrt(v[u] + eps);
+  for (std::size_t c = 0; c < kColRegs; ++c) inv[c] = Lane::load(v + c * kW);
   for (std::size_t f = 0; f < rows; ++f) {
-    half_to_float_n(&x(f, t0), v, w);
-    for (std::size_t u = 0; u < w; ++u)
-      v[u] = (v[u] - mean[u]) * inv[u] * gamma[f] + beta[f];
+    half_to_float_n(&src(f, t0), v, w);
+    const Lane::F g = Lane::set(gamma[f]), b = Lane::set(beta[f]);
+    for (std::size_t c = 0; c < kColRegs; ++c) {
+      const Lane::F d = Lane::sub(Lane::load(v + c * kW), mean[c]);
+      Lane::store(v + c * kW, Lane::fma(Lane::mul(d, inv[c]), g, b));
+    }
     float_to_half_n(v, &out(f, t0), w);
   }
+}
+
+/// layer_norm over column blocks on the pool; y is the residual or null.
+HalfMatrix layer_norm_blocks(const HalfMatrix& x, const HalfMatrix* y,
+                             std::span<const float> gamma,
+                             std::span<const float> beta, float eps,
+                             ops::ExecContext* ctx) {
+  VENOM_CHECK(gamma.size() == x.rows() && beta.size() == x.rows());
+  VENOM_CHECK(y == nullptr || (y->rows() == x.rows() && y->cols() == x.cols()));
+  HalfMatrix out(x.rows(), x.cols());
+  ops::resolve(ctx).pool().parallel_for_chunks(
+      (x.cols() + kColBlock - 1) / kColBlock,
+      [&](std::size_t b, std::size_t e) {
+        for (std::size_t blk = b; blk < e; ++blk)
+          layer_norm_block(x, y, gamma, beta, eps, blk * kColBlock, out);
+      },
+      0, x.size() * kElemWork);
+  return out;
 }
 
 }  // namespace
@@ -77,16 +136,14 @@ void softmax_rows(FloatMatrix& scores) {
 HalfMatrix layer_norm(const HalfMatrix& x, std::span<const float> gamma,
                       std::span<const float> beta, float eps,
                       ops::ExecContext* ctx) {
-  VENOM_CHECK(gamma.size() == x.rows() && beta.size() == x.rows());
-  HalfMatrix out(x.rows(), x.cols());
-  ops::resolve(ctx).pool().parallel_for_chunks(
-      (x.cols() + kColBlock - 1) / kColBlock,
-      [&](std::size_t b, std::size_t e) {
-        for (std::size_t blk = b; blk < e; ++blk)
-          layer_norm_block(x, gamma, beta, eps, blk * kColBlock, out);
-      },
-      0, x.size() * kElemWork);
-  return out;
+  return layer_norm_blocks(x, nullptr, gamma, beta, eps, ctx);
+}
+
+HalfMatrix add_layer_norm(const HalfMatrix& x, const HalfMatrix& y,
+                          std::span<const float> gamma,
+                          std::span<const float> beta, float eps,
+                          ops::ExecContext* ctx) {
+  return layer_norm_blocks(x, &y, gamma, beta, eps, ctx);
 }
 
 HalfMatrix gelu(const HalfMatrix& x, ops::ExecContext* ctx) {
@@ -113,7 +170,7 @@ HalfMatrix add(const HalfMatrix& x, const HalfMatrix& y,
     float a[kChunk], b[kChunk];
     half_to_float_n(xs + i, a, len);
     half_to_float_n(ys + i, b, len);
-    for (std::size_t j = 0; j < len; ++j) a[j] += b[j];
+    add_n(a, b, len);
     float_to_half_n(a, dst + i, len);
   });
   return out;
@@ -178,7 +235,7 @@ FloatMatrix layer_norm_backward(const HalfMatrix& x,
     float var = 0.0f;
     for (std::size_t f = 0; f < features; ++f) {
       const float d = x(f, t).to_float() - mean;
-      var += d * d;
+      var = std::fma(d, d, var);
     }
     var *= inv_f;
     const float inv = 1.0f / std::sqrt(var + eps);
@@ -242,7 +299,6 @@ HalfMatrix attention_context(const FloatMatrix& p, const HalfMatrix& vh) {
 
 namespace {
 
-using Lane = lanes::Native;
 constexpr std::size_t kRows = 4;       // query rows sharing a loaded strip
 constexpr std::size_t kTaskRows = 32;  // query rows per task
 
@@ -412,12 +468,18 @@ void context_rows(std::span<const AttentionCore::KeySpan> spans,
                                   s.vt + (h * s.stride + x0) * dh + d, dh,
                                   hi - lo, w);
                   });
-    float vals[Strip<R>::kWidth];
-    for (std::size_t r = 0; r < R; ++r) {
+    // Convert the finished strip at once, then store each d's R
+    // consecutive tokens together.
+    float vals[R][Strip<R>::kWidth];
+    half_t halves[R][Strip<R>::kWidth];
+    for (std::size_t r = 0; r < R; ++r)
       for (std::size_t c = 0; c < Strip<R>::kRegs; ++c)
-        Lane::store(vals + c * Lane::kWidth, acc.acc[r][c]);
-      for (std::size_t u = 0; u < w; ++u)
-        out(h * dh + d + u, col + i + r) = half_t(vals[u]);
+        Lane::store(vals[r] + c * Lane::kWidth, acc.acc[r][c]);
+    float_to_half_n(vals[0], halves[0], (R - 1) * Strip<R>::kWidth + w);
+    for (std::size_t u = 0; u < w; ++u) {
+      half_t tokens[R];
+      for (std::size_t r = 0; r < R; ++r) tokens[r] = halves[r][u];
+      std::memcpy(&out(h * dh + d + u, col + i), tokens, sizeof tokens);
     }
   }
 }

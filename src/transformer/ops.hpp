@@ -26,44 +26,62 @@ namespace venom::transformer {
 /// are fmath's. A matrix with no rows or no columns is left as it is.
 void softmax_rows(FloatMatrix& scores);
 
-// gelu, add and layer_norm: bulk-converted, pool-parallel kernels.
+// gelu, add, layer_norm and add_layer_norm: bulk-converted,
+// pool-parallel kernels over common/lanes.hpp.
 //
 // Shape. gelu and add process fixed flat chunks of 2048 elements: each
 // chunk converts its fp16 inputs with half_to_float_n, applies the
-// per-element expression in float, and rounds back with float_to_half_n.
-// layer_norm processes fixed blocks of 32 columns (tokens): a block
-// sweeps the rows f in ascending order with one mean and one variance
-// accumulator per column, converting each row's 32-column segment.
+// per-element expression in lane registers, and rounds back with
+// float_to_half_n. layer_norm processes fixed blocks of 128 columns
+// (tokens), one lane per column: a block sweeps the rows f in ascending
+// order three times (mean, variance, normalize), converting each row's
+// segment of the block. add_layer_norm is the same block body with a
+// residual: its first sweep rounds fp16(x + y) into the output's block,
+// and the other two sweeps read the sum there, so the sum never exists
+// as a matrix of its own and the encoder pays one pass, one allocation
+// and one dispatch per norm instead of two.
 //
 // Threading. Chunks and column blocks run on ops::resolve(ctx).pool()
 // via parallel_for_chunks, which counts an element as 16 multiply-adds
 // for its inline rule: an op over fewer than 2^14 elements runs on the
-// caller, so a decode step of a few sessions pays no dispatch (on a
-// 4-vCPU AVX-512 Xeon the pool first won at 2^14 elements: gelu 32 us
-// inline vs 18 us pooled; add broke even). The chunk size, block width
-// and element weight are fixed constants, not options.
-// `ctx` works as in Linear::forward: the encoder passes the context its
-// linear layers run on; nullptr means ExecContext::global().
+// caller, so a decode step of a few sessions pays no dispatch. (On a
+// 4-vCPU AVX-512 VM that delivers about one core, add_layer_norm at 256
+// x {16, 64, 256, 1024} ran 10-19, 16-26, 42-45 and 179-186 us inline
+// against 10-19, 16-26, 56-71 and 214-231 us on 2 or 4 workers: no
+// crossover to move the weight to.) The chunk size, block width and
+// element weight are fixed constants, not options. `ctx` works as in Linear::forward: the encoder passes the
+// context its linear layers run on; nullptr means ExecContext::global().
 //
 // Bits. Every output element keeps the scalar loop's expression:
 // fp16(x + y), fp16(fmath::gelu(v)), and per column the mean and
-// variance summed over f ascending, each divided by float(rows), then
-// fp16((v - mean) * inv * gamma[f] + beta[f]) with inv = 1 / sqrt(var +
-// eps). gelu's chunks run fmath::gelu_n, which is bit-identical to the
-// scalar fmath::gelu on every input and at every position. add and
-// layer_norm evaluate each element with the scalar loop's expression, so
-// the compiler contracts it as in the scalar loop; threads only
-// partition elements or columns. Results are therefore
-// bit-identical to the per-element to_float / half_t loops at any thread
-// count, except that NaN outputs may carry a different payload (see
-// float_to_half_n). gelu calls no libm function, so its bits do not
-// depend on the host's libm (layer_norm's std::sqrt is IEEE-exact).
+// variance summed over f ascending (var = fma(d, d, var) with d = v -
+// mean), each divided by float(rows), then fp16(fma((v - mean) * inv,
+// gamma[f], beta[f])) with inv = 1 / sqrt(var + eps). Every multiply-add
+// is an explicit fma and this file is compiled with -ffp-contract=off,
+// so the bits do not depend on the compiler's contraction; lanes are
+// independent elements and threads only partition elements or columns,
+// so neither the lane width nor the block width nor the thread count
+// changes a bit. float_to_half_n rounds exactly as half_t(float), NaN
+// included. Results are therefore bit-identical to the per-element
+// to_float / half_t loops (with std::fma spelled as above) at any
+// thread count. gelu's chunks run fmath::gelu_n, which is bit-identical
+// to the scalar fmath::gelu on every input and at every position. gelu
+// calls no libm function, and layer_norm's std::sqrt is IEEE-exact, so
+// no bit depends on the host's libm.
 
 /// LayerNorm over the feature dimension of (features x tokens), per
 /// token (column), with scale gamma and shift beta (size = features).
 HalfMatrix layer_norm(const HalfMatrix& x, std::span<const float> gamma,
                       std::span<const float> beta, float eps = 1e-5f,
                       ops::ExecContext* ctx = nullptr);
+
+/// layer_norm(add(x, y), gamma, beta, eps) bit for bit, in one pass over
+/// column blocks: the sum is rounded to fp16 per element inside a block
+/// and never stored as a matrix of its own.
+HalfMatrix add_layer_norm(const HalfMatrix& x, const HalfMatrix& y,
+                          std::span<const float> gamma,
+                          std::span<const float> beta, float eps = 1e-5f,
+                          ops::ExecContext* ctx = nullptr);
 
 /// GELU (tanh approximation) applied element-wise.
 HalfMatrix gelu(const HalfMatrix& x, ops::ExecContext* ctx = nullptr);
@@ -121,7 +139,9 @@ HalfMatrix attention_context(const FloatMatrix& p, const HalfMatrix& vh);
 /// fmath::softmax_n, softmax_rows' row function, over each row's
 /// unmasked span. Step 3 (context) accumulates strips over d the same
 /// way, carrying a strip's accumulators from span to span in ascending
-/// key order, and writes context(h*dh + d, col + i) directly.
+/// key order. It converts each finished strip with float_to_half_n and
+/// writes context(h*dh + d, col + i) for the strip's query rows as one
+/// store of consecutive tokens per d.
 ///
 /// Tasks. Load runs one task per (head, sequence); steps 2 and 3 run one
 /// task per (head, sequence, block of 32 query rows), on the pool via
@@ -134,10 +154,10 @@ HalfMatrix attention_context(const FloatMatrix& p, const HalfMatrix& vh);
 /// accumulation order: a score is (q*k chained through fma over d
 /// ascending) * scale, a probability is softmax_rows' sequence over the
 /// row, and a context element is p*v chained through fma over keys
-/// ascending, rounded once to fp16. Every multiply-add is an explicit
-/// fma over common/lanes.hpp, as in attention_scores and
-/// attention_context, so the bits do not depend on the compiler's
-/// contraction; lanes are independent elements, spans only cut a strip
+/// ascending, rounded once to fp16 (float_to_half_n rounds as half_t,
+/// NaN included). Every multiply-add is an explicit fma over
+/// common/lanes.hpp, as in attention_scores and attention_context, so
+/// the bits do not depend on the compiler's contraction; lanes are independent elements, spans only cut a strip
 /// short and never reorder a sum, and threads only partition rows. The
 /// result therefore equals attention_scores + causal/window mask +
 /// softmax_rows + attention_context bit for bit, at any thread count and

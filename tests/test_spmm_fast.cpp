@@ -418,17 +418,43 @@ TEST(HalfBulk, FloatToHalfMatchesScalarOnFiniteAndInf) {
   src.push_back(std::numeric_limits<float>::infinity());
   src.push_back(-std::numeric_limits<float>::infinity());
 
-  std::vector<half_t> dst(src.size());
-  float_to_half_n(src.data(), dst.data(), src.size());
-  for (std::size_t i = 0; i < src.size(); ++i)
-    EXPECT_EQ(dst[i].bits(), half_t(src[i]).bits()) << "input " << src[i];
+  // Every value at every position mod 8: through the F16C bodies and
+  // the scalar tail.
+  for (std::size_t offset = 0; offset < 8; ++offset) {
+    std::vector<float> shifted(offset, 1.0f);
+    shifted.insert(shifted.end(), src.begin(), src.end());
+    std::vector<half_t> dst(shifted.size());
+    float_to_half_n(shifted.data(), dst.data(), shifted.size());
+    for (std::size_t i = 0; i < shifted.size(); ++i)
+      ASSERT_EQ(dst[i].bits(), half_t(shifted[i]).bits())
+          << "input " << shifted[i] << " offset " << offset;
+  }
 }
 
 TEST(HalfBulk, FloatToHalfNanStaysNan) {
-  std::vector<float> src(9, std::numeric_limits<float>::quiet_NaN());
-  std::vector<half_t> dst(src.size());
-  float_to_half_n(src.data(), dst.data(), src.size());
-  for (const half_t h : dst) EXPECT_TRUE(h.is_nan());
+  // Quiet and signaling NaNs with payloads in the bits fp16 keeps and in
+  // those it drops, of both signs, must convert exactly as half_t does
+  // (sign | 0x7e00) at every position of every length up to 24: in the
+  // 16- and 8-lane F16C bodies and in the scalar tail.
+  std::vector<std::uint32_t> nans;
+  for (const std::uint32_t payload :
+       {0x400000u, 0x000001u, 0x7fffffu, 0x200000u, 0x402000u, 0x001fffu,
+        0x3fe000u, 0x600001u})
+    for (const std::uint32_t sign : {0u, 0x80000000u})
+      nans.push_back(sign | 0x7f800000u | payload);
+  for (const std::uint32_t nan : nans)
+    for (std::size_t n = 1; n <= 24; ++n)
+      for (std::size_t pos = 0; pos < n; ++pos) {
+        std::vector<float> src(n, -2.5f);
+        src[pos] = std::bit_cast<float>(nan);
+        std::vector<half_t> dst(n);
+        float_to_half_n(src.data(), dst.data(), n);
+        ASSERT_TRUE(dst[pos].is_nan());
+        for (std::size_t i = 0; i < n; ++i)
+          ASSERT_EQ(dst[i].bits(), half_t(src[i]).bits())
+              << "nan 0x" << std::hex << nan << std::dec << " n " << n
+              << " pos " << pos << " i " << i;
+      }
 }
 
 TEST(ThreadPoolFast, ChunkedCoversEveryIndexOnce) {

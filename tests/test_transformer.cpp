@@ -2,8 +2,11 @@
 // Spatha-sparse), attention, and the encoder stack.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <cstring>
+#include <limits>
+#include <optional>
 #include <span>
 #include <string>
 #include <vector>
@@ -12,6 +15,7 @@
 #include "baselines/spmm_24.hpp"
 #include "common/fmath.hpp"
 #include "common/rng.hpp"
+#include "common/thread_pool_testing.hpp"
 #include "ops/ops.hpp"
 #include "spatha/plan.hpp"
 #include "transformer/config.hpp"
@@ -34,13 +38,13 @@ HalfMatrix ref_layer_norm(const HalfMatrix& x, std::span<const float> gamma,
     float var = 0.0f;
     for (std::size_t f = 0; f < x.rows(); ++f) {
       const float d = x(f, t).to_float() - mean;
-      var += d * d;
+      var = std::fma(d, d, var);
     }
     var /= float(x.rows());
     const float inv = 1.0f / std::sqrt(var + eps);
     for (std::size_t f = 0; f < x.rows(); ++f)
-      out(f, t) = half_t((x(f, t).to_float() - mean) * inv * gamma[f] +
-                         beta[f]);
+      out(f, t) = half_t(
+          std::fma((x(f, t).to_float() - mean) * inv, gamma[f], beta[f]));
   }
   return out;
 }
@@ -63,16 +67,13 @@ HalfMatrix ref_add(const HalfMatrix& x, const HalfMatrix& y) {
   return out;
 }
 
-/// Elements of `got` whose bits differ from `want`'s. A NaN only has to
-/// stay a NaN: float_to_half_n may pick another payload.
+/// Elements of `got` whose bits differ from `want`'s.
 std::size_t bit_mismatches(const HalfMatrix& got, const HalfMatrix& want) {
   EXPECT_EQ(got.rows(), want.rows());
   EXPECT_EQ(got.cols(), want.cols());
   std::size_t bad = 0;
-  for (std::size_t i = 0; i < want.size(); ++i) {
-    const half_t g = got.flat()[i], w = want.flat()[i];
-    bad += w.is_nan() ? !g.is_nan() : g.bits() != w.bits();
-  }
+  for (std::size_t i = 0; i < want.size(); ++i)
+    bad += got.flat()[i].bits() != want.flat()[i].bits();
   return bad;
 }
 
@@ -83,8 +84,8 @@ std::vector<float> random_affine(std::size_t n, Rng& rng, float lo,
   return v;
 }
 
-/// Checks gelu, add, layer_norm and layer_norm(add(...)) on random
-/// (rows x cols) inputs against the scalar loops, through `ctx`.
+/// Checks gelu, add, layer_norm, layer_norm(add(...)) and add_layer_norm
+/// on random (rows x cols) inputs against the scalar loops, through `ctx`.
 void expect_elementwise_bit_identical(std::size_t rows, std::size_t cols,
                                       Rng& rng, ops::ExecContext* ctx) {
   SCOPED_TRACE(::testing::Message()
@@ -105,6 +106,9 @@ void expect_elementwise_bit_identical(std::size_t rows, std::size_t cols,
       bit_mismatches(layer_norm(add(x, y, ctx), gamma, beta, 1e-5f, ctx),
                      ref_layer_norm(ref_add(x, y), gamma, beta)),
       0u);
+  EXPECT_EQ(bit_mismatches(add_layer_norm(x, y, gamma, beta, 1e-5f, ctx),
+                           ref_layer_norm(ref_add(x, y), gamma, beta)),
+            0u);
 }
 
 TEST(Config, Presets) {
@@ -249,6 +253,65 @@ TEST(Ops, ElementwiseInlineCutoffBitIdentical) {
   for (const std::size_t cols :
        {std::size_t(1), kInlineElems / kRows - 1, kInlineElems / kRows + 1})
     expect_elementwise_bit_identical(kRows, cols, rng, &one);
+}
+
+TEST(Ops, AddLayerNormBitIdenticalToLayerNormOfAdd) {
+  // The fused op against the two passes it replaces in the encoder, with
+  // +-inf and NaN inputs (never a NaN in both operands of one sum, whose
+  // result would depend on the add's operand order), on the caller and
+  // on the workers.
+  ops::ExecContextOptions opts;
+  opts.threads = 1;
+  ops::ExecContext one(opts);
+  opts.threads = 4;
+  ops::ExecContext four(opts);
+  constexpr float kInf = std::numeric_limits<float>::infinity();
+  const float nans[] = {std::bit_cast<float>(0x7fc00001u),
+                        std::bit_cast<float>(0xffa12345u)};
+  std::vector<std::size_t> widths;
+  for (std::size_t w = 1; w <= 37; ++w) widths.push_back(w);
+  widths.push_back(97);
+  widths.push_back(257);
+  Rng rng(73);
+  for (const std::size_t rows : {256, 768})
+    for (const std::size_t cols : widths) {
+      HalfMatrix x = random_half_matrix(rows, cols, rng, 2.0f);
+      HalfMatrix y = random_half_matrix(rows, cols, rng, 2.0f);
+      for (std::size_t c = 0; c < cols; ++c) {
+        const std::size_t f = (c * 37) % rows, g = (c * 11 + 5) % rows;
+        switch (c % 6) {
+          case 1: x(f, c) = half_t(kInf); break;
+          case 2: x(f, c) = half_t(nans[c % 2]); break;
+          case 3: y(f, c) = half_t(-kInf); break;
+          case 4:  // inf + -inf
+            x(f, c) = half_t(kInf);
+            y(f, c) = half_t(-kInf);
+            break;
+          case 5:
+            y(f, c) = half_t(nans[(c / 6) % 2]);
+            x(g, c) = half_t(g == f ? 1.0f : -kInf);
+            break;
+          default: break;
+        }
+      }
+      const std::vector<float> gamma = random_affine(rows, rng, 0.5f, 1.5f);
+      const std::vector<float> beta = random_affine(rows, rng, -0.5f, 0.5f);
+      const auto check = [&](ops::ExecContext* ctx, const char* where) {
+        SCOPED_TRACE(::testing::Message()
+                     << rows << "x" << cols << ", " << where);
+        const HalfMatrix want =
+            layer_norm(add(x, y, ctx), gamma, beta, 1e-5f, ctx);
+        EXPECT_EQ(bit_mismatches(
+                      add_layer_norm(x, y, gamma, beta, 1e-5f, ctx), want),
+                  0u);
+        if (cols > 1) {
+          EXPECT_TRUE(want(0, 1).is_nan());  // an inf column
+        }
+      };
+      check(&one, "inline");
+      const ::venom::detail::ForcePooled pooled;
+      check(&four, "pooled, 4 threads");
+    }
 }
 
 TEST(Ops, AttentionScoresAndContext) {
@@ -642,6 +705,74 @@ TEST(AttentionCore, BitIdenticalToScalarReference) {
             EXPECT_EQ(bad_ctx, 0u) << ctx->pool().size() << " threads";
           }
         }
+}
+
+TEST(AttentionCore, NonFiniteValuesBitIdenticalToScalarReference) {
+  // V holds +-inf and NaN, at most one NaN source per context chain, so
+  // the reference's NaN is defined; the context's vector write-back must
+  // round each element as half_t does, NaN included. Bidirectional, so
+  // every key is live in every row, as in attention_context.
+  constexpr std::size_t heads = 2, dh = 20;
+  constexpr float kInf = std::numeric_limits<float>::infinity();
+  const std::size_t ends[] = {37, 38};  // a block of rows, then one query
+  Rng rng(74);
+  const HalfMatrix q = random_half_matrix(heads * dh, 38, rng);
+  const HalfMatrix k = random_half_matrix(heads * dh, 38, rng);
+  HalfMatrix v = random_half_matrix(heads * dh, 38, rng);
+  for (std::size_t row = 0; row < heads * dh; ++row) {
+    const std::size_t j = (row * 7) % 37;
+    switch (row % 4) {
+      case 1: v(row, j) = half_t(row % 8 == 1 ? kInf : -kInf); break;
+      case 2:
+        v(row, j) = half_t::from_bits(row % 8 == 2 ? 0x7d01 : 0xfe42);
+        v(row, 37) = half_t::from_bits(0xfc01);
+        break;
+      case 3:  // inf + -inf
+        v(row, j) = half_t(kInf);
+        v(row, (j + 3) % 37) = half_t(-kInf);
+        break;
+      default: break;
+    }
+  }
+  HalfMatrix want(heads * dh, 38);
+  std::size_t s0 = 0;
+  for (const std::size_t s1 : ends) {
+    for (std::size_t h = 0; h < heads; ++h) {
+      HalfMatrix qh(dh, s1 - s0), kh(dh, s1 - s0), vh(dh, s1 - s0);
+      for (std::size_t d = 0; d < dh; ++d)
+        for (std::size_t c = s0; c < s1; ++c) {
+          qh(d, c - s0) = q(h * dh + d, c);
+          kh(d, c - s0) = k(h * dh + d, c);
+          vh(d, c - s0) = v(h * dh + d, c);
+        }
+      FloatMatrix p = attention_scores(qh, kh, 1.0f / std::sqrt(float(dh)));
+      softmax_rows(p);
+      const HalfMatrix ctx = attention_context(p, vh);
+      for (std::size_t d = 0; d < dh; ++d)
+        for (std::size_t c = s0; c < s1; ++c)
+          want(h * dh + d, c) = ctx(d, c - s0);
+    }
+    s0 = s1;
+  }
+  std::size_t nans = 0;
+  for (const half_t e : want.flat()) nans += e.is_nan();
+  EXPECT_GT(nans, 0u);
+
+  ops::ExecContextOptions opts;
+  opts.threads = 4;
+  ops::ExecContext four(opts);
+  for (const bool pooled : {false, true}) {
+    std::optional<::venom::detail::ForcePooled> force;
+    if (pooled) force.emplace();
+    ScratchArena arena;
+    AttentionCore core(heads, dh, false, 0, AttentionCore::packed(ends, arena),
+                       arena);
+    core.load(q, k, v, four.pool(), nullptr);
+    core.probabilities(four.pool(), nullptr);
+    HalfMatrix got(heads * dh, 38);
+    core.context(got, four.pool(), nullptr);
+    EXPECT_EQ(bit_mismatches(got, want), 0u) << "pooled " << pooled;
+  }
 }
 
 TEST(Encoder, BatchedForwardBitIdenticalPerSequence) {
