@@ -96,11 +96,15 @@ void half_to_float_n(const half_t* src, float* dst, std::size_t n) {
         _mm_loadu_si128(reinterpret_cast<const __m128i*>(src + i));
     _mm256_storeu_ps(dst + i, _mm256_cvtph_ps(h));
   }
-#endif
-  // Scalar tail (and full portable path): select-based so the loop can
-  // if-convert. Normals rescale exactly via 2^112 with no denormal float
-  // intermediate; zeros/subnormals go through an exact integer * 2^-24
-  // product (immune to DAZ/FTZ, unlike an em<<13 denormal intermediate).
+  // The tail one element at a time, with the same instruction: scalar
+  // stores, so a scalar load of a tail element is forwarded from its
+  // store (a vector load spanning several narrower stores is not).
+  for (; i < n; ++i) dst[i] = _cvtsh_ss(src[i].bits());
+#else
+  // Portable path: select-based so the loop can if-convert. Normals
+  // rescale exactly via 2^112 with no denormal float intermediate;
+  // zeros/subnormals go through an exact integer * 2^-24 product (immune
+  // to DAZ/FTZ, unlike an em<<13 denormal intermediate).
   for (; i < n; ++i) {
     const std::uint32_t h = src[i].bits();
     const std::uint32_t sign = (h & 0x8000u) << 16;
@@ -116,6 +120,7 @@ void half_to_float_n(const half_t* src, float* dst, std::size_t n) {
       bits = as_u32(as_f32(em << 13) * 0x1p112f);
     dst[i] = as_f32(sign | bits);
   }
+#endif
 }
 
 void float_to_half_n(const float* src, half_t* dst, std::size_t n) {
@@ -152,8 +157,16 @@ void float_to_half_n(const float* src, half_t* dst, std::size_t n) {
     _mm_storeu_si128(reinterpret_cast<__m128i*>(dst + i),
                      _mm256_cvtps_ph(y, kRound));
   }
-#endif
+  for (; i < n; ++i) {
+    const std::uint32_t x = as_u32(src[i]);
+    dst[i] = half_t::from_bits(
+        (x & 0x7fffffffu) > 0x7f800000u
+            ? static_cast<std::uint16_t>(((x >> 16) & 0x8000u) | 0x7e00u)
+            : _cvtss_sh(src[i], kRound));
+  }
+#else
   for (; i < n; ++i) dst[i] = half_t(src[i]);
+#endif
 }
 
 std::ostream& operator<<(std::ostream& os, half_t h) {

@@ -17,7 +17,6 @@ namespace {
 using Lane = lanes::Native;
 constexpr std::size_t kChunk = 2048;    // gelu / add: flat elements per task
 constexpr std::size_t kColBlock = 128;  // layer_norm: columns per task
-constexpr std::size_t kColRegs = kColBlock / Lane::kWidth;
 /// Multiply-adds one element counts for in the pool's inline rule, so an
 /// op over fewer than 2^14 elements (16 x 2^14 = kInlineWork) runs on
 /// the caller.
@@ -36,76 +35,106 @@ void flat_chunks(ops::ExecContext* ctx, std::size_t n, Fn&& fn) {
       0, n * kElemWork);
 }
 
-/// a[j] += b[j] for j in [j0, n), whole registers of L; returns where
-/// it stopped.
-template <typename L>
-std::size_t add_lanes(float* a, const float* b, std::size_t j0,
-                      std::size_t n) {
-  std::size_t j = j0;
-  for (; j + L::kWidth <= n; j += L::kWidth)
-    L::store(a + j, L::add(L::load(a + j), L::load(b + j)));
-  return j;
+/// fn(L{}, j0, j1) over [0, n) in pieces of whole L registers: the
+/// widest lane type first, then Lane8, then one lane at a time. These are
+/// the widths the bulk converters store, so each lane load of a
+/// converted float is forwarded from one store (a load that spans
+/// several narrower stores waits for them to reach the cache).
+template <typename Fn>
+void by_width(std::size_t n, Fn&& fn) {
+  std::size_t j = 0;
+  const auto piece = [&]<typename L>(L) {
+    const std::size_t end = j + (n - j) / L::kWidth * L::kWidth;
+    if (end != j) fn(L{}, j, end);
+    j = end;
+  };
+  piece(Lane{});
+#if defined(__AVX2__) && defined(__FMA__)
+  piece(lanes::Lane8{});
+#endif
+  piece(lanes::Lane1{});
 }
 
-/// a[j] += b[j] for j in [0, n): one IEEE add per element.
-void add_n(float* a, const float* b, std::size_t n) {
-  add_lanes<lanes::Lane1>(a, b, add_lanes<Lane>(a, b, 0, n), n);
+/// dst[j] = fp16(x[j] + y[j]) for j in [0, n), kChunk elements at a
+/// time: one IEEE add per element in lane registers.
+void add_halves(const half_t* x, const half_t* y, half_t* dst,
+                std::size_t n) {
+  float a[kChunk], b[kChunk];
+  for (std::size_t i = 0; i < n; i += kChunk) {
+    const std::size_t len = std::min(kChunk, n - i);
+    half_to_float_n(x + i, a, len);
+    half_to_float_n(y + i, b, len);
+    by_width(len, [&]<typename L>(L, std::size_t j0, std::size_t j1) {
+      for (std::size_t j = j0; j < j1; j += L::kWidth)
+        L::store(a + j, L::add(L::load(a + j), L::load(b + j)));
+    });
+    float_to_half_n(a, dst + i, len);
+  }
+}
+
+/// layer_norm of columns [t0, t0 + w) of src into the same columns of
+/// out (src may be out); w is at most kColBlock and a multiple of
+/// L::kWidth. Column t0 + u is lane u of the group's registers; the rows
+/// are swept in ascending f three times (mean, variance, normalize), so
+/// each column sums in the scalar loop's order.
+template <typename L>
+void layer_norm_columns(const HalfMatrix& src, std::span<const float> gamma,
+                        std::span<const float> beta, float eps,
+                        std::size_t t0, std::size_t w, HalfMatrix& out) {
+  constexpr std::size_t kW = L::kWidth;
+  const std::size_t rows = src.rows(), regs = w / kW;
+  alignas(64) float v[kColBlock];
+  typename L::F mean[kColBlock / kW], var[kColBlock / kW],
+      inv[kColBlock / kW];
+  for (std::size_t c = 0; c < regs; ++c) mean[c] = var[c] = L::set(0.0f);
+  for (std::size_t f = 0; f < rows; ++f) {
+    half_to_float_n(&src(f, t0), v, w);
+    for (std::size_t c = 0; c < regs; ++c)
+      mean[c] = L::add(mean[c], L::load(v + c * kW));
+  }
+  const typename L::F n = L::set(float(rows));
+  for (std::size_t c = 0; c < regs; ++c) mean[c] = L::div(mean[c], n);
+  for (std::size_t f = 0; f < rows; ++f) {
+    half_to_float_n(&src(f, t0), v, w);
+    for (std::size_t c = 0; c < regs; ++c) {
+      const typename L::F d = L::sub(L::load(v + c * kW), mean[c]);
+      var[c] = L::fma(d, d, var[c]);
+    }
+  }
+  for (std::size_t c = 0; c < regs; ++c)
+    L::store(v + c * kW, L::div(var[c], n));
+  for (std::size_t u = 0; u < w; ++u) v[u] = 1.0f / std::sqrt(v[u] + eps);
+  for (std::size_t c = 0; c < regs; ++c) inv[c] = L::load(v + c * kW);
+  for (std::size_t f = 0; f < rows; ++f) {
+    half_to_float_n(&src(f, t0), v, w);
+    const typename L::F g = L::set(gamma[f]), b = L::set(beta[f]);
+    for (std::size_t c = 0; c < regs; ++c) {
+      const typename L::F d = L::sub(L::load(v + c * kW), mean[c]);
+      L::store(v + c * kW, L::fma(L::mul(d, inv[c]), g, b));
+    }
+    float_to_half_n(v, &out(f, t0), w);
+  }
 }
 
 /// layer_norm of columns [t0, t0 + kColBlock) (clipped to x.cols()) of
-/// x, or with a residual y of fp16(x + y), into the same block of out.
-/// Column t0 + u is lane u of the block's kColRegs registers; the rows
-/// are swept in ascending f three times (mean, variance, normalize), so
-/// each column sums in the scalar loop's order. With a residual, the
-/// first sweep rounds the sum into out's block, and the other two read
-/// it there.
+/// x, or with a residual y of fp16(x + y): the block first rounds the
+/// sum into out's columns (one flat span when the block is whole rows),
+/// and the sweeps then read it there.
 void layer_norm_block(const HalfMatrix& x, const HalfMatrix* y,
                       std::span<const float> gamma,
                       std::span<const float> beta, float eps, std::size_t t0,
                       HalfMatrix& out) {
-  constexpr std::size_t kW = Lane::kWidth;
-  const std::size_t rows = x.rows();
   const std::size_t w = std::min(kColBlock, x.cols() - t0);
+  if (y != nullptr && w == x.cols()) {
+    add_halves(&x(0, 0), &(*y)(0, 0), &out(0, 0), x.size());
+  } else if (y != nullptr) {
+    for (std::size_t f = 0; f < x.rows(); ++f)
+      add_halves(&x(f, t0), &(*y)(f, t0), &out(f, t0), w);
+  }
   const HalfMatrix& src = y != nullptr ? out : x;
-  // Lanes past w hold finite values that are never stored.
-  alignas(64) float v[kColBlock] = {}, res[kColBlock] = {};
-  Lane::F mean[kColRegs], var[kColRegs], inv[kColRegs];
-  for (std::size_t c = 0; c < kColRegs; ++c)
-    mean[c] = var[c] = Lane::set(0.0f);
-  for (std::size_t f = 0; f < rows; ++f) {
-    if (y != nullptr) {
-      half_to_float_n(&x(f, t0), v, w);
-      half_to_float_n(&(*y)(f, t0), res, w);
-      add_lanes<Lane>(v, res, 0, kColBlock);
-      float_to_half_n(v, &out(f, t0), w);
-    }
-    half_to_float_n(&src(f, t0), v, w);
-    for (std::size_t c = 0; c < kColRegs; ++c)
-      mean[c] = Lane::add(mean[c], Lane::load(v + c * kW));
-  }
-  const Lane::F n = Lane::set(float(rows));
-  for (std::size_t c = 0; c < kColRegs; ++c) mean[c] = Lane::div(mean[c], n);
-  for (std::size_t f = 0; f < rows; ++f) {
-    half_to_float_n(&src(f, t0), v, w);
-    for (std::size_t c = 0; c < kColRegs; ++c) {
-      const Lane::F d = Lane::sub(Lane::load(v + c * kW), mean[c]);
-      var[c] = Lane::fma(d, d, var[c]);
-    }
-  }
-  for (std::size_t c = 0; c < kColRegs; ++c)
-    Lane::store(v + c * kW, Lane::div(var[c], n));
-  for (std::size_t u = 0; u < kColBlock; ++u)
-    v[u] = 1.0f / std::sqrt(v[u] + eps);
-  for (std::size_t c = 0; c < kColRegs; ++c) inv[c] = Lane::load(v + c * kW);
-  for (std::size_t f = 0; f < rows; ++f) {
-    half_to_float_n(&src(f, t0), v, w);
-    const Lane::F g = Lane::set(gamma[f]), b = Lane::set(beta[f]);
-    for (std::size_t c = 0; c < kColRegs; ++c) {
-      const Lane::F d = Lane::sub(Lane::load(v + c * kW), mean[c]);
-      Lane::store(v + c * kW, Lane::fma(Lane::mul(d, inv[c]), g, b));
-    }
-    float_to_half_n(v, &out(f, t0), w);
-  }
+  by_width(w, [&]<typename L>(L, std::size_t u0, std::size_t u1) {
+    layer_norm_columns<L>(src, gamma, beta, eps, t0 + u0, u1 - u0, out);
+  });
 }
 
 /// layer_norm over column blocks on the pool; y is the residual or null.
@@ -167,11 +196,7 @@ HalfMatrix add(const HalfMatrix& x, const HalfMatrix& y,
   const half_t* ys = y.flat().data();
   half_t* dst = out.flat().data();
   flat_chunks(ctx, x.size(), [&](std::size_t i, std::size_t len) {
-    float a[kChunk], b[kChunk];
-    half_to_float_n(xs + i, a, len);
-    half_to_float_n(ys + i, b, len);
-    add_n(a, b, len);
-    float_to_half_n(a, dst + i, len);
+    add_halves(xs + i, ys + i, dst + i, len);
   });
   return out;
 }

@@ -35,11 +35,15 @@ void softmax_rows(FloatMatrix& scores);
 // float_to_half_n. layer_norm processes fixed blocks of 128 columns
 // (tokens), one lane per column: a block sweeps the rows f in ascending
 // order three times (mean, variance, normalize), converting each row's
-// segment of the block. add_layer_norm is the same block body with a
-// residual: its first sweep rounds fp16(x + y) into the output's block,
-// and the other two sweeps read the sum there, so the sum never exists
-// as a matrix of its own and the encoder pays one pass, one allocation
-// and one dispatch per norm instead of two.
+// segment of the block. Its columns run as whole registers of the
+// widest lane type, then of 8 lanes, then one at a time: the widths the
+// bulk converters store, so no lane load waits on a store-forwarding
+// stall and a decode step's few columns compute no idle lanes.
+// add_layer_norm is the same block body with a residual: the block
+// first rounds fp16(x + y) into the output's columns, and the sweeps
+// read the sum there, so the sum never exists as a matrix of its own
+// and the encoder pays one allocation and one dispatch per norm instead
+// of two.
 //
 // Threading. Chunks and column blocks run on ops::resolve(ctx).pool()
 // via parallel_for_chunks, which counts an element as 16 multiply-adds
@@ -49,8 +53,9 @@ void softmax_rows(FloatMatrix& scores);
 // x {16, 64, 256, 1024} ran 10-19, 16-26, 42-45 and 179-186 us inline
 // against 10-19, 16-26, 56-71 and 214-231 us on 2 or 4 workers: no
 // crossover to move the weight to.) The chunk size, block width and
-// element weight are fixed constants, not options. `ctx` works as in Linear::forward: the encoder passes the
-// context its linear layers run on; nullptr means ExecContext::global().
+// element weight are fixed constants, not options. `ctx` works as in
+// Linear::forward: the encoder passes the context its linear layers run
+// on; nullptr means ExecContext::global().
 //
 // Bits. Every output element keeps the scalar loop's expression:
 // fp16(x + y), fp16(fmath::gelu(v)), and per column the mean and
@@ -157,13 +162,14 @@ HalfMatrix attention_context(const FloatMatrix& p, const HalfMatrix& vh);
 /// ascending, rounded once to fp16 (float_to_half_n rounds as half_t,
 /// NaN included). Every multiply-add is an explicit fma over
 /// common/lanes.hpp, as in attention_scores and attention_context, so
-/// the bits do not depend on the compiler's contraction; lanes are independent elements, spans only cut a strip
-/// short and never reorder a sum, and threads only partition rows. The
-/// result therefore equals attention_scores + causal/window mask +
-/// softmax_rows + attention_context bit for bit, at any thread count and
-/// for any split of the keys into spans. Masked keys are skipped: the
-/// reference adds their exact-zero probabilities, which leaves any
-/// finite sum unchanged.
+/// the bits do not depend on the compiler's contraction; lanes are
+/// independent elements, spans only cut a strip short and never reorder
+/// a sum, and threads only partition rows. The result therefore equals
+/// attention_scores + causal/window mask + softmax_rows +
+/// attention_context bit for bit, at any thread count and for any split
+/// of the keys into spans. Masked keys are skipped: the reference adds
+/// their exact-zero probabilities, which leaves any finite sum
+/// unchanged.
 ///
 /// Mask. With `causal`, query r of a sequence sits at key m - n + r (its
 /// own position; earlier keys come from a KV cache) and sees keys up to
