@@ -9,8 +9,7 @@
 //   * the thread pool the kernels parallelize on (shared process-wide
 //     pool by default, or a private pool when `threads` is set),
 //   * a PlanCache (ops/plan_cache.hpp) keeping each fingerprinted
-//     weight's prepared operands (packed form, int8 image, packed fp8
-//     decode) across calls at every batch width,
+//     weight's packed form across calls at every batch width,
 //   * the empirical tuning cache consulted for kernel configurations
 //     (the process-wide $VENOM_TUNE_CACHE cache by default, or a private
 //     cache loaded from `tuning_cache_path`) — one cache for every

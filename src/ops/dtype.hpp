@@ -13,9 +13,8 @@ namespace venom::ops {
 
 /// Storage precision of the left operand's values. kF16 is the default
 /// fp16 datapath; the reduced-precision dtypes route to the quantized
-/// backends (vnm-int8 / vnm-fp8), which also accept kF16 descs and
-/// quantize on the fly — so `VENOM_BACKEND=vnm-int8` reroutes an
-/// ordinary fp16 V:N:M product without the caller changing its args.
+/// backends (vnm-int8 / vnm-fp8), each of which accepts its own dtype
+/// alone, so a weight's dtype is the one datapath switch.
 enum class Dtype : std::uint8_t { kF16, kI8, kF8E5M2, kF8E4M3 };
 
 const char* to_string(Dtype d);

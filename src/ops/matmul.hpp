@@ -2,10 +2,10 @@
 // family in the repository.
 //
 // The paper's Spatha layer exposes a single SpMM concept; this layer is
-// its API. Each kernel family (the Spatha V:N:M pipeline and its scalar
-// and mma.sp fidelity paths, the row-wise N:M fast path, the 2:4 /
-// CVSE / CSR baseline stand-ins, the dense GEMM) registers a Matmul
-// backend into a process-wide BackendRegistry; callers describe the
+// its API. Each kernel family (the Spatha V:N:M pipeline on the fp16,
+// int8 and fp8 datapaths, the row-wise N:M fast path, the CVSE / CSR
+// baseline stand-ins, the dense GEMM, the transposed SpMM and SDDMM)
+// registers a Matmul backend into a process-wide BackendRegistry; callers describe the
 // product once (MatmulArgs) and dispatch picks the best registered
 // backend for the operand format, the problem shape, and this build's
 // CPU feature fingerprint — consulting the ExecContext's tuning cache
@@ -86,16 +86,15 @@ struct MatmulArgs {
 
   /// Optional explicit kernel configuration for V:N:M backends (benches
   /// and ablations). Null lets the backend select one per call from the
-  /// context's tuning cache. Either way the weight's prepared operands
-  /// still come from the context's PlanCache when `vnm_shared` is set.
+  /// context's tuning cache. Either way the weight's packed form still
+  /// comes from the context's PlanCache when `vnm_shared` is set.
   const spatha::SpmmConfig* config = nullptr;
 
   /// Optional shared handle to the V:N:M operand plus its precomputed
   /// weight_fingerprint(). A holder of an immutable compressed weight
   /// (transformer::Linear) supplies both, so dispatch keeps the weight's
-  /// packed form and quantized images in the context's PlanCache, one
-  /// entry per weight at every batch width, without re-hashing O(nnz)
-  /// structures per call.
+  /// packed form in the context's PlanCache, one entry per weight at
+  /// every batch width, without re-hashing O(nnz) structures per call.
   std::shared_ptr<const VnmMatrix> vnm_shared;
   std::uint64_t vnm_fingerprint = 0;
 
@@ -158,7 +157,7 @@ class Matmul {
   /// One-line human description (venomtool backends).
   virtual std::string describe() const = 0;
   /// Selection rank among the backends that support a problem; larger
-  /// wins. Production paths sit above oracle/fidelity paths so default
+  /// wins. Production paths sit above the oracles so default
   /// dispatch always matches the pre-ops hand-picked kernel.
   virtual int priority() const = 0;
   /// Whether this backend can run the described problem as compiled for

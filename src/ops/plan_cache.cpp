@@ -18,7 +18,7 @@ PlanCache::Entry& PlanCache::entry_locked(
     return lru_.front();
   }
   ++misses_;
-  lru_.push_front(Entry{key, weight, nullptr, nullptr, nullptr});
+  lru_.push_front(Entry{key, weight, nullptr});
   index_.emplace(key, lru_.begin());
   if (lru_.size() > capacity_) {
     index_.erase(lru_.back().key);
@@ -27,49 +27,27 @@ PlanCache::Entry& PlanCache::entry_locked(
   return lru_.front();
 }
 
-template <class T, class Build>
-std::shared_ptr<const T> PlanCache::prepared(
+std::shared_ptr<const spatha::PackedVnm> PlanCache::packed(
     const std::shared_ptr<const VnmMatrix>& weight, std::uint64_t fp,
-    std::shared_ptr<const T> Entry::*slot, const Build& build) {
+    std::shared_ptr<const spatha::PackedVnm> adopt) {
   VENOM_CHECK_MSG(weight != nullptr, "null weight");
   const Key key{fp, weight->rows(), weight->cols()};
   {
     MutexLock lock(mutex_);
-    if (auto cached = entry_locked(key, weight).*slot) return cached;
+    auto& slot = entry_locked(key, weight).packed;
+    if (adopt != nullptr) {
+      if (slot == nullptr) slot = adopt;
+      return adopt;
+    }
+    if (slot != nullptr) return slot;
   }
-  std::shared_ptr<const T> fresh = build();
+  auto fresh = std::make_shared<const spatha::PackedVnm>(weight);
   MutexLock lock(mutex_);
   const auto it = index_.find(key);
   if (it == index_.end()) return fresh;  // evicted meanwhile: serve uncached
-  std::shared_ptr<const T>& cached = (*it->second).*slot;
-  if (cached == nullptr) cached = std::move(fresh);
-  return cached;
-}
-
-std::shared_ptr<const spatha::PackedVnm> PlanCache::packed(
-    const std::shared_ptr<const VnmMatrix>& weight, std::uint64_t fp,
-    std::shared_ptr<const spatha::PackedVnm> adopt) {
-  auto cached = prepared(weight, fp, &Entry::packed, [&] {
-    return adopt != nullptr ? adopt
-                            : std::make_shared<const spatha::PackedVnm>(weight);
-  });
-  return adopt != nullptr ? adopt : cached;
-}
-
-std::shared_ptr<const quant::QuantizedVnmMatrix> PlanCache::int8(
-    const std::shared_ptr<const VnmMatrix>& weight, std::uint64_t fp) {
-  return prepared(weight, fp, &Entry::i8, [&] {
-    return std::make_shared<const quant::QuantizedVnmMatrix>(
-        quant::QuantizedVnmMatrix::quantize(*weight));
-  });
-}
-
-std::shared_ptr<const spatha::PackedVnm> PlanCache::fp8(
-    const std::shared_ptr<const VnmMatrix>& weight, std::uint64_t fp) {
-  return prepared(weight, fp, &Entry::f8, [&] {
-    return std::make_shared<const spatha::PackedVnm>(quant::pack_decoded(
-        quant::Fp8VnmMatrix::quantize(*weight, Fp8Format::kE4M3)));
-  });
+  auto& slot = it->second->packed;
+  if (slot == nullptr) slot = std::move(fresh);
+  return slot;
 }
 
 std::size_t PlanCache::size() const {

@@ -5,15 +5,11 @@
 // depends on the batch width, and ExecContext::select_config makes that
 // choice per call. So the cache is keyed by the weight alone: the
 // caller-supplied fingerprint (MatmulArgs::vnm_fingerprint, from
-// spatha::weight_fingerprint) plus shape. One entry holds one weight's
-// prepared operands:
-//
-//   * the shared VnmMatrix;
-//   * its fp16 PackedVnm, adopted from a holder that packed it already
-//     (transformer::Linear) or packed on first fp16 use;
-//   * its int8 image and the packed decode of its fp8-E4M3 image (what
-//     vnm-fp8 runs vnm-fast's kernels over), built on the first quantized
-//     dispatch over the fp16 args (the `VENOM_BACKEND=vnm-int8` reroute).
+// spatha::weight_fingerprint) plus shape. One entry holds the shared
+// VnmMatrix and its fp16 PackedVnm, adopted from a holder that packed it
+// already (transformer::Linear) or packed on first use. A quantized
+// weight is quantized and packed once by its holder, in its final
+// format (transformer::Linear::set_weight_dtype), so it has no entry.
 //
 // A ragged batch width therefore never misses. Callers without a
 // fingerprint (one-shot args) bypass the cache.
@@ -27,15 +23,14 @@
 
 #include "common/mutex.hpp"
 #include "format/vnm.hpp"
-#include "quant/quantized_vnm.hpp"
 #include "spatha/packed.hpp"
 
 namespace venom::ops {
 
 /// LRU cache of prepared weights, `capacity` weights deep. Thread-safe:
 /// serving workers share one context. Every lookup counts one hit or one
-/// miss (a miss creates the weight's entry). An image is built outside
-/// the lock; racing first uses of one image each build it, and the first
+/// miss (a miss creates the weight's entry). A weight is packed outside
+/// the lock; racing first uses of one weight each pack it, and the first
 /// insert wins.
 class PlanCache {
  public:
@@ -47,17 +42,6 @@ class PlanCache {
   std::shared_ptr<const spatha::PackedVnm> packed(
       const std::shared_ptr<const VnmMatrix>& weight, std::uint64_t fp,
       std::shared_ptr<const spatha::PackedVnm> adopt = nullptr)
-      VENOM_EXCLUDES(mutex_);
-
-  /// The int8 image of `weight` (QuantizedVnmMatrix::quantize).
-  std::shared_ptr<const quant::QuantizedVnmMatrix> int8(
-      const std::shared_ptr<const VnmMatrix>& weight, std::uint64_t fp)
-      VENOM_EXCLUDES(mutex_);
-
-  /// The packed decode (quant::pack_decoded) of `weight`'s fp8-E4M3
-  /// image (Fp8VnmMatrix::quantize), the format fp16 args quantize to.
-  std::shared_ptr<const spatha::PackedVnm> fp8(
-      const std::shared_ptr<const VnmMatrix>& weight, std::uint64_t fp)
       VENOM_EXCLUDES(mutex_);
 
   /// Cached weights.
@@ -79,20 +63,10 @@ class PlanCache {
     // borrowing constructor does not own it.
     std::shared_ptr<const VnmMatrix> weight;
     std::shared_ptr<const spatha::PackedVnm> packed;
-    std::shared_ptr<const quant::QuantizedVnmMatrix> i8;
-    std::shared_ptr<const spatha::PackedVnm> f8;
   };
 
-  /// The `slot` image of the weight's entry, creating the entry (and
-  /// evicting the least recently used one) on a miss and calling `build`
-  /// outside the lock when the slot is empty.
-  template <class T, class Build>
-  std::shared_ptr<const T> prepared(
-      const std::shared_ptr<const VnmMatrix>& weight, std::uint64_t fp,
-      std::shared_ptr<const T> Entry::*slot, const Build& build)
-      VENOM_EXCLUDES(mutex_);
-
-  /// The entry for `key`, moved to the LRU front; counts the lookup.
+  /// The entry for `key`, created on a miss (evicting the least recently
+  /// used one) and moved to the LRU front; counts the lookup.
   Entry& entry_locked(const Key& key,
                       const std::shared_ptr<const VnmMatrix>& weight)
       VENOM_REQUIRES(mutex_);

@@ -31,7 +31,7 @@ InferenceEngine::InferenceEngine(
   // The encoder is never mutated: every forward below passes the
   // engine's private context per call (ops::resolve), so one const
   // encoder can back any number of replicas. This context's plan cache
-  // keeps each weight's prepared operands for every batch width, and its
+  // keeps each weight's packed form for every batch width, and its
   // scratch pool keeps the packed B panels warm across batches.
   workers_.reserve(opts_.workers);
   for (std::size_t i = 0; i < opts_.workers; ++i)

@@ -1,5 +1,5 @@
 // The weight fingerprint: the identity under which ops::PlanCache keeps
-// a weight's prepared operands (its packed form and quantized images).
+// a weight's packed form.
 // A holder of an immutable compressed weight (transformer::Linear) hashes
 // it once and passes the value with every call
 // (ops::MatmulArgs::vnm_fingerprint), so dispatch never re-hashes O(nnz)

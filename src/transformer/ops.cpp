@@ -250,19 +250,21 @@ FloatMatrix layer_norm_backward(const HalfMatrix& x,
               dbeta.size() == features);
   VENOM_CHECK(grad_y.rows() == features && grad_y.cols() == x.cols());
   FloatMatrix dx(features, x.cols());
-  const float inv_f = 1.0f / float(features);
+  const float n = float(features);
+  const float inv_f = 1.0f / n;
   std::vector<float> xhat(features), dyh(features);
   for (std::size_t t = 0; t < x.cols(); ++t) {
-    // Recompute the per-token statistics exactly as the forward does.
+    // Recompute the per-token statistics exactly as the forward does:
+    // ascending sums, each divided by the feature count.
     float mean = 0.0f;
     for (std::size_t f = 0; f < features; ++f) mean += x(f, t).to_float();
-    mean *= inv_f;
+    mean /= n;
     float var = 0.0f;
     for (std::size_t f = 0; f < features; ++f) {
       const float d = x(f, t).to_float() - mean;
       var = std::fma(d, d, var);
     }
-    var *= inv_f;
+    var /= n;
     const float inv = 1.0f / std::sqrt(var + eps);
 
     // dL/dxhat = dL/dy * gamma; then the two projection terms that make

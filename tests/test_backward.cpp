@@ -5,7 +5,9 @@
 // recovered on the synthetic regression task).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <vector>
 
 #include "baselines/gemm.hpp"
 #include "common/rng.hpp"
@@ -14,6 +16,7 @@
 #include "spatha/sddmm.hpp"
 #include "spatha/spmm.hpp"
 #include "transformer/encoder.hpp"
+#include "transformer/ops.hpp"
 #include "workloads/generators.hpp"
 
 namespace venom {
@@ -102,7 +105,7 @@ double directional_rel_err(ForwardFn&& forward, const FloatMatrix& grad_x,
 
 // ------------------------------------------------- ops-layer dispatch
 
-TEST(BackwardOps, TransposedScalarOverrideMatchesFast) {
+TEST(BackwardOps, TransposedDispatchMatchesScalarOracle) {
   Rng rng = Rng::seeded("backward-ops", 1);
   const VnmConfig fmt{8, 2, 10};
   const VnmMatrix a = VnmMatrix::from_dense_magnitude(
@@ -111,16 +114,14 @@ TEST(BackwardOps, TransposedScalarOverrideMatchesFast) {
 
   const FloatMatrix fast =
       ops::matmul_transposed(ops::MatmulArgs::make_transposed(a, b));
-  ops::ScopedBackend scoped("vnm-t-scalar");
-  const FloatMatrix oracle =
-      ops::matmul_transposed(ops::MatmulArgs::make_transposed(a, b));
+  const FloatMatrix oracle = spatha::spmm_vnm_transposed_scalar(a, b);
   EXPECT_LT(rel_fro_error(fast, oracle), 1e-5f);
   EXPECT_LT(rel_fro_error(oracle,
                           gemm_dense(transpose(a.to_dense()), b)),
             1e-5f);
 }
 
-TEST(BackwardOps, SddmmScalarOverrideMatchesFast) {
+TEST(BackwardOps, SddmmDispatchMatchesScalarOracle) {
   Rng rng = Rng::seeded("backward-ops", 2);
   const VnmConfig fmt{4, 2, 8};
   const VnmMatrix s = VnmMatrix::from_dense_magnitude(
@@ -129,8 +130,7 @@ TEST(BackwardOps, SddmmScalarOverrideMatchesFast) {
   const HalfMatrix b = random_half_matrix(12, 32, rng, 0.1f);
 
   const VnmMatrix fast = ops::sddmm(ops::MatmulArgs::make_sddmm(s, a, b));
-  ops::ScopedBackend scoped("sddmm-scalar");
-  const VnmMatrix oracle = ops::sddmm(ops::MatmulArgs::make_sddmm(s, a, b));
+  const VnmMatrix oracle = spatha::sddmm_vnm_scalar(s, a, b);
   ASSERT_EQ(fast.values().size(), oracle.values().size());
   for (std::size_t i = 0; i < fast.values().size(); ++i)
     EXPECT_NEAR(fast.values()[i].to_float(), oracle.values()[i].to_float(),
@@ -157,6 +157,41 @@ TEST(BackwardOps, UnsupportedKindThrows) {
   ops::MatmulArgs args = ops::MatmulArgs::make(a, b);
   EXPECT_THROW(ops::matmul_transposed(args), Error);  // kind mismatch
   EXPECT_THROW(ops::sddmm(args), Error);
+}
+
+// ------------------------------------------------- layer_norm backward
+
+TEST(LayerNormBackward, RecomputesTheForwardsStatistics) {
+  // With gamma = 1 and dL/dy one on a single column, dL/dgamma is the
+  // backward's xhat of that column, which must be the forward's
+  // normalize before its fp16 rounding: mean and variance each divided
+  // by the feature count, as layer_norm divides them.
+  constexpr std::size_t kFeatures = 768, kCols = 48;
+  constexpr float kEps = 1e-5f;
+  Rng rng = Rng::seeded("layer-norm-backward-stats");
+  const HalfMatrix x = random_half_matrix(kFeatures, kCols, rng);
+  const std::vector<float> gamma(kFeatures, 1.0f);
+  std::vector<float> dgamma(kFeatures), dbeta(kFeatures);
+  for (std::size_t t = 0; t < kCols; ++t) {
+    float mean = 0.0f;
+    for (std::size_t f = 0; f < kFeatures; ++f) mean += x(f, t).to_float();
+    mean /= float(kFeatures);
+    float var = 0.0f;
+    for (std::size_t f = 0; f < kFeatures; ++f) {
+      const float d = x(f, t).to_float() - mean;
+      var = std::fma(d, d, var);
+    }
+    const float inv = 1.0f / std::sqrt(var / float(kFeatures) + kEps);
+
+    FloatMatrix grad_y(kFeatures, kCols);
+    for (std::size_t f = 0; f < kFeatures; ++f) grad_y(f, t) = 1.0f;
+    std::fill(dgamma.begin(), dgamma.end(), 0.0f);
+    std::fill(dbeta.begin(), dbeta.end(), 0.0f);
+    transformer::layer_norm_backward(x, gamma, grad_y, dgamma, dbeta, kEps);
+    for (std::size_t f = 0; f < kFeatures; ++f)
+      ASSERT_EQ(dgamma[f], (x(f, t).to_float() - mean) * inv)
+          << "column " << t << " feature " << f;
+  }
 }
 
 // -------------------------------------------- Linear training surface

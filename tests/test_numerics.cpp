@@ -388,5 +388,49 @@ TEST(EncoderBits, GoldenHash) {
   EXPECT_EQ(h.h, 0xe2979b1ea01abf6dull);
 }
 
+/// A step of zero for `lin`: applying it leaves the layer's weights as
+/// they are.
+transformer::Linear::Grads zero_grads(const transformer::Linear& lin) {
+  transformer::Linear::Grads g;
+  g.weight = FloatMatrix(lin.out_features(), lin.in_features());
+  g.bias.assign(lin.out_features(), 0.0f);
+  return g;
+}
+
+/// Moves every layer's LayerNorm gamma off 1 and beta off 0, to seeded
+/// values, through one SGD step whose other gradients are all zero.
+void seed_layer_norm_affines(transformer::Encoder& enc) {
+  Rng rng = Rng::seeded("encoder-golden-affines");
+  for (std::size_t l = 0; l < enc.layer_count(); ++l) {
+    transformer::EncoderLayer& layer = enc.layer(l);
+    transformer::MultiHeadAttention& mha = layer.attention();
+    transformer::EncoderLayerGrads g;
+    g.mha = {zero_grads(mha.wq()), zero_grads(mha.wk()), zero_grads(mha.wv()),
+             zero_grads(mha.wo())};
+    g.ffn_in = zero_grads(layer.ffn_in());
+    g.ffn_out = zero_grads(layer.ffn_out());
+    for (std::vector<float>* v :
+         {&g.ln1_gamma, &g.ln1_beta, &g.ln2_gamma, &g.ln2_beta}) {
+      v->resize(enc.config().hidden);
+      for (float& x : *v) x = 0.25f * rng.normal();
+    }
+    layer.apply_gradients(g, 1.0f);
+  }
+}
+
+TEST(EncoderBits, GoldenHashWithLayerNormAffines) {
+  // At gamma = 1 and beta = 0 layer_norm's fma(xhat, gamma, beta) is
+  // xhat under any rounding, so GoldenHash cannot see the normalize
+  // expression; seeded affines make its bits count.
+  transformer::Encoder enc = serving_model(false, 0);
+  seed_layer_norm_affines(enc);
+  Fnv1a h;
+  Rng rng = Rng::seeded("encoder-golden-affine-input");
+  mix_bits(h, enc.forward(random_half_matrix(256, 37, rng)));
+  const std::size_t ends[] = {5, 22, 64, 71};
+  mix_bits(h, enc.forward_batched(random_half_matrix(256, 71, rng), ends));
+  EXPECT_EQ(h.h, 0x69b95e3daaf85458ull);
+}
+
 }  // namespace
 }  // namespace venom

@@ -61,8 +61,7 @@ TEST(WeightFingerprint, SensitiveToContentShapeAndFormat) {
 
 TEST(PlanCache, OneEntryPerWeightAtEveryWidth) {
   // Everything dispatch prepares from a weight is per weight: every
-  // batch width, and the int8 datapath too, reads one entry with one
-  // packed form.
+  // batch width reads one entry with one packed form.
   Rng rng(14);
   ExecContext ctx;
   const auto w = random_weight(48, 64, {16, 2, 8}, rng);
@@ -76,19 +75,6 @@ TEST(PlanCache, OneEntryPerWeightAtEveryWidth) {
   EXPECT_EQ(ctx.plan_cache().misses(), 1u);
   EXPECT_EQ(ctx.plan_cache().hits(), 5u);
   EXPECT_EQ(ctx.plan_cache().size(), 1u);
-  const std::weak_ptr<const PackedVnm> packed = ctx.plan_cache().packed(w, fp);
-
-  const HalfMatrix x = random_half_matrix(64, 16, rng);
-  const MatmulArgs args = MatmulArgs::make(w, fp, x);
-  {
-    const ScopedBackend forced("vnm-int8");
-    const FloatMatrix first = matmul(args, ctx);
-    EXPECT_EQ(matmul(args, ctx), first);
-  }
-  EXPECT_EQ(ctx.plan_cache().misses(), 1u);
-  EXPECT_EQ(ctx.plan_cache().size(), 1u);
-  // The int8 image joined the entry; the packed form is still the one.
-  EXPECT_EQ(ctx.plan_cache().packed(w, fp), packed.lock());
   // Any width goes, but B's depth must match the weight's.
   EXPECT_THROW(matmul(MatmulArgs::make(w, fp, HalfMatrix(32, 16)), ctx),
                Error);
@@ -126,17 +112,13 @@ TEST(PlanCache, EvictionFreesTheWeightsImages) {
   const std::weak_ptr<const VnmMatrix> weight = w1;
   const std::weak_ptr<const PackedVnm> packed =
       cache.packed(w1, weight_fingerprint(*w1));
-  const std::weak_ptr<const quant::QuantizedVnmMatrix> i8 =
-      cache.int8(w1, weight_fingerprint(*w1));
   w1.reset();
   EXPECT_FALSE(packed.expired());
-  EXPECT_FALSE(i8.expired());
   EXPECT_FALSE(weight.expired());
 
   cache.packed(w2, weight_fingerprint(*w2));
   EXPECT_EQ(cache.size(), 1u);
   EXPECT_TRUE(packed.expired());
-  EXPECT_TRUE(i8.expired());
   EXPECT_TRUE(weight.expired());
 }
 
@@ -157,18 +139,15 @@ TEST(PlanCache, AdoptsTheHoldersPackedOperand) {
   EXPECT_EQ(ctx.plan_cache().packed(w, fp), packed);
 }
 
-TEST(PlanCache, ConcurrentFirstUseAcrossDatapaths) {
-  // Four threads make the first use of one weight at once, two on the
-  // fp16 backend and two on the int8 one (called directly: the forced
-  // backend override is process-wide).
+TEST(PlanCache, ConcurrentFirstUse) {
+  // Four threads make the first use of one weight at once: each may pack
+  // it, one insert wins, and every call reads the one entry.
   Rng rng(13);
   ExecContext ctx;
   const auto w = random_weight(32, 64, {16, 2, 8}, rng);
   const std::uint64_t fp = weight_fingerprint(*w);
   const HalfMatrix x = random_half_matrix(64, 16, rng);
   const MatmulArgs args = MatmulArgs::make(w, fp, x);
-  const Matmul* backends[] = {BackendRegistry::instance().find("vnm-fast"),
-                              BackendRegistry::instance().find("vnm-int8")};
   constexpr std::size_t kThreads = 4, kCalls = 8;
   std::vector<std::vector<FloatMatrix>> out(kThreads);
   std::latch start(kThreads);
@@ -177,15 +156,13 @@ TEST(PlanCache, ConcurrentFirstUseAcrossDatapaths) {
     threads.emplace_back([&, t] {
       start.arrive_and_wait();
       for (std::size_t i = 0; i < kCalls; ++i)
-        out[t].push_back(backends[t % 2]->run(args, ctx));
+        out[t].push_back(matmul(args, ctx));
     });
   for (auto& t : threads) t.join();
 
-  const quant::QuantizedVnmMatrix i8 = quant::QuantizedVnmMatrix::quantize(*w);
-  const FloatMatrix want[] = {spmm_vnm_reference(*w, x),
-                              backends[1]->run(MatmulArgs::make(i8, x), ctx)};
+  const FloatMatrix want = spmm_vnm_reference(*w, x);
   for (std::size_t t = 0; t < kThreads; ++t)
-    for (const FloatMatrix& y : out[t]) EXPECT_EQ(y, want[t % 2]);
+    for (const FloatMatrix& y : out[t]) EXPECT_EQ(y, want);
   EXPECT_EQ(ctx.plan_cache().size(), 1u);
   EXPECT_EQ(ctx.plan_cache().misses(), 1u);
 }

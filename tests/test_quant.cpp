@@ -1,8 +1,8 @@
 // Tests for the int8/fp8-quantized V:N:M datapath: container round
 // trips, fast-vs-scalar bit identity across ragged shapes and both
-// ColumnLocModes, registry dispatch (dtype descs, VENOM_BACKEND
-// rerouting, the weight's plan-cache entry), the fp8 Linear's fused
-// epilogue, and quantize->serve parity of a whole encoder.
+// ColumnLocModes, registry dispatch (each dtype on its own backends),
+// the fp8 Linear's fused epilogue, and quantize->serve parity of a whole
+// encoder.
 #include "quant/quantized_vnm.hpp"
 
 #include <gtest/gtest.h>
@@ -11,9 +11,10 @@
 #include <cstdio>
 #include <fstream>
 #include <limits>
-#include <memory>
 #include <optional>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "baselines/gemm.hpp"
 #include "common/cpu_features.hpp"
@@ -24,7 +25,6 @@
 #include "ops/ops.hpp"
 #include "quant/int8_testing.hpp"
 #include "spatha/epilogue.hpp"
-#include "spatha/plan.hpp"
 #include "spatha/spmm.hpp"
 #include "spatha/tuning_cache.hpp"
 #include "transformer/encoder.hpp"
@@ -563,17 +563,14 @@ TEST(QuantDispatch, QuantizedArgsSelectQuantizedBackends) {
   EXPECT_EQ(ops::BackendRegistry::instance().select(fargs.desc()).name(),
             "vnm-fp8");
 
-  // Forced scalar oracles agree bitwise with the production backends.
+  // The scalar oracles agree bitwise with the production backends (the
+  // int8 one forced through dispatch, the fp8 one called directly).
   const FloatMatrix fast = ops::matmul(qargs);
   {
     const ops::ScopedBackend forced("vnm-int8-scalar");
     EXPECT_EQ(ops::matmul(qargs), fast);
   }
-  const FloatMatrix f8_fast = ops::matmul(fargs);
-  {
-    const ops::ScopedBackend forced("vnm-fp8-scalar");
-    EXPECT_EQ(ops::matmul(fargs), f8_fast);
-  }
+  EXPECT_EQ(ops::matmul(fargs), spmm_vnm_fp8_scalar(f8, b));
 }
 
 // `venomtool backends` says which int8 stage-2 body this process runs.
@@ -631,91 +628,26 @@ TEST(QuantDispatch, TunedI8EntryRoundTripsAndDispatchesBitIdentically) {
   EXPECT_EQ(tuned_out, spmm_vnm_i8_scalar(q, b, tuned.column_loc));
 }
 
-TEST(QuantDispatch, ForcedBackendQuantizesFp16ArgsOnTheFly) {
-  // VENOM_BACKEND=vnm-int8 (here the RAII equivalent) reroutes plain
-  // fp16 V:N:M args through the quantized datapath: the backend
-  // quantizes the weight on the fly, matching the explicit int8 product
-  // bit for bit.
-  const VnmMatrix fp16 = random_vnm(16, 32, {4, 2, 8}, 95);
-  Rng rng(96);
-  const HalfMatrix b = random_half_matrix(32, 8, rng);
-  const ops::MatmulArgs args = ops::MatmulArgs::make(fp16, b);
-  EXPECT_EQ(args.desc().dtype, ops::Dtype::kF16);
-
-  const FloatMatrix expect_i8 =
-      spmm_vnm_i8(QuantizedVnmMatrix::quantize(fp16), b);
-  {
-    const ops::ScopedBackend forced("vnm-int8");
-    EXPECT_EQ(ops::matmul(args), expect_i8);
-  }
-  const FloatMatrix expect_f8 =
-      spmm_vnm_fp8(Fp8VnmMatrix::quantize(fp16, Fp8Format::kE4M3), b);
-  {
-    const ops::ScopedBackend forced("vnm-fp8");
-    EXPECT_EQ(ops::matmul(args), expect_f8);
-  }
-}
-
 TEST(QuantDispatch, Fp16BackendsRejectQuantizedDescs) {
-  // A quantized desc must never fall through to an fp16 kernel.
+  // A quantized desc must never fall through to an fp16 kernel, nor an
+  // fp16 desc to a quantized one: the weight's dtype is the one datapath
+  // switch.
   const VnmMatrix fp16 = random_vnm(16, 32, {4, 2, 8}, 97);
   Rng rng(98);
   const HalfMatrix b = random_half_matrix(32, 8, rng);
-  const ops::MatmulDesc desc =
-      ops::MatmulArgs::make(QuantizedVnmMatrix::quantize(fp16), b).desc();
-  for (const char* name : {"vnm-fast", "vnm-scalar", "vnm-mma"}) {
-    const ops::Matmul* backend = ops::BackendRegistry::instance().find(name);
-    ASSERT_NE(backend, nullptr) << name;
-    EXPECT_FALSE(backend->supports(desc, cpu_feature_string())) << name;
-  }
-}
-
-TEST(PlanCache, QuantizedDispatchReusesTheWeightsEntry) {
-  // Fingerprinted fp16 args through a forced quantized backend build the
-  // weight's int8 or fp8-E4M3 image once, in the weight's one PlanCache
-  // entry, with the bits of the explicitly quantized operand.
-  ops::ExecContext ctx;
-  auto fp16 = std::make_shared<const VnmMatrix>(
-      random_vnm(16, 32, {4, 2, 8}, 105));
-  const std::uint64_t fp = spatha::weight_fingerprint(*fp16);
-  Rng rng(106);
-  const HalfMatrix b = random_half_matrix(32, 8, rng);
-  const ops::MatmulArgs args = ops::MatmulArgs::make(fp16, fp, b);
-  const QuantizedVnmMatrix i8 = QuantizedVnmMatrix::quantize(*fp16);
-  const Fp8VnmMatrix f8 = Fp8VnmMatrix::quantize(*fp16, Fp8Format::kE4M3);
-
-  for (const char* name : {"vnm-int8", "vnm-fp8"}) {
-    const ops::ScopedBackend forced(name);
-    const FloatMatrix first = ops::matmul(args, ctx);
-    EXPECT_EQ(ops::matmul(args, ctx), first) << name;
-    EXPECT_EQ(first, std::string(name) == "vnm-int8"
-                         ? ops::matmul(ops::MatmulArgs::make(i8, b), ctx)
-                         : ops::matmul(ops::MatmulArgs::make(f8, b), ctx))
-        << name;
-  }
-  EXPECT_EQ(ctx.plan_cache().misses(), 1u);
-  EXPECT_EQ(ctx.plan_cache().hits(), 3u);
-  EXPECT_EQ(ctx.plan_cache().size(), 1u);
-
-  // The fp8 slot is one packed decode of the E4M3 image, built on that
-  // first fp8 dispatch and served to every later one.
-  const auto packed = ctx.plan_cache().fp8(fp16, fp);
-  EXPECT_EQ(ctx.plan_cache().fp8(fp16, fp), packed);
-  EXPECT_EQ(packed->source().values(), f8.dequantize().values());
-  EXPECT_EQ(ctx.plan_cache().misses(), 1u);
-  EXPECT_EQ(ctx.plan_cache().hits(), 5u);
-  // At a width on each side of the packed kernels' crossover, forced
-  // vnm-fp8 over the cached decode equals the per-element oracle.
-  for (const std::size_t width : {std::size_t{3}, std::size_t{40}}) {
-    const HalfMatrix bw = random_half_matrix(32, width, rng);
-    const ops::ScopedBackend forced("vnm-fp8");
-    EXPECT_EQ(ops::matmul(ops::MatmulArgs::make(fp16, fp, bw), ctx),
-              spmm_vnm_fp8_scalar(f8, bw))
-        << "C=" << width;
-  }
-  EXPECT_EQ(ctx.plan_cache().misses(), 1u);
-  EXPECT_EQ(ctx.plan_cache().hits(), 7u);
-  EXPECT_EQ(ctx.plan_cache().fp8(fp16, fp), packed);
+  const std::pair<ops::MatmulDesc, std::vector<const char*>> cases[] = {
+      {ops::MatmulArgs::make(QuantizedVnmMatrix::quantize(fp16), b).desc(),
+       {"vnm-fast", "vnm-scalar"}},
+      {ops::MatmulArgs::make(fp16, b).desc(),
+       {"vnm-int8", "vnm-int8-scalar", "vnm-fp8"}}};
+  for (const auto& [desc, names] : cases)
+    for (const char* name : names) {
+      const ops::Matmul* backend =
+          ops::BackendRegistry::instance().find(name);
+      ASSERT_NE(backend, nullptr) << name;
+      EXPECT_FALSE(backend->supports(desc, cpu_feature_string()))
+          << name << " on " << ops::to_string(desc.dtype);
+    }
 }
 
 // ---------------------------------------------------- transformer mode
