@@ -6,7 +6,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <vector>
 
 #include "baselines/gemm.hpp"
@@ -213,6 +215,75 @@ TEST(LinearBackward, SparseWeightGradIsMaskedAndStructured) {
       if (pattern(r, c).is_zero()) {
         EXPECT_EQ(g.weight(r, c), 0.0f) << r << ',' << c;
       }
+}
+
+/// Counts the elements whose fp32 bit patterns differ.
+std::size_t bit_mismatches(const FloatMatrix& a, const FloatMatrix& b) {
+  if (a.rows() != b.rows() || a.cols() != b.cols()) return a.size() + 1;
+  std::size_t n = 0;
+  for (std::size_t i = 0; i < a.size(); ++i)
+    n += std::bit_cast<std::uint32_t>(a.flat()[i]) !=
+         std::bit_cast<std::uint32_t>(b.flat()[i]);
+  return n;
+}
+
+TEST(LinearBackward, MatchesDirectKernelCalls) {
+  // backward() is the transposed SpMM and the SDDMM (the dense GEMM for
+  // a dense weight) keyed by one R x K x tokens config, run on the
+  // layer's context: its gradients carry those calls' bits exactly.
+  constexpr std::size_t kOut = 128, kIn = 96;
+  Rng rng = Rng::seeded("linear-backward-direct");
+  ops::ExecContextOptions opts;
+  opts.threads = 4;
+  ops::ExecContext four(opts);
+  Linear sparse = Linear::random(kOut, kIn, rng);
+  sparse.sparsify({64, 2, 8});
+  Linear dense = Linear::random(kOut, kIn, rng);
+
+  for (const std::size_t c : {1, 13, 64}) {
+    const HalfMatrix x = random_half_matrix(kIn, c, rng, 0.5f);
+    const FloatMatrix gy = random_direction(kOut, c, rng);
+    const HalfMatrix gyh = to_half(gy);
+    const HalfMatrix xt = transpose(x);
+    std::vector<float> bias(kOut, 0.0f);
+    for (std::size_t o = 0; o < kOut; ++o)
+      for (std::size_t t = 0; t < c; ++t) bias[o] += gy(o, t);
+
+    for (ops::ExecContext* attached : {(ops::ExecContext*)nullptr, &four}) {
+      SCOPED_TRACE(testing::Message() << "sparse C=" << c << " threads="
+                                      << (attached != nullptr ? 4 : 0));
+      ops::ExecContext& ctx = ops::resolve(attached);
+      sparse.set_exec_context(attached);
+      const Linear::Grads g = sparse.backward(x, gy);
+      const VnmMatrix& w = sparse.sparse_weight();
+      const spatha::SpmmConfig cfg =
+          ctx.select_config(w.config(), kOut, kIn, c);
+      const VnmMatrix dw = spatha::sddmm_vnm(w, gyh, xt, cfg, &ctx.pool(),
+                                             &ctx.scratch());
+      EXPECT_EQ(bit_mismatches(g.input, spatha::spmm_vnm_transposed(
+                                            w, gyh, cfg, &ctx.pool())),
+                0u);
+      ASSERT_NE(g.weight_vnm, nullptr);
+      ASSERT_EQ(g.weight_vnm->values().size(), dw.values().size());
+      for (std::size_t i = 0; i < dw.values().size(); ++i)
+        ASSERT_EQ(g.weight_vnm->values()[i].bits(), dw.values()[i].bits())
+            << i;
+      EXPECT_EQ(bit_mismatches(g.weight, to_float(dw.to_dense())), 0u);
+      EXPECT_EQ(g.bias, bias);
+    }
+    sparse.set_exec_context(nullptr);
+
+    SCOPED_TRACE(testing::Message() << "dense C=" << c);
+    ThreadPool& pool = ops::ExecContext::global().pool();
+    const Linear::Grads g = dense.backward(x, gy);
+    EXPECT_EQ(bit_mismatches(
+                  g.input,
+                  gemm_dense(transpose(dense.dense_weight()), gyh, &pool)),
+              0u);
+    EXPECT_EQ(bit_mismatches(g.weight, gemm_dense(gyh, xt, &pool)), 0u);
+    EXPECT_EQ(g.weight_vnm, nullptr);
+    EXPECT_EQ(g.bias, bias);
+  }
 }
 
 TEST(LinearBackward, ApplyGradientsKeepsPatternAndReducesLoss) {
