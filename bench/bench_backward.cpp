@@ -57,9 +57,13 @@ int main() {
   const HalfMatrix x = random_half_matrix(kK, kC, rng, 0.5f);
   const HalfMatrix xt = transpose(x);
 
+  // The calls Linear::backward makes, on the global context's pool and
+  // scratch with its config for the R x K x tokens problem.
+  ops::ExecContext& ctx = ops::ExecContext::global();
   bench::header({"kernel", "vnm", "GFLOP/s", "oracle", "speedup"});
   for (const VnmConfig fmt : {VnmConfig{64, 2, 8}, VnmConfig{128, 2, 16}}) {
     const VnmMatrix a = VnmMatrix::from_dense_magnitude(w, fmt);
+    const spatha::SpmmConfig cfg = ctx.select_config(fmt, kR, kK, kC);
 
     // dL/dx = W^T dL/dy.
     {
@@ -67,8 +71,7 @@ int main() {
       const auto [base_s, fast_s] = interleaved(
           [&] { return spatha::spmm_vnm_transposed_scalar(a, grad_y); },
           [&] {
-            return ops::matmul_transposed(
-                ops::MatmulArgs::make_transposed(a, grad_y));
+            return spatha::spmm_vnm_transposed(a, grad_y, cfg, &ctx.pool());
           });
       bench::cell("spmm_vnm_t");
       bench::cell(std::to_string(fmt.v) + ":" + std::to_string(fmt.n) + ":" +
@@ -85,7 +88,8 @@ int main() {
       const auto [base_s, fast_s] = interleaved(
           [&] { return spatha::sddmm_vnm_scalar(a, grad_y, xt); },
           [&] {
-            return ops::sddmm(ops::MatmulArgs::make_sddmm(a, grad_y, xt));
+            return spatha::sddmm_vnm(a, grad_y, xt, cfg, &ctx.pool(),
+                                     &ctx.scratch());
           });
       bench::cell("sddmm_vnm");
       bench::cell(std::to_string(fmt.v) + ":" + std::to_string(fmt.n) + ":" +

@@ -1,13 +1,14 @@
-// Built-in matmul backends: the kernel families dispatch chooses from,
-// registered behind the unified venom::ops dispatch.
+// Built-in matmul backends: the forward kernel families dispatch
+// chooses from, registered behind the unified venom::ops dispatch.
 //
 // Priorities encode the pre-ops hand-picked kernel choice so dispatch is
 // selection-identical to the code it replaced. Each backend here is the
 // one dispatch selects for some desc, except the oracles vnm-scalar and
 // vnm-int8-scalar, which stay reachable through VENOM_BACKEND /
 // ops::ScopedBackend for the benchmarks that pin them. The other oracles
-// and fidelity models (spmm_vnm_mma, spmm_24, the *_scalar kernels) are
-// plain functions their tests call directly.
+// and fidelity models (spmm_vnm_mma, spmm_24, the *_scalar kernels) and
+// the training products (spmm_vnm_transposed, sddmm_vnm) are plain
+// functions their callers run directly.
 #include <memory>
 #include <sstream>
 
@@ -18,7 +19,6 @@
 #include "ops/matmul.hpp"
 #include "quant/quantized_vnm.hpp"
 #include "spatha/epilogue.hpp"
-#include "spatha/sddmm.hpp"
 #include "spatha/spmm.hpp"
 
 namespace venom::ops {
@@ -69,8 +69,7 @@ class VnmFastBackend final : public PackedVnmBackend {
   int priority() const override { return 100; }
   bool supports(const MatmulDesc& desc,
                 const std::string& /*cpu_features*/) const override {
-    return desc.kind == OpKind::kMatmul &&
-           desc.format == OperandFormat::kVnm && desc.dtype == Dtype::kF16;
+    return desc.format == OperandFormat::kVnm && desc.dtype == Dtype::kF16;
   }
 
  private:
@@ -103,8 +102,7 @@ class VnmScalarBackend final : public Matmul {
   int priority() const override { return 10; }
   bool supports(const MatmulDesc& desc,
                 const std::string& /*cpu_features*/) const override {
-    return desc.kind == OpKind::kMatmul &&
-           desc.format == OperandFormat::kVnm && desc.dtype == Dtype::kF16;
+    return desc.format == OperandFormat::kVnm && desc.dtype == Dtype::kF16;
   }
   FloatMatrix run(const MatmulArgs& args, ExecContext& ctx) const override {
     const spatha::SpmmConfig cfg =
@@ -129,7 +127,7 @@ class NmBackend final : public Matmul {
   int priority() const override { return 100; }
   bool supports(const MatmulDesc& desc,
                 const std::string& /*cpu_features*/) const override {
-    return desc.kind == OpKind::kMatmul && desc.format == OperandFormat::kNm;
+    return desc.format == OperandFormat::kNm;
   }
   FloatMatrix run(const MatmulArgs& args, ExecContext& ctx) const override {
     return spatha::spmm_nm(*args.nm, *args.b, &ctx.pool());
@@ -146,7 +144,7 @@ class CvseBackend final : public Matmul {
   int priority() const override { return 100; }
   bool supports(const MatmulDesc& desc,
                 const std::string& /*cpu_features*/) const override {
-    return desc.kind == OpKind::kMatmul && desc.format == OperandFormat::kCvse;
+    return desc.format == OperandFormat::kCvse;
   }
   FloatMatrix run(const MatmulArgs& args, ExecContext& ctx) const override {
     return spmm_cvse(*args.cvse, *args.b, &ctx.pool());
@@ -163,7 +161,7 @@ class CsrBackend final : public Matmul {
   int priority() const override { return 100; }
   bool supports(const MatmulDesc& desc,
                 const std::string& /*cpu_features*/) const override {
-    return desc.kind == OpKind::kMatmul && desc.format == OperandFormat::kCsr;
+    return desc.format == OperandFormat::kCsr;
   }
   FloatMatrix run(const MatmulArgs& args, ExecContext& ctx) const override {
     return spmm_csr(*args.csr, *args.b, &ctx.pool());
@@ -181,7 +179,7 @@ class DenseGemmBackend final : public Matmul {
   int priority() const override { return 100; }
   bool supports(const MatmulDesc& desc,
                 const std::string& /*cpu_features*/) const override {
-    return desc.kind == OpKind::kMatmul && desc.format == OperandFormat::kDense;
+    return desc.format == OperandFormat::kDense;
   }
   FloatMatrix run(const MatmulArgs& args, ExecContext& ctx) const override {
     return gemm_dense(*args.dense, *args.b, &ctx.pool());
@@ -209,9 +207,7 @@ class VnmInt8Backend final : public Matmul {
   int priority() const override { return 40; }
   bool supports(const MatmulDesc& desc,
                 const std::string& /*cpu_features*/) const override {
-    return desc.kind == OpKind::kMatmul &&
-           desc.format == OperandFormat::kVnm &&
-           desc.dtype == Dtype::kI8;
+    return desc.format == OperandFormat::kVnm && desc.dtype == Dtype::kI8;
   }
   FloatMatrix run(const MatmulArgs& args, ExecContext& ctx) const override {
     return quant::spmm_vnm_i8(*args.qvnm, *args.b, config(args, ctx),
@@ -245,9 +241,7 @@ class VnmInt8ScalarBackend final : public Matmul {
   int priority() const override { return 10; }
   bool supports(const MatmulDesc& desc,
                 const std::string& /*cpu_features*/) const override {
-    return desc.kind == OpKind::kMatmul &&
-           desc.format == OperandFormat::kVnm &&
-           desc.dtype == Dtype::kI8;
+    return desc.format == OperandFormat::kVnm && desc.dtype == Dtype::kI8;
   }
   FloatMatrix run(const MatmulArgs& args,
                   ExecContext& /*ctx*/) const override {
@@ -270,8 +264,7 @@ class VnmFp8Backend final : public PackedVnmBackend {
   int priority() const override { return 40; }
   bool supports(const MatmulDesc& desc,
                 const std::string& /*cpu_features*/) const override {
-    return desc.kind == OpKind::kMatmul &&
-           desc.format == OperandFormat::kVnm &&
+    return desc.format == OperandFormat::kVnm &&
            (desc.dtype == Dtype::kF8E5M2 || desc.dtype == Dtype::kF8E4M3);
   }
 
@@ -292,95 +285,6 @@ class VnmFp8Backend final : public PackedVnmBackend {
   }
 };
 
-// ------------------------------------------------------- backward kinds
-//
-// The training ops (input-gradient transposed SpMM, weight-gradient
-// SDDMM) register as their own OpKinds, so the forward families'
-// override machinery (VENOM_BACKEND / ops::ScopedBackend) reaches them
-// too. Their scalar oracles (spmm_vnm_transposed_scalar,
-// sddmm_vnm_scalar) are plain functions.
-
-/// dL/dX = Aᵀ * B over a V:N:M left operand: the scatter kernel with
-/// per-task partial reduction. Tuning-cache aware through the context
-/// (the forward problem's tuned chunk grain carries over).
-class VnmTransposedBackend final : public Matmul {
- public:
-  std::string_view name() const override { return "vnm-t"; }
-  std::string describe() const override {
-    return "transposed V:N:M SpMM, per-task partial scatter "
-           "(input-gradient, production)";
-  }
-  int priority() const override { return 100; }
-  bool supports(const MatmulDesc& desc,
-                const std::string& /*cpu_features*/) const override {
-    return desc.kind == OpKind::kMatmulTransposed &&
-           desc.format == OperandFormat::kVnm;
-  }
-  FloatMatrix run(const MatmulArgs& args, ExecContext& ctx) const override {
-    const spatha::SpmmConfig cfg =
-        args.config != nullptr
-            ? *args.config
-            : ctx.select_config(args.vnm->config(), args.vnm->rows(),
-                                args.vnm->cols(), args.b->cols());
-    return spatha::spmm_vnm_transposed(*args.vnm, *args.b, cfg, &ctx.pool());
-  }
-};
-
-/// Dense transposed GEMM: explicit transpose then the dense kernel —
-/// what the dense Linear backward hand-coded before this kind existed
-/// (bit-identical to that sequence by construction).
-class DenseTransposedBackend final : public Matmul {
- public:
-  std::string_view name() const override { return "dense-gemm-t"; }
-  std::string describe() const override {
-    return "dense transposed GEMM (explicit transpose + dense-gemm)";
-  }
-  int priority() const override { return 100; }
-  bool supports(const MatmulDesc& desc,
-                const std::string& /*cpu_features*/) const override {
-    return desc.kind == OpKind::kMatmulTransposed &&
-           desc.format == OperandFormat::kDense;
-  }
-  FloatMatrix run(const MatmulArgs& args, ExecContext& ctx) const override {
-    return gemm_dense(transpose(*args.dense), *args.b, &ctx.pool());
-  }
-};
-
-/// Masked weight-gradient SDDMM over the V:N:M structure: the packed
-/// column-panel + lane-blocked dot pipeline, with the context's tuning
-/// cache supplying the chunk grain and its scratch pool recycling the
-/// panels across calls.
-class SddmmBackend final : public Matmul {
- public:
-  std::string_view name() const override { return "sddmm"; }
-  std::string describe() const override {
-    return "V:N:M SDDMM, packed column panels + lane-blocked dots "
-           "(weight-gradient, production)";
-  }
-  int priority() const override { return 100; }
-  bool supports(const MatmulDesc& desc,
-                const std::string& /*cpu_features*/) const override {
-    return desc.kind == OpKind::kSddmm &&
-           desc.format == OperandFormat::kVnm;
-  }
-  FloatMatrix run(const MatmulArgs& args, ExecContext& ctx) const override {
-    (void)args;
-    (void)ctx;
-    VENOM_CHECK_MSG(false, "SDDMM backends run through run_sddmm()");
-    return {};
-  }
-  VnmMatrix run_sddmm(const MatmulArgs& args,
-                      ExecContext& ctx) const override {
-    const spatha::SpmmConfig cfg =
-        args.config != nullptr
-            ? *args.config
-            : ctx.select_config(args.vnm->config(), args.vnm->rows(),
-                                args.vnm->cols(), args.dense->cols());
-    return spatha::sddmm_vnm(*args.vnm, *args.dense, *args.b, cfg,
-                             &ctx.pool(), &ctx.scratch());
-  }
-};
-
 }  // namespace
 
 void register_builtin_backends(BackendRegistry& registry) {
@@ -393,9 +297,6 @@ void register_builtin_backends(BackendRegistry& registry) {
   registry.add(std::make_unique<CvseBackend>());
   registry.add(std::make_unique<CsrBackend>());
   registry.add(std::make_unique<DenseGemmBackend>());
-  registry.add(std::make_unique<VnmTransposedBackend>());
-  registry.add(std::make_unique<DenseTransposedBackend>());
-  registry.add(std::make_unique<SddmmBackend>());
 }
 
 }  // namespace venom::ops

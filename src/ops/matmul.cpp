@@ -21,15 +21,6 @@ const char* to_string(OperandFormat f) {
   return "?";
 }
 
-const char* to_string(OpKind k) {
-  switch (k) {
-    case OpKind::kMatmul: return "matmul";
-    case OpKind::kMatmulTransposed: return "matmul-t";
-    case OpKind::kSddmm: return "sddmm";
-  }
-  return "?";
-}
-
 MatmulArgs MatmulArgs::make(const HalfMatrix& a, const HalfMatrix& b) {
   MatmulArgs args;
   args.dense = &a;
@@ -109,45 +100,10 @@ MatmulArgs MatmulArgs::make(std::shared_ptr<const quant::Fp8VnmMatrix> a,
   return args;
 }
 
-MatmulArgs MatmulArgs::make_transposed(const VnmMatrix& a,
-                                       const HalfMatrix& b) {
-  MatmulArgs args = make(a, b);
-  args.kind = OpKind::kMatmulTransposed;
-  return args;
-}
-
-MatmulArgs MatmulArgs::make_transposed(const HalfMatrix& a,
-                                       const HalfMatrix& b) {
-  MatmulArgs args = make(a, b);
-  args.kind = OpKind::kMatmulTransposed;
-  return args;
-}
-
-MatmulArgs MatmulArgs::make_sddmm(const VnmMatrix& structure,
-                                  const HalfMatrix& a, const HalfMatrix& b) {
-  MatmulArgs args;
-  args.kind = OpKind::kSddmm;
-  args.vnm = &structure;
-  args.dense = &a;  // the rows x depth operand rides the dense slot
-  args.b = &b;
-  return args;
-}
-
 MatmulDesc MatmulArgs::desc() const {
   MatmulDesc d;
   VENOM_CHECK_MSG(b != nullptr, "MatmulArgs without a dense right operand");
-  d.kind = kind;
   d.b_cols = b->cols();
-  if (kind == OpKind::kSddmm) {
-    VENOM_CHECK_MSG(vnm != nullptr && dense != nullptr,
-                    "SDDMM args need a structure and a dense A operand");
-    d.format = OperandFormat::kVnm;
-    d.rows = vnm->rows();
-    d.cols = vnm->cols();
-    d.vnm = vnm->config();
-    d.depth = dense->cols();
-    return d;
-  }
   if (qvnm != nullptr) {
     d.format = OperandFormat::kVnm;
     d.dtype = Dtype::kI8;
@@ -187,13 +143,6 @@ MatmulDesc MatmulArgs::desc() const {
     VENOM_CHECK_MSG(false, "MatmulArgs without a left operand");
   }
   return d;
-}
-
-VnmMatrix Matmul::run_sddmm(const MatmulArgs& /*args*/,
-                            ExecContext& /*ctx*/) const {
-  VENOM_CHECK_MSG(false, "backend '" << name()
-                                     << "' does not implement SDDMM");
-  return {};
 }
 
 HalfMatrix Matmul::run_fused(const MatmulArgs& args,
@@ -316,8 +265,7 @@ BackendRegistry::Selection BackendRegistry::select_explained(
       sel.backend = backend.get();
   }
   VENOM_CHECK_MSG(sel.backend != nullptr,
-                  "no registered backend supports a "
-                      << to_string(desc.kind) << " over a " << desc.rows
+                  "no registered backend supports a " << desc.rows
                       << 'x' << desc.cols << 'x' << desc.b_cols
                       << " problem in format " << to_string(desc.format)
                       << " (features " << features << ')');
@@ -329,9 +277,6 @@ const Matmul& BackendRegistry::select(const MatmulDesc& desc) const {
 }
 
 FloatMatrix matmul(const MatmulArgs& args, ExecContext& ctx) {
-  VENOM_CHECK_MSG(args.kind == OpKind::kMatmul,
-                  "matmul over " << to_string(args.kind)
-                                 << " args (use matmul_transposed/sddmm)");
   return BackendRegistry::instance().select(args.desc()).run(args, ctx);
 }
 
@@ -341,8 +286,6 @@ FloatMatrix matmul(const MatmulArgs& args) {
 
 HalfMatrix matmul_fused(const MatmulArgs& args,
                         const spatha::Epilogue& epilogue, ExecContext& ctx) {
-  VENOM_CHECK_MSG(args.kind == OpKind::kMatmul,
-                  "matmul_fused over " << to_string(args.kind) << " args");
   return BackendRegistry::instance()
       .select(args.desc())
       .run_fused(args, epilogue, ctx);
@@ -351,27 +294,6 @@ HalfMatrix matmul_fused(const MatmulArgs& args,
 HalfMatrix matmul_fused(const MatmulArgs& args,
                         const spatha::Epilogue& epilogue) {
   return matmul_fused(args, epilogue, ExecContext::global());
-}
-
-FloatMatrix matmul_transposed(const MatmulArgs& args, ExecContext& ctx) {
-  VENOM_CHECK_MSG(args.kind == OpKind::kMatmulTransposed,
-                  "matmul_transposed over " << to_string(args.kind)
-                                            << " args");
-  return BackendRegistry::instance().select(args.desc()).run(args, ctx);
-}
-
-FloatMatrix matmul_transposed(const MatmulArgs& args) {
-  return matmul_transposed(args, ExecContext::global());
-}
-
-VnmMatrix sddmm(const MatmulArgs& args, ExecContext& ctx) {
-  VENOM_CHECK_MSG(args.kind == OpKind::kSddmm,
-                  "sddmm over " << to_string(args.kind) << " args");
-  return BackendRegistry::instance().select(args.desc()).run_sddmm(args, ctx);
-}
-
-VnmMatrix sddmm(const MatmulArgs& args) {
-  return sddmm(args, ExecContext::global());
 }
 
 }  // namespace venom::ops

@@ -2,15 +2,17 @@
 // family in the repository.
 //
 // The paper's Spatha layer exposes a single SpMM concept; this layer is
-// its API. Each kernel family (the Spatha V:N:M pipeline on the fp16,
-// int8 and fp8 datapaths, the row-wise N:M fast path, the CVSE / CSR
-// baseline stand-ins, the dense GEMM, the transposed SpMM and SDDMM)
-// registers a Matmul backend into a process-wide BackendRegistry; callers describe the
-// product once (MatmulArgs) and dispatch picks the best registered
-// backend for the operand format, the problem shape, and this build's
-// CPU feature fingerprint — consulting the ExecContext's tuning cache
-// for the kernel configuration. New formats and backends become registry
-// entries instead of cross-tree edits.
+// its API. Each forward kernel family (the Spatha V:N:M pipeline on the
+// fp16, int8 and fp8 datapaths, the row-wise N:M fast path, the CVSE /
+// CSR baseline stand-ins, the dense GEMM) registers a Matmul backend
+// into a process-wide BackendRegistry; callers describe the product once
+// (MatmulArgs) and dispatch picks the best registered backend for the
+// operand format, the problem shape, and this build's CPU feature
+// fingerprint — consulting the ExecContext's tuning cache for the kernel
+// configuration. New formats and backends become registry entries
+// instead of cross-tree edits. The training products (the transposed
+// SpMM and the SDDMM) have one kernel per format and are plain calls
+// (transformer::Linear::backward makes them).
 //
 // Selection is overridable for experiments and A/B measurement:
 //   * VENOM_BACKEND=<name> in the environment, or
@@ -46,35 +48,22 @@ enum class OperandFormat : std::uint8_t { kDense, kVnm, kNm, kCvse, kCsr };
 
 const char* to_string(OperandFormat f);
 
-/// Which product the dispatch is for. Backends declare support per kind,
-/// so the forward SpMM, its transpose (the input-gradient dL/dX = Aᵀ·B),
-/// and the sampled product (the weight-gradient SDDMM) are all registry
-/// entries with working overrides rather than cross-tree direct calls.
-enum class OpKind : std::uint8_t { kMatmul, kMatmulTransposed, kSddmm };
-
-const char* to_string(OpKind k);
-
 /// Shape + format summary of a product — what supports() and backend
 /// selection look at (no operand data access).
 struct MatmulDesc {
   std::size_t rows = 0;    ///< left-operand rows (R)
   std::size_t cols = 0;    ///< left-operand cols (K)
   std::size_t b_cols = 0;  ///< dense right-operand cols (C)
-  std::size_t depth = 0;   ///< SDDMM reduction depth (kind == kSddmm)
-  OpKind kind = OpKind::kMatmul;
   OperandFormat format = OperandFormat::kDense;
   Dtype dtype = Dtype::kF16;  ///< left-operand value precision
   VnmConfig vnm;  ///< valid when format == kVnm
   NmPattern nm;   ///< valid when format == kNm
 };
 
-/// Argument pack for one C = A * B (or Aᵀ * B, or an SDDMM — see
-/// `kind`). Exactly one left-operand pointer is set (matching the format
-/// the make() overloads record); all pointees must outlive the run()
-/// call. For kSddmm, `vnm` is the sampling structure and `dense` carries
-/// the rows x depth A operand.
+/// Argument pack for one C = A * B. Exactly one left-operand pointer is
+/// set (matching the format the make() overloads record); all pointees
+/// must outlive the run() call.
 struct MatmulArgs {
-  OpKind kind = OpKind::kMatmul;
   const HalfMatrix* dense = nullptr;
   const VnmMatrix* vnm = nullptr;
   const NmMatrix* nm = nullptr;
@@ -132,17 +121,6 @@ struct MatmulArgs {
   static MatmulArgs make(std::shared_ptr<const quant::Fp8VnmMatrix> a,
                          const HalfMatrix& b);
 
-  /// Transposed product C(K x C) = Aᵀ(K x R) * B(R x C): the
-  /// input-gradient of a (sparse or dense) linear layer.
-  static MatmulArgs make_transposed(const VnmMatrix& a, const HalfMatrix& b);
-  static MatmulArgs make_transposed(const HalfMatrix& a, const HalfMatrix& b);
-
-  /// SDDMM: (A * B) sampled at `structure`'s nonzero positions, with
-  /// A(rows x depth) and B(depth x cols) matching the structure's shape —
-  /// the masked weight-gradient of a sparse linear layer.
-  static MatmulArgs make_sddmm(const VnmMatrix& structure,
-                               const HalfMatrix& a, const HalfMatrix& b);
-
   /// The shape/format summary selection dispatches on.
   MatmulDesc desc() const;
 };
@@ -174,10 +152,6 @@ class Matmul {
   virtual HalfMatrix run_fused(const MatmulArgs& args,
                                const spatha::Epilogue& epilogue,
                                ExecContext& ctx) const;
-  /// SDDMM run (kind == kSddmm): the sampled product in the structure's
-  /// own compressed format. The default throws — only backends whose
-  /// supports() accepts kSddmm descs implement it.
-  virtual VnmMatrix run_sddmm(const MatmulArgs& args, ExecContext& ctx) const;
 };
 
 /// Process-wide registry of matmul backends. The built-in kernel
@@ -254,15 +228,5 @@ HalfMatrix matmul_fused(const MatmulArgs& args,
                         const spatha::Epilogue& epilogue, ExecContext& ctx);
 HalfMatrix matmul_fused(const MatmulArgs& args,
                         const spatha::Epilogue& epilogue);
-
-/// Dispatches C = Aᵀ * B (args from make_transposed) through the
-/// selected kMatmulTransposed backend.
-FloatMatrix matmul_transposed(const MatmulArgs& args, ExecContext& ctx);
-FloatMatrix matmul_transposed(const MatmulArgs& args);
-
-/// Dispatches the sampled product (args from make_sddmm) through the
-/// selected kSddmm backend.
-VnmMatrix sddmm(const MatmulArgs& args, ExecContext& ctx);
-VnmMatrix sddmm(const MatmulArgs& args);
 
 }  // namespace venom::ops

@@ -7,6 +7,7 @@
 #include "ops/ops.hpp"
 #include "spatha/epilogue.hpp"
 #include "spatha/plan.hpp"
+#include "spatha/sddmm.hpp"
 #include "spatha/spmm.hpp"
 #include "transformer/ops.hpp"
 
@@ -130,21 +131,18 @@ Linear::Grads Linear::backward(const HalfMatrix& x,
   const HalfMatrix grad_y_half = to_half(grad_y);
   const HalfMatrix xt = transpose(x);
 
-  // dL/dx = W^T dL/dy — the kMatmulTransposed registry family: the
-  // scatter-based V:N:M kernel for a pruned weight, the explicit
-  // transpose + dense GEMM otherwise.
-  g.input = ops::matmul_transposed(
-      sparse_ != nullptr
-          ? ops::MatmulArgs::make_transposed(*sparse_, grad_y_half)
-          : ops::MatmulArgs::make_transposed(weight_, grad_y_half),
-      ctx);
-
   if (sparse_ != nullptr) {
-    // dL/dW = dL/dy x^T sampled at the surviving pattern (the kSddmm
-    // family): pruned coordinates are never computed, so the gradient is
-    // masked by construction and updates cannot resurrect dead weights.
-    g.weight_vnm = std::make_shared<const VnmMatrix>(ops::sddmm(
-        ops::MatmulArgs::make_sddmm(*sparse_, grad_y_half, xt), ctx));
+    // Both products run on the pattern alone, keyed by the layer's
+    // R x K x tokens problem: dL/dx = W^T dL/dy is the scatter-based
+    // transposed SpMM, and dL/dW = dL/dy x^T is the SDDMM sampled at the
+    // surviving coordinates, so the gradient is masked by construction
+    // and updates cannot resurrect dead weights.
+    const spatha::SpmmConfig cfg =
+        ctx.select_config(sparse_->config(), out_, in_, grad_y.cols());
+    g.input = spatha::spmm_vnm_transposed(*sparse_, grad_y_half, cfg,
+                                          &ctx.pool());
+    g.weight_vnm = std::make_shared<const VnmMatrix>(spatha::sddmm_vnm(
+        *sparse_, grad_y_half, xt, cfg, &ctx.pool(), &ctx.scratch()));
     const HalfMatrix dense_grad = g.weight_vnm->to_dense();
     g.weight = FloatMatrix(out_, in_);
     for (std::size_t i = 0; i < dense_grad.size(); ++i)
@@ -152,7 +150,8 @@ Linear::Grads Linear::backward(const HalfMatrix& x,
   } else {
     // Dense: gradients flow to every coordinate; STen keeps dense weight
     // grads so the sparsifier can re-select later.
-    g.weight = ops::matmul(ops::MatmulArgs::make(grad_y_half, xt), ctx);
+    g.input = gemm_dense(transpose(weight_), grad_y_half, &ctx.pool());
+    g.weight = gemm_dense(grad_y_half, xt, &ctx.pool());
   }
 
   // dL/db = row sums of dL/dy.

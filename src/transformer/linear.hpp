@@ -3,11 +3,12 @@
 // This is the CPU analogue of the paper's STen integration (Listing 1):
 // a dense nn.Linear is replaced by an Spmm module holding the VNMTensor
 // (values / columns / metadata). Calling sparsify() converts the dense
-// weight into a VnmMatrix; forward() routes both weight states through
+// weight into a VnmMatrix; forward() routes every weight state through
 // the venom::ops dispatcher (ops::matmul_fused), which selects the
-// Spatha V:N:M backend for sparse weights and the dense GEMM backend
-// otherwise — Linear no longer picks kernels or threads pools/caches by
-// hand.
+// Spatha V:N:M backend for sparse weights, the quantized backend for an
+// int8 / fp8 image, and the dense GEMM backend otherwise. backward()
+// already knows which it holds, so it calls the training kernels
+// (transposed SpMM, SDDMM, dense GEMM) directly on the layer's context.
 #pragma once
 
 #include <cstdint>
@@ -88,12 +89,13 @@ class Linear {
                      ops::ExecContext* ctx = nullptr) const;
 
   /// Gradients of a linear layer (the sparse-training path of §9a). For
-  /// a sparse weight, backward() dispatches both halves through the
-  /// venom::ops registry: the input gradient through the transposed
-  /// V:N:M SpMM (ops::matmul_transposed) and the weight gradient through
-  /// the masked SDDMM (ops::sddmm), so only the surviving pattern's
-  /// coordinates are ever computed — `weight` is then the dense
-  /// expansion of `weight_vnm` (zero at pruned positions).
+  /// a sparse weight, backward() runs the input gradient through the
+  /// transposed V:N:M SpMM (spatha::spmm_vnm_transposed) and the weight
+  /// gradient through the masked SDDMM (spatha::sddmm_vnm), both with
+  /// the attached context's config, pool and scratch, so only the
+  /// surviving pattern's coordinates are ever computed — `weight` is then
+  /// the dense expansion of `weight_vnm` (zero at pruned positions). A
+  /// dense weight runs both products through the dense GEMM.
   struct Grads {
     FloatMatrix input;        ///< dL/dx (in x tokens)
     FloatMatrix weight;       ///< dL/dW (out x in; masked when sparse)

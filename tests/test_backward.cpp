@@ -1,8 +1,8 @@
-// Sparse backward pass, end to end: the ops-layer dispatch of the
-// transposed SpMM / masked SDDMM, finite-difference checks of the
-// transformer backward (MHA, encoder layer, encoder stack), and the
-// fine-tuning loop's acceptance bar (>= 50% of the post-prune loss
-// recovered on the synthetic regression task).
+// Sparse backward pass, end to end: Linear::backward's transposed SpMM /
+// masked SDDMM pinned to the direct kernel calls, finite-difference
+// checks of the transformer backward (MHA, encoder layer, encoder
+// stack), and the fine-tuning loop's acceptance bar (>= 50% of the
+// post-prune loss recovered on the synthetic regression task).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -103,62 +103,6 @@ double directional_rel_err(ForwardFn&& forward, const FloatMatrix& grad_x,
     den += an * an;
   }
   return std::sqrt(num / std::max(den, 1e-12));
-}
-
-// ------------------------------------------------- ops-layer dispatch
-
-TEST(BackwardOps, TransposedDispatchMatchesScalarOracle) {
-  Rng rng = Rng::seeded("backward-ops", 1);
-  const VnmConfig fmt{8, 2, 10};
-  const VnmMatrix a = VnmMatrix::from_dense_magnitude(
-      random_half_matrix(32, 40, rng, 0.1f), fmt);
-  const HalfMatrix b = random_half_matrix(32, 13, rng, 0.1f);
-
-  const FloatMatrix fast =
-      ops::matmul_transposed(ops::MatmulArgs::make_transposed(a, b));
-  const FloatMatrix oracle = spatha::spmm_vnm_transposed_scalar(a, b);
-  EXPECT_LT(rel_fro_error(fast, oracle), 1e-5f);
-  EXPECT_LT(rel_fro_error(oracle,
-                          gemm_dense(transpose(a.to_dense()), b)),
-            1e-5f);
-}
-
-TEST(BackwardOps, SddmmDispatchMatchesScalarOracle) {
-  Rng rng = Rng::seeded("backward-ops", 2);
-  const VnmConfig fmt{4, 2, 8};
-  const VnmMatrix s = VnmMatrix::from_dense_magnitude(
-      random_half_matrix(16, 32, rng, 0.1f), fmt);
-  const HalfMatrix a = random_half_matrix(16, 12, rng, 0.1f);
-  const HalfMatrix b = random_half_matrix(12, 32, rng, 0.1f);
-
-  const VnmMatrix fast = ops::sddmm(ops::MatmulArgs::make_sddmm(s, a, b));
-  const VnmMatrix oracle = spatha::sddmm_vnm_scalar(s, a, b);
-  ASSERT_EQ(fast.values().size(), oracle.values().size());
-  for (std::size_t i = 0; i < fast.values().size(); ++i)
-    EXPECT_NEAR(fast.values()[i].to_float(), oracle.values()[i].to_float(),
-                0.01f + 0.02f * std::fabs(oracle.values()[i].to_float()))
-        << i;
-}
-
-TEST(BackwardOps, DenseTransposedMatchesHandTransposedGemm) {
-  Rng rng = Rng::seeded("backward-ops", 3);
-  const HalfMatrix w = random_half_matrix(24, 40, rng, 0.1f);
-  const HalfMatrix b = random_half_matrix(24, 9, rng, 0.1f);
-  const FloatMatrix got =
-      ops::matmul_transposed(ops::MatmulArgs::make_transposed(w, b));
-  const FloatMatrix ref = gemm_dense(transpose(w), b);
-  ASSERT_EQ(got.rows(), ref.rows());
-  for (std::size_t i = 0; i < got.size(); ++i)
-    EXPECT_EQ(got.flat()[i], ref.flat()[i]) << i;
-}
-
-TEST(BackwardOps, UnsupportedKindThrows) {
-  Rng rng = Rng::seeded("backward-ops", 4);
-  const HalfMatrix a = random_half_matrix(8, 8, rng);
-  const HalfMatrix b = random_half_matrix(8, 8, rng);
-  ops::MatmulArgs args = ops::MatmulArgs::make(a, b);
-  EXPECT_THROW(ops::matmul_transposed(args), Error);  // kind mismatch
-  EXPECT_THROW(ops::sddmm(args), Error);
 }
 
 // ------------------------------------------------- layer_norm backward

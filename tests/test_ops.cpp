@@ -74,7 +74,7 @@ TEST(OpsRegistry, BuiltinFamiliesAreRegistered) {
   }
   const std::vector<std::string_view> want = {
       "vnm-fast", "vnm-scalar", "vnm-int8", "vnm-int8-scalar", "vnm-fp8",
-      "nm", "cvse", "csr", "dense-gemm", "vnm-t", "dense-gemm-t", "sddmm"};
+      "nm", "cvse", "csr", "dense-gemm"};
   EXPECT_EQ(names, want);
   EXPECT_EQ(registry.find("no-such-backend"), nullptr);
 }
