@@ -171,22 +171,6 @@ MeasuredResult autotune_measured(const VnmMatrix& a, const HalfMatrix& b,
             });
   result.best = result.ranked.front();
 
-  // Thread-count refinement: re-measure the winner under dedicated pools
-  // and record the fastest pool size (0 = the measuring pool, already
-  // covered). Advisory only — dispatch always runs on the caller's pool,
-  // so best/ranked keep the measuring pool's numbers.
-  std::size_t best_threads = pool->size();
-  double best_refined_s = result.best.seconds;
-  for (const std::size_t t : space.thread_counts) {
-    if (t == 0 || t == pool->size()) continue;
-    ThreadPool scoped(t);
-    const double s = measure(result.best.config, &scoped);
-    if (s < best_refined_s) {
-      best_refined_s = s;
-      best_threads = t;
-    }
-  }
-
   if (opts.verify) {
     // Each datapath checks against its own scalar oracle: the int8 and
     // fp8 kernels are bit-contracted to their scalar traversals, not to
@@ -221,7 +205,6 @@ MeasuredResult autotune_measured(const VnmMatrix& a, const HalfMatrix& b,
   result.entry.config = result.best.config;
   result.entry.gflops = result.best.gflops;
   result.entry.heuristic_gflops = result.heuristic.gflops;
-  result.entry.threads = best_threads;
   return result;
 }
 

@@ -37,9 +37,9 @@ struct TunedConfig {
 };
 
 /// Search-space bounds. The tile axes cover the sizes the paper's
-/// templates instantiate; the chunk-grain and thread-count axes exist
-/// only on the CPU executor and are exercised by the measured search
-/// (the analytical model ignores them).
+/// templates instantiate; the chunk-grain axis exists only on the CPU
+/// executor and is exercised by the measured search (the analytical
+/// model ignores it).
 struct TuneSpace {
   std::vector<std::size_t> block_c = {16, 32, 64, 128};
   std::vector<std::size_t> block_k_groups = {16, 32, 64, 128, 256};
@@ -48,13 +48,6 @@ struct TuneSpace {
   /// parallel_for_chunks grains (output tiles per claimed chunk); 0 is
   /// the pool's own choice of a few chunks per worker.
   std::vector<std::size_t> chunk_grains = {0, 1, 2, 4};
-
-  /// Pool sizes to re-measure the winning config under (0 = the
-  /// measuring pool). Empty skips the refinement. Advisory: the fastest
-  /// pool size lands in MeasuredResult::entry.threads, but dispatch
-  /// always runs on the caller's pool, so the reported throughputs stay
-  /// the measuring pool's.
-  std::vector<std::size_t> thread_counts = {};
 };
 
 /// Exhaustively scores every valid configuration for the problem and

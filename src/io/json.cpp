@@ -1,7 +1,10 @@
 #include "io/json.hpp"
 
+#include <algorithm>
 #include <cctype>
+#include <cmath>
 #include <cstdint>
+#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 
@@ -49,11 +52,20 @@ class JsonParser {
     return true;
   }
 
+  // The documents nest at most 4 deep; the bound keeps a corrupt file
+  // of nested brackets from recursing off the stack.
+  static constexpr std::size_t kMaxDepth = 64;
+
   JsonValue value() {
     skip_ws();
     const char c = peek();
-    if (c == '{') return object();
-    if (c == '[') return array();
+    if (c == '{' || c == '[') {
+      check(depth_ < kMaxDepth, "nesting too deep");
+      ++depth_;
+      JsonValue v = c == '{' ? object() : array();
+      --depth_;
+      return v;
+    }
     if (c == '"') return string();
     if (c == 't' || c == 'f') return boolean();
     if (c == 'n') {
@@ -127,6 +139,7 @@ class JsonParser {
           case 'n': v.str += '\n'; break;
           case 't': v.str += '\t'; break;
           case 'r': v.str += '\r'; break;
+          case 'u': v.str += ascii_escape(); break;
           default: check(false, "unsupported escape");
         }
         continue;
@@ -134,6 +147,23 @@ class JsonParser {
       check(static_cast<unsigned char>(c) >= 0x20, "control character");
       v.str += c;
     }
+  }
+
+  /// The four hex digits of a \u escape, which the writer emits only for
+  /// ASCII control characters: any code point past 0x7f is refused.
+  char ascii_escape() {
+    const std::string hex = text_.substr(pos_, 4);
+    check(hex.size() == 4 &&
+              std::all_of(hex.begin(), hex.end(),
+                          [](char h) {
+                            return std::isxdigit(
+                                       static_cast<unsigned char>(h)) != 0;
+                          }),
+          "bad \\u escape");
+    const unsigned long code = std::strtoul(hex.c_str(), nullptr, 16);
+    check(code < 0x80, "unsupported \\u escape");
+    pos_ += 4;
+    return static_cast<char>(code);
   }
 
   JsonValue boolean() {
@@ -167,6 +197,7 @@ class JsonParser {
   const std::string& text_;
   const std::string& path_;
   std::size_t pos_ = 0;
+  std::size_t depth_ = 0;
 };
 
 }  // namespace
@@ -208,9 +239,30 @@ const std::string& json_string_field(const JsonValue& obj, const char* key,
 
 void json_escape_to(std::string& out, const std::string& s) {
   for (const char c : s) {
-    if (c == '"' || c == '\\') out += '\\';
-    out += c;
+    switch (c) {
+      case '"': out += "\\\""; break;
+      case '\\': out += "\\\\"; break;
+      case '\n': out += "\\n"; break;
+      case '\t': out += "\\t"; break;
+      case '\r': out += "\\r"; break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          char buf[8];
+          std::snprintf(buf, sizeof(buf), "\\u%04x",
+                        static_cast<unsigned>(c));
+          out += buf;
+        } else {
+          out += c;
+        }
+    }
   }
+}
+
+double json_finite(double x, const char* key) {
+  VENOM_CHECK_MSG(std::isfinite(x), "cannot save non-finite \""
+                                        << key << "\" (" << x
+                                        << ") as JSON");
+  return x;
 }
 
 }  // namespace venom::io

@@ -2,8 +2,8 @@
 // empirical tuning cache (io/serialize.cpp) and the serving engine plan
 // (serving/plan.cpp). Objects, arrays, strings, numbers, booleans, null
 // — enough for the documents the writers emit plus hand-edited
-// variants; anything malformed throws venom::Error with the byte offset
-// so a corrupt file is diagnosable.
+// variants; anything malformed, or nested past a fixed depth, throws
+// venom::Error with the byte offset so a corrupt file is diagnosable.
 #pragma once
 
 #include <cstddef>
@@ -48,7 +48,13 @@ double json_double_field(const JsonValue& obj, const char* key,
 const std::string& json_string_field(const JsonValue& obj, const char* key,
                                      const std::string& path);
 
-/// Appends `s` to `out` with JSON string escaping (quotes, backslashes).
+/// Appends `s` to `out` with JSON string escaping: quotes, backslashes,
+/// and every byte below 0x20 (\n \t \r by name, the others as \u00XX),
+/// which is what parse_json reads back.
 void json_escape_to(std::string& out, const std::string& s);
+
+/// `x`, for a writer to print; throws venom::Error naming `key` when it
+/// is inf or nan, which JSON cannot hold.
+double json_finite(double x, const char* key);
 
 }  // namespace venom::io

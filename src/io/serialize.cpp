@@ -392,14 +392,14 @@ void save_tuning_cache(const spatha::TuningCache& cache,
         "\"warp_r\": %zu, \"warp_k\": %zu, \"warp_c\": %zu, "
         "\"batch_size\": %zu, \"chunk_grain\": %zu, "
         "\"store_bits\": %d, \"column_loc_fixed\": %d},\n"
-        "     \"gflops\": %.6g, \"heuristic_gflops\": %.6g, "
-        "\"threads\": %zu}",
+        "     \"gflops\": %.6g, \"heuristic_gflops\": %.6g}",
         e.config.block_k, e.config.block_c, e.config.warp_r,
         e.config.warp_k, e.config.warp_c, e.config.batch_size,
         e.config.chunk_grain,
         e.config.store_width == spatha::StoreWidth::k32bit ? 32 : 128,
         e.config.column_loc == spatha::ColumnLocMode::kFixed ? 1 : 0,
-        e.gflops, e.heuristic_gflops, e.threads);
+        json_finite(e.gflops, "gflops"),
+        json_finite(e.heuristic_gflops, "heuristic_gflops"));
     out += buf;
   }
   out += entries.empty() ? "]\n}\n" : "\n  ]\n}\n";
@@ -474,7 +474,8 @@ spatha::TuningCache load_tuning_cache(const std::string& path) {
                     "'" << path << "' cache entry has a degenerate tile");
     e.gflops = json_double_field(item, "gflops", path);
     e.heuristic_gflops = json_double_field(item, "heuristic_gflops", path);
-    e.threads = json_size_field(item, "threads", path);
+    // Files written before the thread-count refinement was dropped also
+    // carry a "threads" key; it is ignored.
     cache.put(key, e);
   }
   return cache;

@@ -40,7 +40,8 @@ void save_engine_plan(const EnginePlan& plan, const std::string& path) {
   std::snprintf(buf, sizeof(buf),
                 "\",\n  \"max_batch_tokens\": %zu,\n  \"workers\": %zu,\n"
                 "  \"measured_rps\": %.6g,\n  \"layers\": [",
-                plan.max_batch_tokens, plan.workers, plan.measured_rps);
+                plan.max_batch_tokens, plan.workers,
+                io::json_finite(plan.measured_rps, "measured_rps"));
   out += buf;
   for (std::size_t i = 0; i < plan.layers.size(); ++i) {
     out += i == 0 ? "\n    {\"backend\": \"" : ",\n    {\"backend\": \"";

@@ -58,7 +58,6 @@ struct TuningEntry {
   SpmmConfig config;
   double gflops = 0.0;            ///< measured with `config`
   double heuristic_gflops = 0.0;  ///< same problem, fixed heuristic config
-  std::size_t threads = 0;  ///< pool size the config measured fastest under
 };
 
 /// Thread-safe map of tuned configurations.

@@ -8,12 +8,14 @@
 #include <cstdio>
 #include <fstream>
 #include <iterator>
+#include <limits>
 #include <string>
 #include <utility>
 
 #include "common/cpu_features.hpp"
 #include "common/error.hpp"
 #include "common/rng.hpp"
+#include "io/serialize.hpp"
 #include "serving/engine.hpp"
 #include "serving/plan.hpp"
 #include "transformer/config.hpp"
@@ -56,6 +58,10 @@ EnginePlan sample_plan() {
 TEST(EnginePlan, SaveLoadRoundTripPreservesEveryField) {
   EnginePlan plan = sample_plan();
   plan.layers.push_back({"vnm-fp8", ops::Dtype::kF8E5M2});
+  // Every ASCII byte but NUL, control characters included, survives the
+  // writer's escaping and the reader's unescaping.
+  plan.model.clear();
+  for (int c = 0x01; c <= 0x7f; ++c) plan.model += static_cast<char>(c);
   const std::string path = temp_path("engine_plan_roundtrip.json");
   save_engine_plan(plan, path);
 
@@ -161,6 +167,35 @@ TEST(EnginePlan, LoadThrowsOnMissingOrCorruptFiles) {
     out << text;
   }
   EXPECT_THROW(load_engine_plan(bad_dtype), Error);
+
+  // A \u escape past ASCII (the writer never emits one), and a document
+  // nested past the reader's depth bound: both throw, neither crashes.
+  const std::string corrupt = temp_path("engine_plan_corrupt.json");
+  for (const std::string& text :
+       {std::string("{\"format\": \"venom-engine-plan\", \"model\": "
+                    "\"caf\\u00e9\"}"),
+        std::string(1000000, '[')}) {
+    std::ofstream(corrupt, std::ios::trunc) << text;
+    EXPECT_THROW(load_engine_plan(corrupt), Error) << text.substr(0, 64);
+  }
+}
+
+TEST(EnginePlan, SaversRefuseNonFiniteNumbers) {
+  // JSON has no inf or nan: both writers throw rather than save a file
+  // their reader would refuse.
+  const std::string path = temp_path("non_finite.json");
+  for (const double bad : {std::numeric_limits<double>::infinity(),
+                           std::numeric_limits<double>::quiet_NaN()}) {
+    EnginePlan plan = sample_plan();
+    plan.measured_rps = bad;
+    EXPECT_THROW(save_engine_plan(plan, path), Error) << bad;
+
+    spatha::TuningEntry entry;
+    entry.gflops = bad;
+    spatha::TuningCache cache;
+    cache.put(spatha::make_tuning_key({8, 2, 4}, 32, 64, 16), entry);
+    EXPECT_THROW(io::save_tuning_cache(cache, path), Error) << bad;
+  }
 }
 
 TEST(EnginePlan, OptionsWithPlanFoldsOnlyWhenPathIsSet) {
