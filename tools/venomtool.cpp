@@ -395,15 +395,43 @@ int cmd_spmm(const std::vector<std::string>& args) {
   return 0;
 }
 
+/// Says so when dispatch skipped a requested override (an unknown name,
+/// or a backend that cannot run the problem).
+void print_ignored_override(const ops::BackendRegistry::Selection& sel) {
+  if (!sel.forced_ignored.empty())
+    std::printf("  (override '%s' ignored: unknown backend or unsupported "
+                "problem)\n",
+                sel.forced_ignored.c_str());
+}
+
+/// For the commands that build a V:N:M model: dispatch of its fp16
+/// hidden x hidden product at `b_cols`, so an override of
+/// $VENOM_BACKEND that the run will not use is reported, not silent.
+void report_ignored_override(std::size_t hidden, VnmConfig fmt,
+                             std::size_t b_cols) {
+  ops::MatmulDesc desc;
+  desc.rows = hidden;
+  desc.cols = hidden;
+  desc.b_cols = b_cols;
+  desc.format = ops::OperandFormat::kVnm;
+  desc.vnm = fmt;
+  print_ignored_override(
+      ops::BackendRegistry::instance().select_explained(desc));
+}
+
 int cmd_backends(const std::vector<std::string>& args) {
   if (!args.empty() && args.size() != 6 && args.size() != 7) return usage();
   const auto& registry = ops::BackendRegistry::instance();
 
   std::printf("registered matmul backends (features: %s):\n",
               cpu_feature_string().c_str());
+  int width = 0;
   for (const ops::Matmul* b : registry.backends())
-    std::printf("  %-12s prio %3d  %s\n", std::string(b->name()).c_str(),
-                b->priority(), b->describe().c_str());
+    width = std::max(width, int(b->name().size()));
+  for (const ops::Matmul* b : registry.backends())
+    std::printf("  %-*s prio %3d  %s\n", width,
+                std::string(b->name()).c_str(), b->priority(),
+                b->describe().c_str());
 
   if (args.empty()) return 0;
 
@@ -426,10 +454,7 @@ int cmd_backends(const std::vector<std::string>& args) {
   const auto sel = registry.select_explained(desc);
   std::printf("\ndispatch for %zux%zux%zu at %zu:%zu:%zu (%s):\n", r, k, c,
               fmt.v, fmt.n, fmt.m, std::string(to_string(dtype)).c_str());
-  if (!sel.forced_ignored.empty())
-    std::printf("  (override '%s' ignored: unknown backend or unsupported "
-                "problem)\n",
-                sel.forced_ignored.c_str());
+  print_ignored_override(sel);
   std::printf("  selected backend : %s\n",
               std::string(sel.backend->name()).c_str());
   std::printf("  eligible         :");
@@ -623,6 +648,7 @@ int cmd_serve_bench(const std::vector<std::string>& args) {
   if (!setup.plan_path.empty())
     std::printf("  engine plan: %s (applied to both paths)\n",
                 setup.plan_path.c_str());
+  report_ignored_override(hidden, setup.format, setup.tokens);
 
   const serving::BenchComparison r = serving::run_serving_comparison(setup);
   if (!r.bit_identical) {
@@ -681,6 +707,7 @@ int cmd_route_bench(const std::vector<std::string>& args) {
               "%.1fx overload, %zu-token admission bound\n",
               setup.replicas, setup.requests, setup.tokens,
               setup.max_tokens, setup.overload, setup.max_queued_tokens);
+  report_ignored_override(setup.model.hidden, setup.format, setup.tokens);
 
   // Watchdog: the overload run's worst failure mode is a future that
   // never resolves (a worker wedged across shutdown, a dropped promise).
@@ -773,6 +800,7 @@ int cmd_tune_engine(const std::vector<std::string>& args) {
               setup.requests, setup.tokens, hidden, layers,
               setup.token_budgets.size(), setup.worker_counts.size(),
               setup.dtypes.size(), cpu_feature_string().c_str());
+  report_ignored_override(hidden, setup.format, setup.tokens);
 
   const serving::EngineSweepResult r = serving::run_engine_sweep(setup);
   std::printf("measured %zu combinations; top 5:\n", r.ranked.size());
@@ -830,9 +858,10 @@ int cmd_generate(const std::vector<std::string>& args) {
                                  .ffn_hidden = 2 * hidden,
                                  .seq_len = prompt_tokens + new_tokens,
                                  .causal = true, .attn_window = window};
+  const VnmConfig fmt{64, 2, 8};
   Rng rng(seed);
   transformer::Encoder enc(model, rng);
-  enc.sparsify(VnmConfig{64, 2, 8});
+  enc.sparsify(fmt);
   Rng embed_rng(seed + 1);
   const HalfMatrix embed =
       random_half_matrix(hidden, kVocab, embed_rng, 0.25f);
@@ -887,6 +916,7 @@ int cmd_generate(const std::vector<std::string>& args) {
               "session)\n",
               prompt_tokens, new_tokens, hidden, layers, window,
               kv_capacity, kv_bytes / 1024);
+  report_ignored_override(hidden, fmt, prompt_tokens);
 
   const serving::Response resp = engine.submit(std::move(req)).get();
 
