@@ -474,8 +474,7 @@ spatha::TuningCache load_tuning_cache(const std::string& path) {
                     "'" << path << "' cache entry has a degenerate tile");
     e.gflops = json_double_field(item, "gflops", path);
     e.heuristic_gflops = json_double_field(item, "heuristic_gflops", path);
-    // Files written before the thread-count refinement was dropped also
-    // carry a "threads" key; it is ignored.
+    // Older files also carry "threads", which nothing reads.
     cache.put(key, e);
   }
   return cache;

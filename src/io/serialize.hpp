@@ -65,8 +65,11 @@ quant::Fp8VnmMatrix load_fp8_vnm_matrix(const std::string& path);
 ///   {"format": "venom-tune-cache", "version": 1, "entries": [
 ///     {"r":…, "k":…, "c":…, "v":…, "n":…, "m":…, "features":"…",
 ///      "config": {"block_k":…, "block_c":…, "warp_r":…, "warp_k":…,
-///                 "warp_c":…, "batch_size":…, "chunk_grain":…},
-///      "gflops":…, "heuristic_gflops":…, "threads":…}, …]}
+///                 "warp_c":…, "batch_size":…, "chunk_grain":…,
+///                 "store_bits":…, "column_loc_fixed":…},
+///      "gflops":…, "heuristic_gflops":…}, …]}
+///
+/// Throws venom::Error, before opening `path`, on a non-finite gflops.
 void save_tuning_cache(const spatha::TuningCache& cache,
                        const std::string& path);
 

@@ -83,6 +83,9 @@ struct EnginePlan {
 ///    "features": "…", "max_batch_tokens": …, "workers": …,
 ///    "measured_rps": …,
 ///    "layers": [{"backend": "…", "dtype": "int8"}, …]}
+///
+/// Throws venom::Error, before opening `path`, on a non-finite
+/// measured_rps.
 void save_engine_plan(const EnginePlan& plan, const std::string& path);
 
 /// Parses an engine plan. Throws venom::Error on a missing file,
